@@ -22,6 +22,7 @@ __all__ = [
     "generator_scale",
     "spec_to_string",
     "degree_sequence",
+    "two_core",
     "parse_edge_list",
     "load_edge_list",
     "edge_list_text",
@@ -107,6 +108,26 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def degree_sequence(g: Graph) -> list[int]:
     """Degrees arranged in non-increasing order."""
     return sorted((int(d) for d in g.degrees), reverse=True)
+
+
+def two_core(g: Graph) -> np.ndarray:
+    """Boolean mask of the 2-core: what is left after repeatedly deleting
+    vertices of degree <= 1.
+
+    One queue pass in O(n + E) (Batagelj & Zaversnik). The deleted vertices
+    form pendant trees, each hanging off at most one core vertex.
+    """
+    degree = g.degrees.tolist()
+    peeled = [d <= 1 for d in degree]
+    queue = [v for v, gone in enumerate(peeled) if gone]
+    for v in queue:  # grows while it is walked
+        for u in g.adjacency[v]:
+            if not peeled[u]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peeled[u] = True
+                    queue.append(u)
+    return ~np.array(peeled, dtype=bool)
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import _color_dtype, _eval_one, _eval_rows_matrix, _star_table
+from .coloring import eval_T_hits, star_table
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .pmf import Pmf
@@ -24,7 +24,7 @@ _CHUNK = 1 << 16
 
 def _decode_colorings(indices: np.ndarray, n: int, c: int) -> np.ndarray:
     """Mixed-radix decode: column j >= 1 is digit j-1 of the index in base c."""
-    colors = np.zeros((indices.size, n), dtype=_color_dtype(c))
+    colors = np.zeros((indices.size, n), dtype=np.min_scalar_type(c - 1))
     q = indices.copy()
     for j in range(1, n):
         colors[:, j] = q % c
@@ -51,18 +51,15 @@ def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET,
             cost=total,
             budget=budget,
         )
-    table = _star_table(g, r)
+    table = star_table(g, r)
     counts: dict[int, int] = {}
     found: dict[int, tuple[int, ...]] = {}
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         colors = _decode_colorings(idx, n, c)
-        if table is not None:
-            t_vals = _eval_rows_matrix(g, r, colors, table)
-        else:
-            t_vals = np.array([_eval_one(g, r, colors[i]) for i in range(colors.shape[0])],
-                              dtype=object)
+        hit_rows, hit_edges = np.nonzero(colors[:, g.edge_u] == colors[:, g.edge_v])
+        t_vals = eval_T_hits(g, table, stop - start, hit_rows, hit_edges)
         values, first, reps = np.unique(t_vals, return_index=True, return_counts=True)
         for v, k, pos in zip(values, reps, first):
             v = int(v)

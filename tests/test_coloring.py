@@ -12,10 +12,13 @@ from monostar.coloring import (
     sample_coloring,
 )
 from monostar.errors import BudgetExceededError
-from monostar.graphs import build_graph, complete, cycle, generate, parse_generator, star
+from monostar.graphs import (build_graph, complete, cycle, generate, parse_generator, star,
+                             two_core)
+from monostar.oracle import exact_pmf
 from monostar.stars import count_stars
 
-from oracles import brute_eval_T, random_graph
+from oracles import (brute_eval_T, brute_two_core, own_core_block_rows, random_graph,
+                     reference_monte_carlo, with_pendant_trees)
 
 
 def _coloring(g, values):
@@ -136,12 +139,120 @@ class TestMonteCarlo:
         assert rates == sorted(rates, reverse=True)
         assert rates[-1] < 0.05
 
-    def test_large_graph_row_kernel_matches_eval(self):
-        # exercise the per-row path (block of few rows) against direct eval
+
+def _z_scores(counts_a: dict, n_a: int, counts_b: dict, n_b: int) -> list[float]:
+    """Two-proportion z score of every value seen in either histogram."""
+    out = []
+    for v in set(counts_a) | set(counts_b):
+        pa, pb = counts_a.get(v, 0) / n_a, counts_b.get(v, 0) / n_b
+        pooled = (counts_a.get(v, 0) + counts_b.get(v, 0)) / (n_a + n_b)
+        if pooled < 1:
+            out.append(abs(pa - pb) / (pooled * (1 - pooled) * (1 / n_a + 1 / n_b)) ** 0.5)
+    return out
+
+
+def _mixed_graphs():
+    rng = np.random.default_rng(2718)
+    return [with_pendant_trees(rng, random_graph(rng, 6, p=0.7), 4) for _ in range(3)]
+
+
+class TestCoreTreeSampler:
+    """The sampler draws colors for the 2-core only and pendant-tree matches as
+    Bernoulli(1/c) hits; each part is checked against an independent oracle."""
+
+    def test_peel_matches_brute_force_core(self):
+        texts = ["figure2:1", "figure2:3", "figure2:6", "tadpole31", "cycle:3", "cycle:9",
+                 "path:1", "path:2", "path:9", "path:3000", "star:0", "star:7",
+                 "copies:3:tadpole31", "copies:4:star:2", "complete:5", "bipartite:3"]
+        graphs = [generate(parse_generator(t)) for t in texts]
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            graphs.append(with_pendant_trees(rng, random_graph(rng, 8),
+                                             int(rng.integers(0, 8))))
+        for g in graphs:
+            assert set(np.flatnonzero(two_core(g)).tolist()) == brute_two_core(g)
+
+    def test_own_core_graph_matches_reference_sampler_exactly(self):
+        # nothing to peel: the same colors as the explicit reference, sample
+        # for sample, across more than one block
+        for text, r, c in [("complete:3", 2, 2), ("complete:5", 2, 3), ("cycle:6", 1, 2),
+                           ("bipartite:3", 2, 2)]:
+            g = generate(parse_generator(text))
+            assert two_core(g).all()
+            block = own_core_block_rows(g)
+            samples = block + 900
+            dist = monte_carlo(g, r, c, samples, seed=41, workers=2)
+            assert dist.counts == reference_monte_carlo(g, r, c, samples, 41, block), text
+
+    def test_mixed_graphs_and_forests_within_noise_of_exact(self):
+        # every value's frequency within 5 standard errors of its exact
+        # probability, and no value outside the exact support
+        samples = 200_000
+        cases = [("tadpole31", 2, 2), ("tadpole31", 3, 2), ("path:6", 2, 2),
+                 ("star:4", 2, 3), ("figure2:2", 2, 2), ("copies:2:tadpole31", 2, 3)]
+        graphs = [(text, generate(parse_generator(text)), r, c) for text, r, c in cases]
+        graphs += [("mixed", g, 2, 2) for g in _mixed_graphs()]
+        for label, g, r, c in graphs:
+            law = exact_pmf(g, r, c).support
+            dist = monte_carlo(g, r, c, samples, seed=43)
+            assert set(dist.counts) <= set(law), label
+            for v, p in law.items():
+                se = float(p * (1 - p) / samples) ** 0.5
+                assert abs(dist.counts.get(v, 0) / samples - float(p)) <= 5 * se + 1e-12, (label, v)
+
+    def test_path_3000_forest_mean(self):
+        # a path is all tree: T(r=1) counts both ends of every matched edge,
+        # a 2 * Binomial(2999, 1/3) law
         g = generate(parse_generator("path:3000"))
-        dist = monte_carlo(g, 2, 3, 64, seed=9)
-        assert dist.total_samples == 64
-        assert sum(dist.counts.values()) == 64
+        samples = 4_000
+        dist = monte_carlo(g, 1, 3, samples, seed=9)
+        assert all(v % 2 == 0 for v in dist.counts)
+        mean = float(empirical_moments(dist, 1)[0])
+        sd = 2 * (2999 * (1 / 3) * (2 / 3)) ** 0.5
+        assert abs(mean - 2 * 2999 / 3) <= 5 * sd / samples**0.5
+
+    def test_mid_size_mixed_graph_two_sample_vs_reference(self):
+        # figure2:12 has a K6 core and 157 tree vertices; the reference draws
+        # all 163 colors explicitly and counts stars by brute force
+        rng = np.random.default_rng(47)
+        cases = [(generate(parse_generator("figure2:12")), 2, 12),
+                 (with_pendant_trees(rng, complete(7), 60), 2, 6)]
+        for g, r, c in cases:
+            assert 0 < two_core(g).sum() < g.vertex_count
+            ref = reference_monte_carlo(g, r, c, 6000, seed=53, block=500)
+            dist = monte_carlo(g, r, c, 100_000, seed=59)
+            assert max(_z_scores(dist.counts, 100_000, ref, 6000)) <= 5
+
+    def test_mixed_graph_worker_invariance(self):
+        for text, r, c, samples in [("figure2:20", 2, 20, 20_000),
+                                    ("copies:2000:star:3", 3, 5, 5_000),
+                                    ("path:3000", 2, 3, 2_000)]:
+            g = generate(parse_generator(text))
+            dists = [monte_carlo(g, r, c, samples, seed=61, workers=w) for w in (1, 2, 8)]
+            assert dists[0].counts == dists[1].counts == dists[2].counts, text
+
+    def test_skip_extremes(self):
+        # c = 1: every tree edge matches, T = n_star; c = 2**40: gaps clipped
+        # past the end, no tree edge matches
+        for text, r in [("path:50", 2), ("figure2:4", 2), ("copies:30:star:3", 3)]:
+            g = generate(parse_generator(text))
+            assert monte_carlo(g, r, 1, 300, seed=67).counts == {count_stars(g, r): 300}
+            assert monte_carlo(g, r, 1 << 40, 300, seed=71).counts == {0: 300}
+
+
+class TestExactSums:
+    """Row sums past 2**63 are summed as Python ints, not wrapped in int64."""
+
+    def test_monte_carlo_past_int64(self):
+        assert count_stars(complete(65), 32) == 119120569161268384710
+        # a graph that is all core, and one that is all tree
+        for g, r, samples in [(complete(65), 32, 10), (complete(65), 32, 100),
+                              (star(70), 35, 50)]:
+            assert monte_carlo(g, r, 1, samples, seed=0).counts == {count_stars(g, r): samples}
+
+    def test_exact_pmf_complete_65_r32(self):
+        n_star = count_stars(complete(65), 32)
+        assert exact_pmf(complete(65), 32, 1).support == {n_star: Fraction(1)}
 
 
 class TestEmpiricalDist:
@@ -154,7 +265,6 @@ class TestEmpiricalDist:
         assert empirical_moments(d, 2) == [Fraction(3, 2), Fraction(9, 2)]
 
     def test_mc_moments_match_exact_within_3se(self):
-        from monostar.oracle import exact_pmf
         from monostar.pmf import pmf_moments
 
         g = complete(3)
