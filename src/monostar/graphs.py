@@ -1,6 +1,8 @@
 """Immutable simple-graph container, deterministic generators, and edge-list I/O.
 
-Vertices are dense 0-based integers. Loaders compact arbitrary ids and report
+A graph is numpy CSR arrays plus sorted flat edge arrays, built by key sorts
+with no per-vertex Python objects; the generators emit edge arrays. Vertices
+are dense 0-based integers. Loaders compact arbitrary ids and report
 the mapping. Graphs are immutable after construction and safe to share across
 threads.
 """
@@ -42,63 +44,81 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph: sorted adjacency lists plus flat edge arrays.
+    """Simple undirected graph in compressed sparse row (CSR) form, plus flat
+    edge arrays.
 
-    Invariants: no self-loops, no duplicate neighbors, symmetric adjacency,
-    ``edge_count == sum(degrees) / 2``. ``edge_u[i] < edge_v[i]`` and edges are
-    sorted lexicographically; the flat arrays exist for vectorized kernels.
+    Vertex v's neighbors are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
+    order, and every edge appears in the rows of both its endpoints.
+    ``edge_u[i] < edge_v[i]`` and the edges are sorted lexicographically; the
+    flat arrays exist for vectorized kernels. Invariants: no self-loops, no
+    duplicate neighbors, ``degrees == diff(indptr)``,
+    ``edge_count == sum(degrees) / 2``. Every array is read-only.
     """
 
     vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
     edge_count: int
+    indptr: np.ndarray = field(repr=False)  # int64, vertex_count + 1 entries
+    indices: np.ndarray = field(repr=False)  # int32, 2 * edge_count entries
     degrees: np.ndarray = field(repr=False)
     edge_u: np.ndarray = field(repr=False)
     edge_v: np.ndarray = field(repr=False)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.vertex_count else 0
 
 
-def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Construct a Graph from an iterable of endpoint pairs.
+def build_graph(vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
+    """Construct a Graph from endpoint pairs: an (E, 2) array-like or an
+    iterable of pairs.
 
     Duplicate edges (in either orientation) collapse; self-loops and
-    out-of-range endpoints raise ValueError.
+    out-of-range endpoints raise ValueError. Edges are deduplicated by sorting
+    the keys ``min * n + max``; the CSR rows come from one more sort of the
+    keys ``source * n + target`` over both orientations.
     """
     if vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
     if vertex_count > (1 << 31) - 1:
         raise ValueError(f"vertex_count {vertex_count} exceeds supported addressing")
-    pair_set = set()
-    for u, v in edges:
+    n = vertex_count
+    try:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"edge endpoint out of range for {n} vertices") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be endpoint pairs, got shape {pairs.shape}")
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)].tolist()
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-        pair_set.add((u, v) if u < v else (v, u))
-    pairs = sorted(pair_set)
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(nb)) for nb in adj)
-    degrees = np.array([len(nb) for nb in adjacency], dtype=np.int64)
-    if pairs:
-        edge_u = np.array([p[0] for p in pairs], dtype=np.int32)
-        edge_v = np.array([p[1] for p in pairs], dtype=np.int32)
-    else:
-        edge_u = np.empty(0, dtype=np.int32)
-        edge_v = np.empty(0, dtype=np.int32)
-    for arr in (degrees, edge_u, edge_v):
+        raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+    # np.sort plus a mask, not np.unique: plain np.unique takes a hash path
+    # that is tens of times slower on int64 keys
+    keys = np.sort(lo * n + hi)
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    edge_u = (keys // n).astype(np.int32)
+    edge_v = (keys % n).astype(np.int32)
+    source = np.concatenate((edge_u, edge_v)).astype(np.int64)
+    arcs = np.sort(source * n + np.concatenate((edge_v, edge_u)))
+    indices = (arcs % n).astype(np.int32)
+    degrees = np.bincount(source, minlength=n).astype(np.int64, copy=False)
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    for arr in (indptr, indices, degrees, edge_u, edge_v):
         arr.flags.writeable = False
     return Graph(
-        vertex_count=vertex_count,
-        adjacency=adjacency,
-        edge_count=len(pairs),
+        vertex_count=n,
+        edge_count=int(keys.size),
+        indptr=indptr,
+        indices=indices,
         degrees=degrees,
         edge_u=edge_u,
         edge_v=edge_v,
@@ -107,27 +127,34 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def degree_sequence(g: Graph) -> list[int]:
     """Degrees arranged in non-increasing order."""
-    return sorted((int(d) for d in g.degrees), reverse=True)
+    return np.sort(g.degrees)[::-1].tolist()
 
 
 def two_core(g: Graph) -> np.ndarray:
     """Boolean mask of the 2-core: what is left after repeatedly deleting
     vertices of degree <= 1.
 
-    One queue pass in O(n + E) (Batagelj & Zaversnik). The deleted vertices
+    One stack pass in O(n + E) (Batagelj & Zaversnik). The deleted vertices
     form pendant trees, each hanging off at most one core vertex.
     """
+    # other[v] is the XOR of v's remaining neighbors, so a vertex of degree 1
+    # names its last neighbor without a walk over its row
+    other = np.zeros(g.vertex_count, dtype=np.int64)
+    has_row = g.degrees > 0
+    other[has_row] = np.bitwise_xor.reduceat(g.indices, g.indptr[:-1][has_row])
+    other = other.tolist()
     degree = g.degrees.tolist()
-    peeled = [d <= 1 for d in degree]
-    queue = [v for v, gone in enumerate(peeled) if gone]
-    for v in queue:  # grows while it is walked
-        for u in g.adjacency[v]:
-            if not peeled[u]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    peeled[u] = True
-                    queue.append(u)
-    return ~np.array(peeled, dtype=bool)
+    stack = np.flatnonzero(g.degrees == 1).tolist()
+    while stack:
+        v = stack.pop()
+        if degree[v] == 1:  # else its last neighbor went first
+            degree[v] = 0
+            u = other[v]
+            other[u] ^= v
+            degree[u] -= 1
+            if degree[u] == 1:
+                stack.append(u)
+    return np.array(degree, dtype=np.int64) >= 2
 
 
 # ----------------------------------------------------------------------------
@@ -143,8 +170,7 @@ def parse_edge_list(text: str | IO[str]) -> tuple[Graph, dict[int, int]]:
     """
     if hasattr(text, "read"):
         text = text.read()
-    raw_edges: list[tuple[int, int]] = []
-    ids: set[int] = set()
+    ends: list[int] = []
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,11 +186,15 @@ def parse_edge_list(text: str | IO[str]) -> tuple[Graph, dict[int, int]]:
             raise EdgeListParseError(lineno, f"vertex ids must be non-negative, got {raw.strip()!r}")
         if u == v:
             raise EdgeListParseError(lineno, f"self-loop at vertex {u} rejected")
-        ids.update((u, v))
-        raw_edges.append((u, v))
-    mapping = {orig: dense for dense, orig in enumerate(sorted(ids))}
-    g = build_graph(len(mapping), ((mapping[u], mapping[v]) for u, v in raw_edges))
-    return g, mapping
+        ends += (u, v)
+    try:
+        ids = np.array(ends, dtype=np.int64)
+    except OverflowError:  # ids past int64 stay Python ints
+        ids = np.array(ends, dtype=object)
+    # return_inverse takes np.unique's sort path, not its slower hash path
+    ids, dense = np.unique(ids, return_inverse=True)
+    mapping = dict(zip(ids.tolist(), range(ids.size)))
+    return build_graph(ids.size, dense.reshape(-1, 2)), mapping
 
 
 def load_edge_list(text: str | IO[str]) -> Graph:
@@ -183,11 +213,16 @@ def edge_list_text(g: Graph) -> str:
 # ----------------------------------------------------------------------------
 
 
+def _pairs(u, v) -> np.ndarray:
+    """(E, 2) int64 edge array from two broadcastable endpoint arrays."""
+    return np.stack(np.broadcast_arrays(u, v), axis=1).astype(np.int64, copy=False)
+
+
 def star(n: int) -> Graph:
     """K_{1,n}: hub vertex 0 with n leaves."""
     if n < 0:
         raise ValueError("star size must be non-negative")
-    return build_graph(n + 1, ((0, i) for i in range(1, n + 1)))
+    return build_graph(n + 1, _pairs(0, np.arange(1, n + 1)))
 
 
 def star_union(weights: tuple[float, ...], n: int, shift_exponent: float | None = None) -> Graph:
@@ -207,39 +242,39 @@ def star_union(weights: tuple[float, ...], n: int, shift_exponent: float | None 
         shift = float(n) ** shift_exponent
         padded = list(weights) + [0.0] * max(0, n - len(weights))
         sizes = [int(n * a + shift) for a in padded[:n]]
-    sizes = [s for s in sizes if s > 0]
-    edges = []
-    base = 0
-    for s in sizes:
-        edges.extend((base, base + 1 + j) for j in range(s))
-        base += s + 1
-    return build_graph(base, edges)
+    sizes = np.array([s for s in sizes if s > 0], dtype=np.int64)
+    # each star is its hub followed by its leaves
+    hubs = np.cumsum(sizes + 1) - (sizes + 1)
+    total = int((sizes + 1).sum())
+    return build_graph(total, _pairs(np.repeat(hubs, sizes), np.delete(np.arange(total), hubs)))
 
 
 def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be non-negative")
-    return build_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return build_graph(n, _pairs(*np.triu_indices(n, 1)))
 
 
 def complete_bipartite(n: int) -> Graph:
     """K_{n,n}: parts {0..n-1} and {n..2n-1}."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return build_graph(2 * n, ((i, n + j) for i in range(n) for j in range(n)))
+    return build_graph(2 * n, _pairs(np.repeat(np.arange(n), n), n + np.tile(np.arange(n), n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
+    i = np.arange(n)
+    return build_graph(n, _pairs(i, (i + 1) % n))
 
 
 def path(n: int) -> Graph:
     """Path on n vertices (n-1 edges)."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
+    i = np.arange(n - 1)
+    return build_graph(n, _pairs(i, i + 1))
 
 
 def circulant(n: int, d: int) -> Graph:
@@ -248,11 +283,8 @@ def circulant(n: int, d: int) -> Graph:
         raise ValueError("circulant degree must be even and non-negative")
     if d >= n:
         raise ValueError("circulant needs d < n")
-    edges = []
-    for v in range(n):
-        for off in range(1, d // 2 + 1):
-            edges.append((v, (v + off) % n))
-    return build_graph(n, edges)
+    v = np.repeat(np.arange(n), d // 2)
+    return build_graph(n, _pairs(v, (v + np.tile(np.arange(1, d // 2 + 1), n)) % n))
 
 
 def tadpole31() -> Graph:
@@ -264,11 +296,9 @@ def disjoint_copies(inner: Graph, count: int) -> Graph:
     if count < 0:
         raise ValueError("count must be non-negative")
     k = inner.vertex_count
-    edges = []
-    for i in range(count):
-        base = i * k
-        edges.extend((base + int(u), base + int(v)) for u, v in zip(inner.edge_u, inner.edge_v))
-    return build_graph(count * k, edges)
+    base = np.arange(count, dtype=np.int64)[:, None] * k
+    return build_graph(count * k, _pairs((base + inner.edge_u).ravel(),
+                                         (base + inner.edge_v).ravel()))
 
 
 def _ceil_pow23(n: int) -> int:
@@ -294,28 +324,46 @@ def figure2_composite(n: int) -> Graph:
     m2 = _ceil_pow23(n)
     clique_base = n + 1
     path_base = clique_base + m2
-    edges = [(0, i) for i in range(1, n + 1)]
-    edges.extend(
-        (clique_base + i, clique_base + j) for i in range(m2) for j in range(i + 1, m2)
-    )
-    edges.extend((path_base + i, path_base + i + 1) for i in range(n * n - 1))
-    edges.append((1, clique_base))
-    edges.append((clique_base + (1 if m2 > 1 else 0), path_base))
+    clique_u, clique_v = np.triu_indices(m2, 1)
+    steps = np.arange(n * n - 1)
+    edges = np.concatenate([
+        _pairs(0, np.arange(1, n + 1)),
+        _pairs(clique_base + clique_u, clique_base + clique_v),
+        _pairs(path_base + steps, path_base + steps + 1),
+        [(1, clique_base), (clique_base + (1 if m2 > 1 else 0), path_base)],
+    ])
     return build_graph(path_base + n * n, edges)
 
 
+_ER_CHUNK_CELLS = 1 << 20
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) with edges drawn from a Philox stream keyed by the seed."""
+    """G(n, p) with edges drawn from a Philox stream keyed by the seed.
+
+    Row u holds one uniform per candidate pair (u, u+1 .. n-1), the rows in
+    order. Whole rows are drawn about ``_ER_CHUNK_CELLS`` at a time: uniforms
+    drawn from one stream in consecutive calls concatenate exactly, so the
+    chunking does not change the graph.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048]))
-    edges = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - u - 1) < p)
-        edges.extend((u, u + 1 + int(j)) for j in hits)
-    return build_graph(n, edges)
+    # offsets[u]: index of pair (u, u+1) in the flat pair order
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))))
+    hits = [np.empty(0, dtype=np.int64)]
+    start = 0
+    while start < n - 1:
+        stop = int(np.searchsorted(offsets, offsets[start] + _ER_CHUNK_CELLS, side="right")) - 1
+        stop = max(stop, start + 1)
+        draws = rng.random(int(offsets[stop] - offsets[start]))
+        hits.append(offsets[start] + np.flatnonzero(draws < p))
+        start = stop
+    flat = np.concatenate(hits)
+    u = np.searchsorted(offsets, flat, side="right") - 1
+    return build_graph(n, _pairs(u, u + 1 + flat - offsets[u]))
 
 
 # ----------------------------------------------------------------------------

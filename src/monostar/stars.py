@@ -71,13 +71,55 @@ class StarClassCounts:
         }
 
 
+_WEDGE_CHUNK = 1 << 16
+
+
+def _triangle_vertices(g: Graph) -> np.ndarray:
+    """Boolean mask of the vertices that lie in a triangle.
+
+    Each edge is oriented from its endpoint of lower (degree, id) rank, so
+    every out-degree is at most sqrt(2E) (Chiba & Nishizeki). A triangle is
+    then a wedge of two out-arcs at its lowest-ranked vertex whose far ends
+    are adjacent: O(E^1.5) wedges, looked up among the sorted edge keys about
+    ``_WEDGE_CHUNK`` at a time.
+    """
+    n = g.vertex_count
+    in_triangle = np.zeros(n, dtype=bool)
+    u, v = g.edge_u.astype(np.int64), g.edge_v.astype(np.int64)
+    edge_keys = u * n + v  # sorted: the edges are in lexicographic order
+    rank = g.degrees * n + np.arange(n)
+    up = rank[u] < rank[v]
+    arcs = np.sort(np.where(up, u, v) * n + np.where(up, v, u))
+    source, target = arcs // n, arcs % n
+    # arc i pairs with the arcs after it in its source's run
+    out_degree = np.bincount(source, minlength=n)
+    later = np.cumsum(out_degree)[source] - np.arange(arcs.size) - 1
+    wedges_to = np.cumsum(later)
+    start = 0
+    while start < arcs.size:
+        stop = int(np.searchsorted(wedges_to, wedges_to[start] - later[start] + _WEDGE_CHUNK,
+                                   side="right"))
+        stop = max(stop, start + 1)
+        counts = later[start:stop]
+        first = np.repeat(np.arange(start, stop), counts)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b = target[first], target[second]
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        closed = edge_keys[np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)] == keys
+        for ends in (source[first], a, b):
+            in_triangle[ends[closed]] = True
+        start = stop
+    return in_triangle
+
+
 def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarClassCounts:
     """Classify star-carrying (r+1)-subsets by their spanning-star count.
 
     Cost guard: refuses when sum_v C(d_v, r) exceeds ``budget`` star visits.
-    Centers whose neighborhood admits no full-degree leaf (e.g. every center
-    in a triangle-free graph) contribute C(d_v, r) class-1 subsets without
-    enumeration, so the guard is conservative for sparse inputs.
+    For r >= 2, a center in no triangle has no full-degree leaf, so it
+    contributes C(d_v, r) class-1 subsets in closed form; only centers in a
+    triangle are enumerated, and the guard is conservative for sparse inputs.
+    For r = 1 every star is an edge whose two ends are both full-degree.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -88,21 +130,34 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
             cost=n_star,
             budget=budget,
         )
-    lam1_direct = 0
+    lams = [0] * (r + 2)
+    if r == 1:
+        lams[2] = g.edge_count
+        return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
+    in_triangle = _triangle_vertices(g)
+    free = np.bincount(g.degrees[~in_triangle])
+    lam1_direct = sum(comb(d, r) * int(free[d]) for d in range(r, free.size))
     discoveries = [0] * (r + 2)  # index k: discoveries of subsets with k centers
-    adj_sets = [set(nb) for nb in g.adjacency]
-    for v in range(g.vertex_count):
-        nb = g.adjacency[v]
+    triangle_vertices = np.flatnonzero(in_triangle).tolist()
+    adjacency = {v: g.neighbors(v).tolist() for v in triangle_vertices}
+    # a neighbor in no triangle shares no neighbor with v, so it is never a
+    # full-degree leaf and needs no set
+    adj_sets = {v: set(nb) for v, nb in adjacency.items()}
+    for v in triangle_vertices:
+        nb = adjacency[v]
         if len(nb) < r:
             continue
         nb_set = adj_sets[v]
         # Candidate full-degree leaves: need >= r-1 neighbors inside nb.
         local: dict[int, set[int]] = {}
         for u in nb:
-            common = adj_sets[u] & nb_set
+            u_set = adj_sets.get(u)
+            if u_set is None:
+                continue
+            common = u_set & nb_set
             if len(common) >= r - 1:
                 local[u] = common
-        if not local and r >= 2:
+        if not local:
             lam1_direct += comb(len(nb), r)
             continue
         for subset in combinations(nb, r):
@@ -117,7 +172,6 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
                 else:
                     k += 1
             discoveries[k] += 1
-    lams = [0] * (r + 2)
     lams[1] = lam1_direct + discoveries[1]
     for k in range(2, r + 2):
         lam_k = Fraction(discoveries[k], k)
@@ -135,13 +189,17 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
 # ----------------------------------------------------------------------------
 
 
-def epsilon_big(g: Graph, c: int, eps: float) -> frozenset[int]:
-    """Vertices with degree >= eps * c (closed threshold on integer degrees)."""
+def _big_mask(g: Graph, c: int, eps: float) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     if c < 1:
         raise ValueError("c must be >= 1")
-    return frozenset(int(v) for v in np.flatnonzero(g.degrees >= eps * c))
+    return g.degrees >= eps * c
+
+
+def epsilon_big(g: Graph, c: int, eps: float) -> frozenset[int]:
+    """Vertices with degree >= eps * c (closed threshold on integer degrees)."""
+    return frozenset(np.flatnonzero(_big_mask(g, c, eps)).tolist())
 
 
 @dataclass(frozen=True)
@@ -161,27 +219,20 @@ class Decomposition:
     removed_big_big_edges: tuple[tuple[int, int], ...]
 
 
+def _edge_subgraph(g: Graph, keep: np.ndarray) -> Graph:
+    return build_graph(g.vertex_count, np.stack((g.edge_u[keep], g.edge_v[keep]), axis=1))
+
+
 def decompose(g: Graph, c: int, eps: float) -> Decomposition:
-    big = epsilon_big(g, c, eps)
-    plus_edges = []
-    minus_edges = []
-    removed = []
-    for u, v in zip(g.edge_u, g.edge_v):
-        u, v = int(u), int(v)
-        u_big, v_big = u in big, v in big
-        if u_big and v_big:
-            removed.append((u, v))
-        elif u_big or v_big:
-            plus_edges.append((u, v))
-        else:
-            minus_edges.append((u, v))
-    n = g.vertex_count
+    big = _big_mask(g, c, eps)
+    u_big, v_big = big[g.edge_u], big[g.edge_v]
+    both = u_big & v_big
     return Decomposition(
         epsilon=eps,
-        big_vertices=big,
-        g_plus=build_graph(n, plus_edges),
-        g_minus=build_graph(n, minus_edges),
-        removed_big_big_edges=tuple(removed),
+        big_vertices=frozenset(np.flatnonzero(big).tolist()),
+        g_plus=_edge_subgraph(g, u_big ^ v_big),
+        g_minus=_edge_subgraph(g, ~(u_big | v_big)),
+        removed_big_big_edges=tuple(zip(g.edge_u[both].tolist(), g.edge_v[both].tolist())),
     )
 
 
@@ -190,11 +241,11 @@ def remainder_mean_bound(dec: Decomposition, r: int, c: int) -> float:
     on the expected count of cross stars centered outside the big set."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    total = 0
-    for u in dec.big_vertices:
-        deg = len(dec.g_plus.adjacency[u])
-        deg += sum(1 for a, b in dec.removed_big_big_edges if u in (a, b))
-        total += deg
+    n = dec.g_plus.vertex_count
+    big = np.fromiter(dec.big_vertices, dtype=np.int64)
+    removed = np.array(dec.removed_big_big_edges, dtype=np.int64).reshape(-1)
+    # a big vertex's original degree: its g_plus edges plus its removed ones
+    total = int(dec.g_plus.degrees[big].sum() + np.bincount(removed, minlength=n)[big].sum())
     return (dec.epsilon * c) ** (r - 1) * c ** (-r) * total
 
 
@@ -204,21 +255,20 @@ def remainder_mean_bound(dec: Decomposition, r: int, c: int) -> float:
 
 
 def connected_components(g: Graph) -> int:
-    """Number of connected components; isolated vertices count."""
-    seen = bytearray(g.vertex_count)
-    count = 0
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = 1
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
+    """Number of connected components; isolated vertices count.
+
+    Union-find over the edge list, with path halving.
+    """
+    parent = list(range(g.vertex_count))
+    count = g.vertex_count
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
+            count -= 1
     return count
 
 
@@ -240,9 +290,4 @@ def prune_low_degree_edges(g: Graph, r: int) -> Graph:
     Such edges carry no r-star, so star counts are unchanged; diagnostic use
     only, generators never prune.
     """
-    keep = [
-        (int(u), int(v))
-        for u, v in zip(g.edge_u, g.edge_v)
-        if max(int(g.degrees[u]), int(g.degrees[v])) >= r
-    ]
-    return build_graph(g.vertex_count, keep)
+    return _edge_subgraph(g, np.maximum(g.degrees[g.edge_u], g.degrees[g.edge_v]) >= r)

@@ -11,20 +11,30 @@ import numpy as np
 from monostar.graphs import Graph, build_graph
 
 
+def brute_adjacency(g: Graph) -> list[set[int]]:
+    """Neighbor sets built from the flat edge arrays, never from the CSR rows."""
+    adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def brute_count_stars(g: Graph, r: int) -> int:
     """Count (center, r-subset-of-neighbors) pairs by explicit enumeration."""
-    total = 0
-    for v in range(g.vertex_count):
-        total += sum(1 for _ in combinations(g.adjacency[v], r))
-    return total
+    return sum(sum(1 for _ in combinations(nb, r)) for nb in brute_adjacency(g))
 
 
 def brute_eval_T(g: Graph, r: int, colors) -> int:
     """Test every (center, r-subset) pair for being monochromatic."""
+    return _brute_eval_T(brute_adjacency(g), r, colors)
+
+
+def _brute_eval_T(adj: list[set[int]], r: int, colors) -> int:
     total = 0
-    for v in range(g.vertex_count):
+    for v, nb in enumerate(adj):
         cv = colors[v]
-        for subset in combinations(g.adjacency[v], r):
+        for subset in combinations(nb, r):
             if all(colors[u] == cv for u in subset):
                 total += 1
     return total
@@ -33,7 +43,7 @@ def brute_eval_T(g: Graph, r: int, colors) -> int:
 def brute_class_counts(g: Graph, r: int) -> tuple[int, ...]:
     """Classify every (r+1)-subset of V by its number of full-degree vertices."""
     lams = [0] * (r + 2)
-    adj = [set(nb) for nb in g.adjacency]
+    adj = brute_adjacency(g)
     for subset in combinations(range(g.vertex_count), r + 1):
         sset = set(subset)
         k = sum(1 for v in subset if len(adj[v] & sset) == r)
@@ -45,9 +55,10 @@ def brute_class_counts(g: Graph, r: int) -> tuple[int, ...]:
 def brute_exact_pmf(g: Graph, r: int, c: int) -> dict[int, Fraction]:
     """Distribution of T over all c^n colorings, no symmetry tricks."""
     n = g.vertex_count
+    adj = brute_adjacency(g)
     counts: dict[int, int] = {}
     for coloring in product(range(c), repeat=n):
-        t = brute_eval_T(g, r, coloring)
+        t = _brute_eval_T(adj, r, coloring)
         counts[t] = counts.get(t, 0) + 1
     total = c**n
     return {t: Fraction(k, total) for t, k in sorted(counts.items())}
@@ -75,14 +86,15 @@ def with_pendant_trees(rng: np.random.Generator, core: Graph, extra: int) -> Gra
 
 def brute_two_core(g: Graph) -> set[int]:
     """Vertices left after deleting a minimum-degree vertex while that degree is <= 1."""
+    adj = brute_adjacency(g)
     alive = set(range(g.vertex_count))
-    degree = {v: len(g.adjacency[v]) for v in alive}
+    degree = {v: len(adj[v]) for v in alive}
     while alive:
         v = min(alive, key=degree.__getitem__)
         if degree[v] > 1:
             break
         alive.remove(v)
-        for u in g.adjacency[v]:
+        for u in adj[v]:
             if u in alive:
                 degree[u] -= 1
     return alive
@@ -99,11 +111,33 @@ def reference_monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
     """Histogram of T drawing every vertex's color from the stream keyed by
     (seed, block index), ``block`` rows at a time, each row scored by
     brute_eval_T. Colors are uint16 as in the sampler, so c <= 2**16."""
+    adj = brute_adjacency(g)
     counts: dict[int, int] = {}
     for b, start in enumerate(range(0, samples, block)):
         rows = min(block, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
         for colors in rng.integers(0, c, size=(rows, g.vertex_count), dtype=np.uint16):
-            t = brute_eval_T(g, r, colors)
+            t = _brute_eval_T(adj, r, colors)
             counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def reference_erdos_renyi_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """G(n, p) edges drawn one row of candidate pairs per ``rng.random`` call,
+    from the same Philox stream as the generator."""
+    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048]))
+    edges = []
+    for u in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - u - 1) < p)
+        edges.extend((u, u + 1 + int(j)) for j in hits)
+    return edges
+
+
+def brute_remainder_mean_bound(dec, r: int, c: int) -> float:
+    """The bound summed big vertex by big vertex over g_plus neighbors and
+    removed edges."""
+    adj = brute_adjacency(dec.g_plus)
+    total = 0
+    for u in dec.big_vertices:
+        total += len(adj[u]) + sum(1 for a, b in dec.removed_big_big_edges if u in (a, b))
+    return (dec.epsilon * c) ** (r - 1) * c ** (-r) * total

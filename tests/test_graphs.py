@@ -1,10 +1,12 @@
 import io
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monostar import graphs
 from monostar.errors import EdgeListParseError
 from monostar.graphs import (
     GeneratorSpec,
@@ -14,7 +16,9 @@ from monostar.graphs import (
     complete_bipartite,
     cycle,
     degree_sequence,
+    disjoint_copies,
     edge_list_text,
+    erdos_renyi,
     figure2_composite,
     generate,
     generator_scale,
@@ -28,15 +32,26 @@ from monostar.graphs import (
     tadpole31,
 )
 
+from oracles import reference_erdos_renyi_edges
+
+
+def rows(g):
+    return [g.neighbors(v).tolist() for v in range(g.vertex_count)]
+
+
+def same_rows(a, b):
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
 
 def assert_well_formed(g):
-    assert g.edge_count * 2 == sum(len(nb) for nb in g.adjacency)
-    for v, nb in enumerate(g.adjacency):
-        assert list(nb) == sorted(set(nb)), "neighbors sorted and unique"
+    adjacency = rows(g)
+    assert g.edge_count * 2 == sum(len(nb) for nb in adjacency)
+    for v, nb in enumerate(adjacency):
+        assert nb == sorted(set(nb)), "neighbors sorted and unique"
         assert v not in nb, "no self-loops"
         for u in nb:
             assert 0 <= u < g.vertex_count
-            assert v in g.adjacency[u], "symmetry"
+            assert v in adjacency[u], "symmetry"
     assert len(g.edge_u) == g.edge_count
     assert all(int(u) < int(v) for u, v in zip(g.edge_u, g.edge_v))
 
@@ -169,8 +184,8 @@ class TestGenerators:
         a = generate(parse_generator("er:50:0.2:seed=7"))
         b = generate(parse_generator("er:50:0.2:seed=7"))
         c = generate(parse_generator("er:50:0.2:seed=8"))
-        assert a.adjacency == b.adjacency
-        assert a.adjacency != c.adjacency
+        assert same_rows(a, b)
+        assert not same_rows(a, c)
 
     def test_disjoint_copies(self):
         g = generate(parse_generator("copies:3:star:3"))
@@ -205,7 +220,7 @@ class TestRoundTrip:
     def test_save_load_identity_on_dense_ids(self):
         g = figure2_composite(4)
         g2 = load_edge_list(edge_list_text(g))
-        assert g2.adjacency == g.adjacency
+        assert same_rows(g2, g)
 
     @given(st.integers(2, 12), st.random_module())
     @settings(max_examples=40, deadline=None)
@@ -244,3 +259,137 @@ def test_vertex_count_addressing_guard():
 def test_generate_spec_dataclass_direct():
     g = generate(GeneratorSpec("star", n=2))
     assert g.vertex_count == 3
+
+
+def set_based_build(n, edges):
+    """Sorted unique (u < v) pairs and neighbor sets, built with Python sets."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return pairs, adj
+
+
+class TestCSR:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_set_based_build(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 30))
+        m = int(rng.integers(0, 3 * n + 1)) if n > 1 else 0
+        edges = []
+        for _ in range(m):
+            u, v = rng.choice(n, size=2, replace=False).tolist()
+            edges.append((u, v))
+            if rng.random() < 0.3:
+                edges.append((v, u))  # reversed duplicate
+            if rng.random() < 0.2:
+                edges.append((u, v))  # exact duplicate
+        pairs, adj = set_based_build(n, edges)
+        as_array = np.array(edges, dtype=np.int32).reshape(-1, 2)
+        for g in (build_graph(n, edges), build_graph(n, as_array), build_graph(n, iter(edges))):
+            assert g.vertex_count == n and g.edge_count == len(pairs)
+            assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == pairs, "lexicographic edges"
+            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+            assert g.indptr.shape == (n + 1,) and g.indptr[0] == 0
+            assert np.array_equal(np.diff(g.indptr), g.degrees)
+            assert [len(a) for a in adj] == g.degrees.tolist()
+            for v in range(n):
+                row = g.neighbors(v).tolist()
+                assert row == sorted(adj[v]), "sorted unique rows"
+                assert all(v in g.neighbors(u).tolist() for u in row), "symmetry"
+            for arr in (g.indptr, g.indices, g.degrees, g.edge_u, g.edge_v):
+                assert not arr.flags.writeable
+
+    def test_empty_graphs(self):
+        for n in (0, 5):
+            g = build_graph(n, [])
+            assert g.edge_count == 0 and g.indices.size == 0
+            assert g.indptr.tolist() == [0] * (n + 1)
+            assert g.max_degree() == 0
+
+    def test_first_bad_pair_is_reported(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            build_graph(3, [(0, 1), (2, 2), (0, 7)])
+        with pytest.raises(ValueError, match=r"edge \(0,7\) out of range"):
+            build_graph(3, [(0, 1), (0, 7), (2, 2)])
+        with pytest.raises(ValueError):
+            build_graph(3, [(1, 1 << 70)])
+        with pytest.raises(ValueError):
+            build_graph(3, [(0, 1, 2)])
+
+
+def _reference_edges(kind):
+    """The generators' edge streams, written as Python loops."""
+    def star_union_edges(sizes):
+        edges, base = [], 0
+        for s in sizes:
+            edges.extend((base, base + 1 + j) for j in range(s))
+            base += s + 1
+        return edges
+
+    def figure2_edges(n, m2):
+        cb, pb = n + 1, n + 1 + m2
+        edges = [(0, i) for i in range(1, n + 1)]
+        edges.extend((cb + i, cb + j) for i in range(m2) for j in range(i + 1, m2))
+        edges.extend((pb + i, pb + i + 1) for i in range(n * n - 1))
+        return edges + [(1, cb), (cb + (1 if m2 > 1 else 0), pb)]
+
+    return {
+        "star:6": [(0, i) for i in range(1, 7)],
+        "union:0.6,0.3,0.1:30": star_union_edges([18, 9, 3]),
+        "complete:6": [(i, j) for i in range(6) for j in range(i + 1, 6)],
+        "bipartite:4": [(i, 4 + j) for i in range(4) for j in range(4)],
+        "cycle:7": [(i, (i + 1) % 7) for i in range(7)],
+        "path:8": [(i, i + 1) for i in range(7)],
+        "circulant:11:4": [(v, (v + off) % 11) for v in range(11) for off in (1, 2)],
+        "figure2:1": figure2_edges(1, 1),
+        "figure2:4": figure2_edges(4, 3),
+    }[kind]
+
+
+@pytest.mark.parametrize("text", ["star:6", "union:0.6,0.3,0.1:30", "complete:6", "bipartite:4",
+                                  "cycle:7", "path:8", "circulant:11:4", "figure2:1", "figure2:4"])
+def test_generator_edges_match_python_loops(text):
+    g = generate(parse_generator(text))
+    want = build_graph(g.vertex_count, _reference_edges(text))
+    assert np.array_equal(g.edge_u, want.edge_u) and np.array_equal(g.edge_v, want.edge_v)
+
+
+def test_disjoint_copies_offsets_each_copy():
+    inner = tadpole31()
+    g = disjoint_copies(inner, 3)
+    want = [(4 * i + u, 4 * i + v) for i in range(3)
+            for u, v in zip(inner.edge_u.tolist(), inner.edge_v.tolist())]
+    assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == want
+    assert disjoint_copies(inner, 0).vertex_count == 0
+
+
+class TestErdosRenyiChunks:
+    @pytest.mark.parametrize("n,p,seed", [
+        (0, 0.5, 1), (1, 0.5, 1), (2, 1.0, 4), (40, 0.0, 3), (40, 1.0, 3),
+        (60, 0.3, 7), (200, 0.05, 11), (1600, 0.002, 5),  # 1600 rows span two chunks
+    ])
+    def test_matches_row_by_row_draws(self, n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
+            reference_erdos_renyi_edges(n, p, seed)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_chunk_boundaries(self, monkeypatch, cells):
+        monkeypatch.setattr(graphs, "_ER_CHUNK_CELLS", cells)
+        for n, p, seed in [(30, 0.4, 2), (25, 1.0, 9)]:
+            g = erdos_renyi(n, p, seed)
+            assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
+                reference_erdos_renyi_edges(n, p, seed)
+
+    def test_complete_at_p_one(self):
+        g = erdos_renyi(9, 1.0, 0)
+        assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == list(combinations(range(9), 2))
+
+
+def test_parse_keeps_ids_past_int64():
+    big = 1 << 70
+    g, mapping = parse_edge_list(f"5 {big}\n{big} 7\n")
+    assert mapping == {5: 0, 7: 1, big: 2}
+    assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == [(0, 2), (1, 2)]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monostar import stars
 from monostar.errors import BudgetExceededError
 from monostar.graphs import (
     build_graph,
@@ -29,7 +31,8 @@ from monostar.stars import (
     remainder_mean_bound,
 )
 
-from oracles import brute_class_counts, brute_count_stars, random_graph
+from oracles import (brute_adjacency, brute_class_counts, brute_count_stars,
+                     brute_remainder_mean_bound, random_graph, with_pendant_trees)
 
 
 class TestCountStars:
@@ -114,6 +117,30 @@ class TestClassCounts:
         cc = class_counts(g, r)
         assert sum(k * lam for k, lam in enumerate(cc.class_counts, start=1)) == cc.n_star
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("pendant", [False, True])
+    def test_shortcut_and_enumeration_match_subset_classifier(self, seed, pendant):
+        # pendant trees add centers in no triangle, which take the closed form
+        rng = np.random.default_rng(seed + 1000 * pendant)
+        g = random_graph(rng, 8, p=float(rng.uniform(0.2, 0.7)))
+        if pendant:
+            g = with_pendant_trees(rng, g, int(rng.integers(1, 5)))
+        for r in (1, 2, 3, 4):
+            assert class_counts(g, r).class_counts == brute_class_counts(g, r), (seed, r)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
+    def test_triangle_vertices_against_brute_force(self, monkeypatch, chunk):
+        monkeypatch.setattr(stars, "_WEDGE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for _ in range(30):
+            g = random_graph(rng, 14, p=float(rng.uniform(0.05, 0.5)))
+            adj = brute_adjacency(g)
+            want = np.zeros(g.vertex_count, dtype=bool)
+            for a, b, c in combinations(range(g.vertex_count), 3):
+                if b in adj[a] and c in adj[a] and c in adj[b]:
+                    want[[a, b, c]] = True
+            assert np.array_equal(stars._triangle_vertices(g), want)
+
 
 class TestDecomposition:
     def test_star_hub_is_big(self):
@@ -133,7 +160,8 @@ class TestDecomposition:
     def test_no_big_vertices_identity(self):
         g = cycle(10)
         dec = decompose(g, 100, 0.5)
-        assert dec.g_minus.adjacency == g.adjacency
+        assert np.array_equal(dec.g_minus.indptr, g.indptr)
+        assert np.array_equal(dec.g_minus.indices, g.indices)
         assert dec.g_plus.edge_count == 0
         assert dec.removed_big_big_edges == ()
 
@@ -150,7 +178,7 @@ class TestDecomposition:
         assert dec.big_vertices == {0}
         assert dec.g_plus.edge_count == 100  # the hub star
         assert dec.g_minus.edge_count == g.edge_count - 100
-        assert len(dec.g_minus.adjacency[0]) == 0
+        assert len(dec.g_minus.neighbors(0)) == 0
 
     def test_edge_partition_and_bipartite(self):
         g = generate(parse_generator("er:40:0.3:seed=11"))
@@ -163,7 +191,7 @@ class TestDecomposition:
             assert (int(u) in dec.big_vertices) != (int(v) in dec.big_vertices)
         # g_minus never touches big vertices
         for v in dec.big_vertices:
-            assert len(dec.g_minus.adjacency[v]) == 0
+            assert len(dec.g_minus.neighbors(v)) == 0
 
     @pytest.mark.parametrize("text,c,eps", [
         ("figure2:100", 100, 0.5),
@@ -179,9 +207,9 @@ class TestDecomposition:
         assert dec.removed_big_big_edges == ()
         from math import comb
 
-        big_centered = sum(comb(len(dec.g_plus.adjacency[v]), r) for v in dec.big_vertices)
+        big_centered = sum(comb(len(dec.g_plus.neighbors(v)), r) for v in dec.big_vertices)
         cross = sum(
-            comb(int(g.degrees[v]), r) - comb(len(dec.g_minus.adjacency[v]), r)
+            comb(int(g.degrees[v]), r) - comb(len(dec.g_minus.neighbors(v)), r)
             for v in range(g.vertex_count)
             if v not in dec.big_vertices
         )
@@ -189,6 +217,15 @@ class TestDecomposition:
 
     def test_remainder_bound_no_big(self):
         assert remainder_mean_bound(decompose(cycle(10), 100, 0.5), 2, 100) == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_remainder_bound_equals_per_vertex_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, 25, p=float(rng.uniform(0.1, 0.6)))
+        for c, eps in ((5, 0.5), (10, 0.3), (20, 0.1)):
+            dec = decompose(g, c, eps)
+            for r in (1, 2, 3):
+                assert remainder_mean_bound(dec, r, c) == brute_remainder_mean_bound(dec, r, c)
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_remainder_bound_star(self, n):
