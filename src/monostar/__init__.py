@@ -46,7 +46,6 @@ from .limits import (
     limit_pmf,
     params_from_graph,
     pgf_linear,
-    sample_limit,
     sample_limit_batch,
     validate_params,
 )

@@ -6,8 +6,10 @@ sorted order and the canonical JSON form excludes wall-clock runtime.
 """
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -51,6 +53,26 @@ _EXPR_NAMES = {
     "min": min,
     "max": max,
 }
+_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+             ast.Pow: operator.pow, ast.USub: operator.neg}
+
+
+def _eval_rule(node: ast.AST, n: int) -> int | float:
+    """Value of a color-rule expression tree. Only int and float constants,
+    the name ``n``, the operators in ``_EXPR_OPS`` and calls to the functions
+    in ``_EXPR_NAMES`` are allowed; anything else raises ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "n":
+        return n
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _EXPR_OPS:
+        operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
+        return _EXPR_OPS[type(node.op)](*(_eval_rule(x, n) for x in operands))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_NAMES and not node.keywords):
+        return _EXPR_NAMES[node.func.id](*(_eval_rule(x, n) for x in node.args))
+    raise ValueError(f"color rule may not contain {ast.unparse(node)!r}")
 
 
 def resolve_colors(rule: int | str, scale: int) -> int:
@@ -58,8 +80,10 @@ def resolve_colors(rule: int | str, scale: int) -> int:
     if isinstance(rule, int):
         c = rule
     else:
-        value = eval(rule, {"__builtins__": {}}, dict(_EXPR_NAMES, n=scale))  # noqa: S307
-        c = int(round(value))
+        try:
+            c = int(round(_eval_rule(ast.parse(rule, mode="eval").body, scale)))
+        except (SyntaxError, ZeroDivisionError) as exc:
+            raise ValueError(f"color rule {rule!r} cannot be evaluated: {exc}") from None
     if c < 1:
         raise ValueError(f"color rule {rule!r} resolved to c = {c} < 1")
     return c
@@ -182,7 +206,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                     g, c, spec.r,
                     theta_cut=spec.theta_cut,
                     theta_threshold=spec.theta_threshold,
-                    budget=spec.class_budget,
+                    stats=stats,
                 )
             report.params_used = params.to_json_dict()
             if params.theta_dropped_tail > 0:

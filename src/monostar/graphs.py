@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -386,124 +386,107 @@ class GeneratorSpec:
     inner: "GeneratorSpec | None" = None
 
 
+# A field is (GeneratorSpec attribute, read, show): read parses its part of the
+# CLI string, show prints it back.
+_N = ("n", int, str)
+_WEIGHTS = ("weights", lambda text: tuple(float(w) for w in text.split(",") if w),
+            lambda weights: ",".join(repr(float(w)) for w in weights))
+_INNER = ("inner", lambda text: parse_generator(text), lambda spec: spec_to_string(spec))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One generator kind, written ``names[0]:field:...[:option=value]``.
+
+    ``fields`` come in CLI order; ``options`` maps an option name to a field
+    plus its default. The builder takes the fields and then the options,
+    positionally. ``scale`` is the attribute a color rule calls ``n``.
+    """
+
+    kind: str
+    names: tuple[str, ...]
+    fields: tuple[tuple, ...]
+    build: Callable[..., Graph]
+    options: dict = field(default_factory=dict)
+    scale: str = "n"
+
+    @property
+    def form(self) -> str:
+        return ":".join([self.names[0], *(attr for attr, *_ in self.fields)]) + "".join(
+            f"[:{name}={attr}]" for name, (attr, *_) in self.options.items())
+
+
+_KINDS = (
+    _Kind("star", ("star",), (_N,), star),
+    _Kind("star-union", ("union", "star-union"), (_WEIGHTS, _N), star_union,
+          {"shift": ("shift_exponent", float, repr, None)}),
+    _Kind("complete", ("complete",), (_N,), complete),
+    _Kind("complete-bipartite", ("bipartite", "complete-bipartite"), (_N,), complete_bipartite),
+    _Kind("cycle", ("cycle",), (_N,), cycle),
+    _Kind("path", ("path",), (_N,), path),
+    _Kind("circulant", ("circulant",), (_N, ("d", int, str)), circulant),
+    _Kind("tadpole31", ("tadpole31",), (), tadpole31),
+    _Kind("disjoint-copies", ("copies",), (("count", int, str), _INNER),
+          lambda count, inner: disjoint_copies(generate(inner), count), scale="count"),
+    _Kind("figure2", ("figure2",), (_N,), figure2_composite),
+    _Kind("erdos-renyi", ("er", "erdos-renyi"), (_N, ("p", float, repr)), erdos_renyi,
+          {"seed": ("seed", int, str, 0)}),
+)
+_BY_KIND = {row.kind: row for row in _KINDS}
+_BY_NAME = {name: row for row in _KINDS for name in row.names}
+
+
+def _row(kind: str) -> _Kind:
+    try:
+        return _BY_KIND[kind]
+    except KeyError:
+        raise ValueError(f"unknown generator kind {kind!r}") from None
+
+
 def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec; deterministic given the spec (incl. seed)."""
-    k = spec.kind
-    if k == "star":
-        return star(spec.n)
-    if k == "star-union":
-        return star_union(spec.weights, spec.n, spec.shift_exponent)
-    if k == "complete":
-        return complete(spec.n)
-    if k == "complete-bipartite":
-        return complete_bipartite(spec.n)
-    if k == "cycle":
-        return cycle(spec.n)
-    if k == "path":
-        return path(spec.n)
-    if k == "circulant":
-        return circulant(spec.n, spec.d)
-    if k == "tadpole31":
-        return tadpole31()
-    if k == "disjoint-copies":
-        return disjoint_copies(generate(spec.inner), spec.count)
-    if k == "figure2":
-        return figure2_composite(spec.n)
-    if k == "erdos-renyi":
-        return erdos_renyi(spec.n, spec.p, spec.seed if spec.seed is not None else 0)
-    raise ValueError(f"unknown generator kind {k!r}")
+    row = _row(spec.kind)
+    options = [default if getattr(spec, attr) is None else getattr(spec, attr)
+               for attr, _, _, default in row.options.values()]
+    return row.build(*(getattr(spec, attr) for attr, *_ in row.fields), *options)
 
 
 def generator_scale(spec: GeneratorSpec) -> int:
     """The size parameter a color-scaling expression refers to as ``n``."""
-    if spec.kind == "disjoint-copies":
-        return spec.count
-    if spec.kind == "tadpole31":
-        return 1
-    return spec.n if spec.n is not None else 1
+    scale = getattr(spec, _row(spec.kind).scale)
+    return scale if scale is not None else 1
 
 
 def parse_generator(text: str) -> GeneratorSpec:
-    """Parse CLI generator strings, e.g. "star:4", "figure2:10", "er:100:0.05:seed=7"."""
-    parts = text.strip().split(":")
-    kind = parts[0].lower()
-    args = parts[1:]
+    """Parse CLI generator strings, e.g. "star:4", "figure2:10", "er:100:0.05:seed=7".
 
-    def _int(s: str, what: str) -> int:
-        try:
-            return int(s)
-        except ValueError:
-            raise ValueError(f"{what} must be an integer in {text!r}") from None
-
-    if kind == "star":
-        return GeneratorSpec("star", n=_int(args[0], "star size"))
-    if kind in ("union", "star-union"):
-        weights = tuple(float(w) for w in args[0].split(",") if w)
-        n = _int(args[1], "star-union n")
-        shift = None
-        for extra in args[2:]:
-            if extra.startswith("shift="):
-                shift = float(extra[len("shift="):])
-            else:
-                raise ValueError(f"unknown star-union option {extra!r}")
-        return GeneratorSpec("star-union", n=n, weights=weights, shift_exponent=shift)
-    if kind == "complete":
-        return GeneratorSpec("complete", n=_int(args[0], "n"))
-    if kind in ("bipartite", "complete-bipartite"):
-        return GeneratorSpec("complete-bipartite", n=_int(args[0], "n"))
-    if kind == "cycle":
-        return GeneratorSpec("cycle", n=_int(args[0], "n"))
-    if kind == "path":
-        return GeneratorSpec("path", n=_int(args[0], "n"))
-    if kind == "circulant":
-        return GeneratorSpec("circulant", n=_int(args[0], "n"), d=_int(args[1], "d"))
-    if kind == "tadpole31":
-        return GeneratorSpec("tadpole31")
-    if kind == "copies":
-        count = _int(args[0], "copy count")
-        inner = parse_generator(":".join(args[1:]))
-        return GeneratorSpec("disjoint-copies", count=count, inner=inner)
-    if kind == "figure2":
-        return GeneratorSpec("figure2", n=_int(args[0], "n"))
-    if kind in ("er", "erdos-renyi"):
-        n = _int(args[0], "n")
-        p = float(args[1])
-        seed = 0
-        for extra in args[2:]:
-            if extra.startswith("seed="):
-                seed = _int(extra[len("seed="):], "seed")
-            else:
-                raise ValueError(f"unknown er option {extra!r}")
-        return GeneratorSpec("erdos-renyi", n=n, p=p, seed=seed)
-    raise ValueError(f"unknown generator {text!r}")
+    The name is case-insensitive. Every field of the kind must be given, and
+    anything after them must be one of its ``option=value`` parts.
+    """
+    name, *args = text.strip().split(":")
+    row = _BY_NAME.get(name.lower())
+    if row is None:
+        raise ValueError(f"unknown generator {text!r}")
+    if row.kind == "disjoint-copies" and len(args) > 2:
+        args = [args[0], ":".join(args[1:])]  # the inner spec keeps its colons
+    options = [part.split("=", 1) for part in args[len(row.fields):]]
+    if len(args) < len(row.fields) or any(len(kv) != 2 or kv[0] not in row.options
+                                          for kv in options):
+        raise ValueError(f"generator {text.strip()!r} does not match {row.form}")
+    parts = [*zip(row.fields, args), *((row.options[key], part) for key, part in options)]
+    values = {attr: default for attr, _, _, default in row.options.values()}
+    try:
+        values.update((attr, read(part)) for (attr, read, *_), part in parts)
+    except ValueError as exc:
+        raise ValueError(f"generator {text.strip()!r} does not match {row.form}: {exc}") from None
+    return GeneratorSpec(row.kind, **values)
 
 
 def spec_to_string(spec: GeneratorSpec) -> str:
-    k = spec.kind
-    if k == "star":
-        return f"star:{spec.n}"
-    if k == "star-union":
-        w = ",".join(repr(float(x)) for x in spec.weights)
-        s = f"union:{w}:{spec.n}"
-        if spec.shift_exponent is not None:
-            s += f":shift={spec.shift_exponent!r}"
-        return s
-    if k == "complete":
-        return f"complete:{spec.n}"
-    if k == "complete-bipartite":
-        return f"bipartite:{spec.n}"
-    if k == "cycle":
-        return f"cycle:{spec.n}"
-    if k == "path":
-        return f"path:{spec.n}"
-    if k == "circulant":
-        return f"circulant:{spec.n}:{spec.d}"
-    if k == "tadpole31":
-        return "tadpole31"
-    if k == "disjoint-copies":
-        return f"copies:{spec.count}:{spec_to_string(spec.inner)}"
-    if k == "figure2":
-        return f"figure2:{spec.n}"
-    if k == "erdos-renyi":
-        return f"er:{spec.n}:{spec.p!r}:seed={spec.seed}"
-    raise ValueError(f"unknown generator kind {k!r}")
+    """The canonical CLI string of a spec; ``parse_generator`` reads it back."""
+    row = _row(spec.kind)
+    parts = [row.names[0], *(show(getattr(spec, attr)) for attr, _, show in row.fields)]
+    for name, (attr, _, show, _) in row.options.items():
+        if getattr(spec, attr) is not None:
+            parts.append(f"{name}={show(getattr(spec, attr))}")
+    return ":".join(parts)

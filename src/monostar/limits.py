@@ -16,13 +16,12 @@ import numpy as np
 from .errors import InvalidParamsError, ToleranceError
 from .graphs import Graph, degree_sequence
 from .pmf import Pmf, pmf_moments
-from .stars import DEFAULT_CLASS_BUDGET, class_counts
+from .stars import DEFAULT_CLASS_BUDGET, StarClassCounts, class_counts
 
 __all__ = [
     "LimitLawParams",
     "validate_params",
     "params_from_graph",
-    "sample_limit",
     "sample_limit_batch",
     "limit_pmf",
     "limit_moments",
@@ -105,19 +104,23 @@ def _ensure_validated(p: LimitLawParams) -> LimitLawParams:
 
 def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = 8,
                       theta_threshold: float = DEFAULT_THETA_THRESHOLD,
-                      budget: int = DEFAULT_CLASS_BUDGET) -> LimitLawParams:
+                      budget: int = DEFAULT_CLASS_BUDGET, *,
+                      stats: StarClassCounts | None = None) -> LimitLawParams:
     """Finite-size plug-in parameters: lambda_k = Lambda_k / c^r and theta
     atoms from the top ``theta_cut`` degrees over c.
 
     Candidate atoms below ``theta_threshold`` are dropped (finite graphs have
     all degrees positive, but only Theta(c)-degree vertices act as atoms); the
     star mass of dropped candidates is recorded in theta_dropped_tail.
+    ``stats``, when given, is ``class_counts(g, r)`` already computed; else it
+    is computed here under ``budget``.
     """
     if theta_cut < 0:
         raise ValueError("theta_cut must be >= 0")
     if c < 1:
         raise ValueError("c must be >= 1")
-    stats = class_counts(g, r, budget=budget)
+    if stats is None:
+        stats = class_counts(g, r, budget=budget)
     lambdas = tuple(lam / c**r for lam in stats.class_counts)
     candidates = [d / c for d in degree_sequence(g)[:theta_cut]]
     thetas = tuple(x for x in candidates if x >= theta_threshold)
@@ -163,17 +166,6 @@ def _component_rates(p: LimitLawParams) -> list[tuple[int, float]]:
     rates = [(1, float(p.z1_rate))]
     rates.extend((k, float(lam)) for k, lam in enumerate(p.lambdas[1:], start=2))
     return rates
-
-
-def sample_limit(p: LimitLawParams, rng: np.random.Generator) -> int:
-    """One draw: sum C(T_v, r) over atoms plus sum k * Z_k."""
-    p = _ensure_validated(p)
-    total = 0
-    for theta in p.thetas:
-        total += comb(int(rng.poisson(theta)), p.r)
-    for k, rate in _component_rates(p):
-        total += k * int(rng.poisson(rate))
-    return total
 
 
 def sample_limit_batch(p: LimitLawParams, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,6 +28,16 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("spec, form", [
+        ("star", "star:n"), ("circulant:10", "circulant:n:d"), ("er:10", "er:n:p"),
+        ("union:0.5", "union:weights:n"), ("path:5:9", "path:n"),
+    ])
+    def test_malformed_spec_usage_error(self, capsys, spec, form):
+        code, out, err = run_cli(capsys, "gen", spec)
+        assert code == 2
+        assert out == ""
+        assert f"does not match {form}" in err
+
 
 class TestStats:
     def test_generator_argument(self, capsys):

@@ -1,0 +1,32 @@
+"""Design rules checked on the package source: no dynamic code execution, and
+no module reaching into another module's private names."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "monostar").glob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_eval_or_exec(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert not {"eval", "exec"} & set(calls)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    private += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names
+                if any(part.startswith("_") for part in alias.name.split(".")[1:])]
+    assert private == []

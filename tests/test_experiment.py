@@ -11,7 +11,8 @@ from monostar.experiment import (
     run_experiment,
 )
 from monostar.graphs import build_graph, complete, generate, parse_generator
-from monostar.stars import count_stars
+from monostar.limits import params_from_graph
+from monostar.stars import class_counts, count_stars
 
 
 class TestResolveColors:
@@ -26,6 +27,29 @@ class TestResolveColors:
     def test_must_be_positive(self):
         with pytest.raises(ValueError):
             resolve_colors("n - 50", 10)
+
+    def test_arithmetic_and_whitelisted_calls(self):
+        assert resolve_colors("-n + 2*n", 5) == 5
+        assert resolve_colors("max(n // 2, n % 3, 1) + min(1, 2)", 9) == 5
+        assert resolve_colors("ceil(sqrt(n)) + log(1) + 0.4", 10) == 4
+
+    @pytest.mark.parametrize("rule", [
+        "().__class__.__base__.__subclasses__().__len__()",
+        "[x for x in (9,)][0]",
+        "n.real", "(7, 8)[0]", "{n: 1}[n]", "sum(x for x in (3,))",
+        "(lambda: 5)()", "m", "__import__('os')", "eval('5')", "floor",
+        "True + n", "'5'", "1j", "round(n, ndigits=1)", "max(*(n, 2))",
+        "n if n else 2", "n < 3", "n(",
+    ])
+    def test_rejects_anything_outside_the_grammar(self, rule):
+        with pytest.raises(ValueError):
+            resolve_colors(rule, 5)
+
+    def test_division_by_zero_fails_report(self):
+        spec = ExperimentSpec(generator="star:5", r=2, colors="n / (n - 5)", samples=10, seed=0)
+        report = run_experiment(spec)
+        assert report.failed
+        assert "cannot be evaluated" in report.error
 
 
 class TestRunExperiment:
@@ -69,6 +93,37 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert report.failed
         assert "Budget" in report.error
+
+    @pytest.mark.parametrize("generator, form", [
+        ("star", "star:n"), ("circulant:10", "circulant:n:d"), ("path:5:9", "path:n"),
+    ])
+    def test_malformed_generator_fails_report(self, generator, form):
+        spec = ExperimentSpec(generator=generator, r=2, colors=2, samples=10, seed=0)
+        report = run_experiment(spec)
+        assert report.failed
+        assert f"does not match {form}" in report.error
+
+    def test_class_counts_computed_once(self, monkeypatch):
+        # plug-in params (no predicted_params) reuse the counts behind star_stats
+        import monostar.experiment as experiment
+        import monostar.limits as limits
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return class_counts(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "class_counts", counting)
+        monkeypatch.setattr(limits, "class_counts", counting)
+        spec = builtin_example("regular", n=200, samples=2_000, seed=5)
+        report = run_experiment(spec)
+        assert not report.failed
+        assert calls == [2]
+        g = generate(parse_generator(spec.generator))
+        want = params_from_graph(g, spec.colors, spec.r, theta_cut=spec.theta_cut,
+                                 theta_threshold=spec.theta_threshold)
+        assert report.params_used == want.to_json_dict()
 
     def test_unknown_comparison(self):
         spec = ExperimentSpec(generator="star:5", r=2, colors=2, samples=10,

@@ -215,6 +215,62 @@ class TestGenerators:
         with pytest.raises(ValueError):
             parse_generator("moebius:7")
 
+    @pytest.mark.parametrize("text, form", [
+        ("star", "star:n"), ("circulant:10", "circulant:n:d"), ("er:10", "er:n:p"),
+        ("union:0.5", "union:weights:n"), ("copies", "copies:count:inner"),
+        ("copies:3", "copies:count:inner"), ("path:5:9", "path:n"),
+        ("tadpole31:5", "tadpole31"), ("star:3:extra", "star:n"),
+        ("er:10:0.5:shift=1", "er:n:p"), ("union:1:5:seed=1", "union:weights:n"),
+        ("er:10:0.5:seed", "er:n:p"), ("star:x", "star:n"), ("er:10:0.5:seed=x", "er:n:p"),
+        ("copies:2:circulant:9", "circulant:n:d"),
+    ])
+    def test_malformed_generator_names_its_form(self, text, form):
+        with pytest.raises(ValueError, match=f"does not match {form}"):
+            parse_generator(text)
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("er:100:0.05", "er:100:0.05:seed=0"),
+        ("ERDOS-RENYI:5:0.5:seed=3", "er:5:0.5:seed=3"),
+        ("union:1,0.5:10", "union:1.0,0.5:10"),
+        ("star-union:1:10:shift=0.5", "union:1.0:10:shift=0.5"),
+        ("complete-bipartite:3", "bipartite:3"),
+        ("  copies:2:copies:3:tadpole31 ", "copies:2:copies:3:tadpole31"),
+        ("copies:2:er:9:0.5", "copies:2:er:9:0.5:seed=0"),
+    ])
+    def test_canonical_string(self, text, canonical):
+        assert spec_to_string(parse_generator(text)) == canonical
+
+
+# Sample text for every field and option of the generator table; a kind with
+# a new field needs an entry here before the table tests below can run.
+_SAMPLE = {"n": "6", "d": "2", "p": "0.25", "weights": "0.6,0.3,0.1", "count": "3",
+           "inner": "copies:2:star:3", "seed": "7", "shift_exponent": "0.5"}
+_SCALE = {"star": 6, "star-union": 6, "complete": 6, "complete-bipartite": 6, "cycle": 6,
+          "path": 6, "circulant": 6, "tadpole31": 1, "disjoint-copies": 3, "figure2": 6,
+          "erdos-renyi": 6}
+
+
+def _table_strings():
+    """Every name and alias of every table row, bare and with each option."""
+    for row in graphs._KINDS:
+        for name in row.names:
+            text = ":".join([name, *(_SAMPLE[attr] for attr, *_ in row.fields)])
+            yield text
+            for option, (attr, *_) in row.options.items():
+                yield f"{text}:{option}={_SAMPLE[attr]}"
+
+
+@pytest.mark.parametrize("text", list(_table_strings()))
+def test_table_round_trip_and_scale(text):
+    spec = parse_generator(text)
+    canonical = spec_to_string(spec)
+    assert parse_generator(canonical) == spec
+    assert spec_to_string(parse_generator(canonical)) == canonical
+    name, sep, rest = text.partition(":")
+    assert parse_generator(f" {name.upper()}{sep}{rest} ") == spec
+    assert generator_scale(spec) == _SCALE[spec.kind]
+    assert_well_formed(generate(spec))
+
 
 class TestRoundTrip:
     def test_save_load_identity_on_dense_ids(self):
