@@ -18,7 +18,6 @@ from .errors import (
     EdgeListParseError,
     InvalidParamsError,
     MonostarError,
-    ToleranceError,
 )
 from .experiment import (
     ExperimentSpec,
@@ -45,7 +44,6 @@ from .limits import (
     limit_moments,
     limit_pmf,
     params_from_graph,
-    pgf_linear,
     sample_limit_batch,
     validate_params,
 )

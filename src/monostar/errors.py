@@ -24,7 +24,3 @@ class BudgetExceededError(MonostarError):
 
 class InvalidParamsError(MonostarError):
     """Limit-law parameters violate the representability constraints."""
-
-
-class ToleranceError(MonostarError):
-    """A numerical stabilization or consistency check did not converge."""

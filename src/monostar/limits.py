@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from math import comb, exp, factorial
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
-from .errors import InvalidParamsError, ToleranceError
+from .errors import BudgetExceededError, InvalidParamsError
 from .graphs import Graph, degree_sequence
-from .pmf import Pmf, pmf_moments
+from .pmf import Pmf
 from .stars import DEFAULT_CLASS_BUDGET, StarClassCounts, class_counts
 
 __all__ = [
@@ -25,13 +26,13 @@ __all__ = [
     "sample_limit_batch",
     "limit_pmf",
     "limit_moments",
-    "pgf_linear",
     "figure2_params",
     "DEFAULT_THETA_THRESHOLD",
 ]
 
 DEFAULT_THETA_THRESHOLD = 0.05
 _Z1_SLACK = 1e-9
+_DENSE_LIMIT = 1 << 24  # values in limit_pmf's dense array (128 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class LimitLawParams:
 
     @property
     def mean(self) -> float:
+        """sum(k * lambda_k): the law's mean unless a clamp flag is set, in
+        which case the law's mean exceeds it by the clamped shortfall."""
         return float(sum(k * lam for k, lam in enumerate(self.lambdas, start=1)))
 
     def to_json_dict(self) -> dict:
@@ -157,60 +160,56 @@ def figure2_params(kappa: float, r: int = 2, literal_z1: bool = False) -> LimitL
 
 
 # ----------------------------------------------------------------------------
-# Sampling
+# Sampling, pmf on one dense array, moments in closed form
 # ----------------------------------------------------------------------------
 
 
-def _component_rates(p: LimitLawParams) -> list[tuple[int, float]]:
-    """(coefficient k, rate) for the linear part, coefficient-1 rate first."""
-    rates = [(1, float(p.z1_rate))]
-    rates.extend((k, float(lam)) for k, lam in enumerate(p.lambdas[1:], start=2))
-    return rates
+def _parts(p: LimitLawParams) -> list[tuple[float, int, int]]:
+    """The law's independent parts as (rate, s, k), each k * C(T, s) with
+    T ~ Poisson(rate): the atoms first, then the linear part by coefficient."""
+    rates = (p.z1_rate,) + p.lambdas[1:]
+    return ([(float(theta), p.r, 1) for theta in p.thetas]
+            + [(float(rate), 1, k) for k, rate in enumerate(rates, start=1)])
 
 
 def sample_limit_batch(p: LimitLawParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws (component-major stream layout)."""
     p = _ensure_validated(p)
     out = np.zeros(size, dtype=np.int64)
-    for theta in p.thetas:
-        t = rng.poisson(theta, size=size)
-        top = int(t.max(initial=0))
-        lut = np.array([comb(m, p.r) for m in range(top + 1)], dtype=np.int64)
-        out += lut[t]
-    for k, rate in _component_rates(p):
-        out += k * rng.poisson(rate, size=size)
+    for rate, s, k in _parts(p):
+        t = rng.poisson(rate, size=size)
+        if s > 1:
+            top = int(t.max(initial=0))
+            t = np.array([comb(m, s) for m in range(top + 1)], dtype=np.int64)[t]
+        out += k * t
     return out
 
 
-# ----------------------------------------------------------------------------
-# Exact-as-possible pmf by truncated convolution
-# ----------------------------------------------------------------------------
+def _poisson_window(rate: float, share: float) -> tuple[int, np.ndarray]:
+    """First value and masses of Poisson(rate) on a window around its mode.
 
-
-def _poisson_probs(rate: float, tail_budget: float) -> list[float]:
-    """Poisson masses 0..t_max by direct summation, upper tail < tail_budget."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    if rate == 0.0:
-        return [1.0]
-    probs = [exp(-rate)]
-    cum = probs[0]
-    t = 0
-    while 1.0 - cum > tail_budget:
-        t += 1
-        probs.append(probs[-1] * rate / t)
-        cum += probs[-1]
-        if t > 10_000_000:
-            raise ToleranceError("Poisson truncation did not converge")
-    return probs
-
-
-def _convolve(a: dict[int, float], b: dict[int, float]) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for va, pa in sorted(a.items()):
-        for vb, pb in sorted(b.items()):
-            out[va + vb] = out.get(va + vb, 0.0) + pa * pb
-    return out
+    Weights run outward from the mode by the ratio recursion. Each side stops
+    once its geometric tail bound w * q / (1 - q) is at most share/2 of the
+    window sum so far. The masses are the weights over their sum, scaled by
+    one minus the two bounds, so the cut mass never exceeds ``share``.
+    """
+    if 80 * math.sqrt(rate) > _DENSE_LIMIT:  # w underflows within about 39 sd of the mode
+        raise BudgetExceededError(f"Poisson rate {rate} needs a window past {_DENSE_LIMIT} values")
+    mode, total, bounds, sides = int(rate), 1.0, 0.0, []
+    for up in (True, False):
+        t, w, side = mode, 1.0, []
+        while True:
+            q = rate / (t + 1) if up else (t / rate if t else 0.0)
+            tail = w * q / (1.0 - q) if q < 1.0 else math.inf
+            if tail <= 0.5 * share * total:
+                break
+            t, w = t + (1 if up else -1), w * q
+            side.append(w)
+            total += w
+        sides.append(side)
+        bounds += tail
+    masses = np.array(sides[1][::-1] + [1.0] + sides[0]) / total
+    return t, masses * (1.0 - bounds / total)
 
 
 def limit_pmf(p: LimitLawParams, tail_eps: float = 1e-9) -> Pmf:
@@ -219,61 +218,61 @@ def limit_pmf(p: LimitLawParams, tail_eps: float = 1e-9) -> Pmf:
     Each atom contributes the pushforward of Poisson(theta) under t -> C(t, r)
     (all mass with t < r lands on 0; the map is injective beyond); each linear
     coefficient contributes a Poisson supported on its multiples. Every
-    component's truncation loses less than tail_eps / #components.
+    component's truncation loses at most tail_eps / #components. The parts
+    are added into one dense array, one shifted copy per support point.
     """
     if not 0 < tail_eps < 1:
         raise ValueError("tail_eps must lie in (0, 1)")
     p = _ensure_validated(p)
-    n_components = len(p.thetas) + p.r + 1
-    share = tail_eps / max(n_components, 1)
-    acc = {0: 1.0}
-    for theta in p.thetas:
-        probs = _poisson_probs(theta, share)
-        component: dict[int, float] = {}
-        for t, mass in enumerate(probs):
-            v = comb(t, p.r)
-            component[v] = component.get(v, 0.0) + mass
-        acc = _convolve(acc, component)
-    for k, rate in _component_rates(p):
-        probs = _poisson_probs(rate, share)
-        acc = _convolve(acc, {k * j: mass for j, mass in enumerate(probs)})
-    mass = sum(prob for _, prob in sorted(acc.items()))
-    return Pmf(acc, deficit=max(1.0 - mass, 0.0))
+    share = tail_eps / (len(p.thetas) + p.r + 1)
+    low, acc = 0, np.ones(1)
+    for rate, s, k in _parts(p):
+        start, masses = _poisson_window(rate, share)
+        values = [k * comb(t, s) for t in range(start, start + masses.size)]
+        size = acc.size + values[-1] - values[0]
+        if size > _DENSE_LIMIT:
+            raise BudgetExceededError(f"limit pmf needs a dense array of {size} values",
+                                      cost=size, budget=_DENSE_LIMIT)
+        out = np.zeros(size)
+        for v, m in zip(values, masses.tolist()):
+            out[v - values[0]:v - values[0] + acc.size] += m * acc
+        low, acc = low + values[0], out
+    nonzero = np.flatnonzero(acc)
+    support = dict(zip((nonzero + low).tolist(), acc[nonzero].tolist()))
+    return Pmf(support, deficit=max(1.0 - math.fsum(support.values()), 0.0))
+
+
+def _binomial_power_moments(rate: float, s: int, order: int) -> list[Fraction]:
+    """E[C(T, s)^j] for T ~ Poisson(rate) and j = 0..order, exact in rate.
+
+    C(t, s)^j = (t)_s^j / s!^j, and (t)_s^j expands in falling factorials by
+    (t)_a (t)_b = sum_k C(a, k) C(b, k) k! (t)_{a+b-k}; E[(T)_m] = rate^m.
+    """
+    poly, out = {0: 1}, [Fraction(1)]  # (t)_s^j as {m: coefficient of (t)_m}
+    for j in range(1, order + 1):
+        nxt: dict[int, int] = {}
+        for a, coef in poly.items():
+            for k in range(min(a, s) + 1):
+                m = a + s - k
+                nxt[m] = nxt.get(m, 0) + coef * comb(a, k) * comb(s, k) * factorial(k)
+        poly = nxt
+        out.append(sum(c * Fraction(rate) ** m for m, c in poly.items()) / factorial(s) ** j)
+    return out
 
 
 def limit_moments(p: LimitLawParams, order: int) -> list[float]:
-    """Raw moments of the limit law, tightening the tail until they stabilize.
+    """Raw moments 1..order of the limit law in closed form, no truncation.
 
-    The mean must land on sum(k * lambda_k): the atom pushforward means
-    theta^r / r! cancel against the coefficient-1 reduction.
+    Each part's moments are exact in the float parameters; independent parts
+    combine by binomial convolution of raw moments, rounded once at the end.
+    With a clamped coefficient-1 rate the mean exceeds ``p.mean``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     p = _ensure_validated(p)
-    previous = None
-    for tail_eps in (1e-8, 1e-11, 1e-14, 1e-16):
-        moments = [float(m) for m in pmf_moments(limit_pmf(p, tail_eps), order)]
-        if previous is not None:
-            rel = max(
-                abs(a - b) / max(abs(b), 1.0) for a, b in zip(previous, moments)
-            )
-            if rel <= 1e-9:
-                break
-        previous = moments
-    else:
-        raise ToleranceError("limit moments did not stabilize to 1e-9")
-    target = p.mean
-    if abs(moments[0] - target) > 1e-8 * max(1.0, abs(target)):
-        raise ToleranceError(
-            f"limit mean {moments[0]} deviates from sum(k*lambda_k) = {target}"
-        )
-    return moments
-
-
-def pgf_linear(p: LimitLawParams, s: float) -> float:
-    """PGF of the linear part: prod over k of exp(rate_k * (s^k - 1))."""
-    if not 0 < s <= 1:
-        raise ValueError("s must lie in (0, 1]")
-    p = _ensure_validated(p)
-    exponent = sum(rate * (s**k - 1.0) for k, rate in _component_rates(p))
-    return exp(exponent)
+    total = [Fraction(1)] + [Fraction(0)] * order
+    for rate, s, k in _parts(p):
+        part = [k**j * m for j, m in enumerate(_binomial_power_moments(rate, s, order))]
+        total = [sum(comb(n, i) * total[i] * part[n - i] for i in range(n + 1))
+                 for n in range(order + 1)]
+    return [float(m) for m in total[1:]]

@@ -3,6 +3,7 @@
 Everything here enumerates explicitly (subsets, colorings) and never shares
 code paths with the package kernels it checks.
 """
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -141,3 +142,25 @@ def brute_remainder_mean_bound(dec, r: int, c: int) -> float:
     for u in dec.big_vertices:
         total += len(adj[u]) + sum(1 for a, b in dec.removed_big_big_edges if u in (a, b))
     return (dec.epsilon * c) ** (r - 1) * c ** (-r) * total
+
+
+def brute_limit_moments(r: int, thetas, rates, order: int, terms: int = 400) -> list[float]:
+    """Raw moments 1..order of sum_v C(T_v, r) + sum_k k * Z_k (T_v ~
+    Poisson(theta_v), Z_k ~ Poisson(rates[k-1])): each part by a direct fsum
+    over t < ``terms`` with lgamma Poisson weights, the parts combined by the
+    binomial expansion of (X + Y)^n."""
+    def part(rate, value):
+        if rate == 0:
+            return [1.0] + [float(value(0)) ** j for j in range(1, order + 1)]
+        weights = [math.exp(t * math.log(rate) - rate - math.lgamma(t + 1))
+                   for t in range(terms)]
+        return [math.fsum(w * float(value(t)) ** j for t, w in enumerate(weights))
+                for j in range(order + 1)]
+
+    parts = [part(theta, lambda t: math.comb(t, r)) for theta in thetas]
+    parts += [part(rate, lambda t, k=k: k * t) for k, rate in enumerate(rates, start=1)]
+    total = [1.0] + [0.0] * order
+    for moments in parts:
+        total = [math.fsum(math.comb(n, i) * total[i] * moments[n - i] for i in range(n + 1))
+                 for n in range(order + 1)]
+    return total[1:]

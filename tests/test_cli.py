@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -122,6 +123,15 @@ class TestLimit:
         code, out, _ = run_cli(capsys, "limit", "pmf", "r=2", "lambda1=1.0", "--csv")
         assert code == 0
         assert out.splitlines()[0] == "value,probability"
+
+    @pytest.mark.parametrize("rate", ["740", "760"])
+    def test_pmf_large_rate(self, capsys, rate):
+        # exp(-rate) is subnormal at 740 and zero at 760
+        code, out, _ = run_cli(capsys, "limit", "pmf", "r=2", f"lambda1={rate}")
+        assert code == 0
+        payload = json.loads(out)
+        mass = math.fsum(payload["support"].values())
+        assert mass + payload["deficit"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sample(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "sample", "r=2", "lambda3=0.5",

@@ -1,5 +1,6 @@
-"""Design rules checked on the package source: no dynamic code execution, and
-no module reaching into another module's private names."""
+"""Design rules checked on the package source: no dynamic code execution, no
+module reaching into another module's private names, and no exception type
+that nothing raises."""
 import ast
 from pathlib import Path
 
@@ -30,3 +31,18 @@ def test_no_private_imports(path):
                 for alias in node.names
                 if any(part.startswith("_") for part in alias.name.split(".")[1:])]
     assert private == []
+
+
+def test_every_leaf_error_is_raised():
+    errors = ast.parse(next(p for p in SOURCES if p.name == "errors.py").read_text())
+    classes = [node for node in errors.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    leaves = {node.name for node in classes} - bases
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert leaves and sorted(leaves - raised) == []

@@ -1,12 +1,14 @@
 import math
+import time
 from math import comb, exp, factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_limit_moments
 
-from monostar.errors import InvalidParamsError
+from monostar.errors import BudgetExceededError, InvalidParamsError
 from monostar.graphs import complete, complete_bipartite, figure2_composite, star
 from monostar.limits import (
     LimitLawParams,
@@ -14,7 +16,6 @@ from monostar.limits import (
     limit_moments,
     limit_pmf,
     params_from_graph,
-    pgf_linear,
     sample_limit_batch,
     validate_params,
 )
@@ -106,6 +107,43 @@ class TestLimitPmf:
         with pytest.raises(ValueError):
             limit_pmf(make(2, l1=1.0), tail_eps=0.0)
 
+    @pytest.mark.parametrize("rate", [740.0, 760.0, 1e4, 1e6])
+    def test_large_rate(self, rate):
+        # exp(-rate) is subnormal at 740 and zero at 760: the window must
+        # start from the mode, not from zero
+        tail_eps = 1e-9
+        pmf = limit_pmf(make(2, l1=rate), tail_eps)
+        mass = math.fsum(pmf.support.values())
+        assert mass + pmf.deficit == pytest.approx(1.0, abs=1e-12)
+        assert 0 <= pmf.deficit < tail_eps
+        mean = math.fsum(v * prob for v, prob in pmf.support.items())
+        var = math.fsum(prob * (v - mean) ** 2 for v, prob in pmf.support.items())
+        assert mean == pytest.approx(rate, rel=1e-9)
+        assert var == pytest.approx(rate, rel=1e-7)
+
+    def test_subnormal_tail_eps_returns(self):
+        pmf = limit_pmf(figure2_params(1.0), tail_eps=5e-324)
+        assert math.fsum(pmf.support.values()) + pmf.deficit == pytest.approx(1.0, abs=1e-12)
+
+    def test_high_r_atoms_fast(self):
+        # values C(t, 10) reach 10^5: the atoms must not be convolved densely
+        p = make(10, thetas=(3.0, 3.0), l1=2 * 3.0**10 / factorial(10))
+        started = time.perf_counter()
+        pmf = limit_pmf(p)
+        assert time.perf_counter() - started < 1.0
+        assert 0 <= pmf.deficit < 1e-9
+
+    @pytest.mark.parametrize("r,thetas,l1", [
+        (2, (), 1e12),  # the window may reach 80 * sqrt(rate) = 8e7 values
+        (10, (12.0, 12.0), 2 * 12.0**10 / factorial(10)),  # C(29, 10) > 2^24
+    ])
+    def test_dense_array_guard(self, r, thetas, l1):
+        # refused before the array is allocated, not after
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            limit_pmf(make(r, thetas=thetas, l1=l1))
+        assert time.perf_counter() - started < 1.0
+
 
 class TestLimitMoments:
     def test_poisson_mean_and_variance(self):
@@ -136,29 +174,50 @@ class TestLimitMoments:
         moments = limit_moments(p, 1)
         assert moments[0] == pytest.approx(p.mean, rel=1e-8, abs=1e-8)
 
+    @pytest.mark.parametrize("p", [
+        figure2_params(1.0),
+        figure2_params(2.0),
+        make(2, thetas=(0.6, 0.3, 0.1), l1=0.23),
+        make(2, thetas=(1.5, 0.8), l1=2.0, l3=0.3),
+    ], ids=["figure2-1", "figure2-2", "star-union", "two-atoms"])
+    def test_matches_brute_reference(self, p):
+        rates = (p.z1_rate,) + p.lambdas[1:]
+        want = brute_limit_moments(p.r, p.thetas, rates, 4)
+        assert limit_moments(p, 4) == pytest.approx(want, rel=1e-12)
+
+    def test_clamped_plugin_first_moment_is_pmf_mean(self):
+        # z1 clamped to 0: the law's mean exceeds sum(k * lambda_k)
+        p = params_from_graph(complete(60), 185, 2)
+        assert any("clamped" in f for f in p.flags)
+        mean = limit_moments(p, 2)[0]
+        pmf = limit_pmf(p, 1e-12)
+        assert mean == pytest.approx(math.fsum(v * prob for v, prob in pmf.support.items()),
+                                     abs=1e-9)
+        assert mean > p.mean + 0.4
+
 
 class TestPgf:
-    def test_at_one(self):
-        assert pgf_linear(make(2, l1=2.0, l3=0.4), 1.0) == pytest.approx(1.0)
-
-    def test_poisson_pgf(self):
-        assert pgf_linear(make(2, l1=2.0), 0.5) == pytest.approx(exp(-1.0), abs=1e-12)
-
-    def test_triple_pgf(self):
-        assert pgf_linear(make(2, l3=1.0), 0.5) == pytest.approx(exp(0.125 - 1.0), abs=1e-12)
-
     def test_matches_theta_free_pmf_power_series(self):
+        # theta-free: the law's PGF is exp(sum_k rate_k * (s^k - 1))
         p = make(3, l1=0.9, l2=0.4, l3=0.2, l4=0.1)
+        rates = (p.z1_rate,) + p.lambdas[1:]
         pmf = limit_pmf(p, tail_eps=1e-13)
         for s in (0.3, 0.5, 0.9):
             series = sum(float(prob) * s**v for v, prob in pmf.support.items())
-            assert pgf_linear(p, s) == pytest.approx(series, abs=1e-8)
+            pgf = exp(sum(rate * (s**k - 1.0) for k, rate in enumerate(rates, start=1)))
+            assert series == pytest.approx(pgf, abs=1e-12)
 
     def test_theta_atoms_excluded_from_linear_pgf(self):
-        # z1 sees only the reduced rate, not the atoms
+        # z1 sees only the reduced rate, not the atoms: the PGF factors into
+        # the atom pushforward's and exp(z1 * (s - 1))
         p = make(2, thetas=(1.0,), l1=1.5)
         assert p.z1_rate == pytest.approx(1.0)
-        assert pgf_linear(p, 0.5) == pytest.approx(exp(1.0 * (0.5 - 1.0)), abs=1e-12)
+        pmf = limit_pmf(p, tail_eps=1e-13)
+        pois = [exp(-1.0) / factorial(t) for t in range(40)]
+        for s in (0.3, 0.5, 0.9):
+            series = sum(float(prob) * s**v for v, prob in pmf.support.items())
+            atom = sum(w * s ** comb(t, 2) for t, w in enumerate(pois))
+            assert series == pytest.approx(atom * exp(s - 1.0), abs=1e-12)
 
 
 class TestSampling:
