@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
     _emit(report.to_json_dict(), args)
     if report.failed:
         sys.stderr.write(f"verify failed: {report.error}\n")
-        return BUDGET_EXIT if "Budget" in (report.error or "") else USAGE_EXIT
+        return BUDGET_EXIT if report.error_kind == "budget" else USAGE_EXIT
     for mode, tv in report.tv_to_reference.items():
         if tv > report.tolerance[mode]:
             sys.stderr.write(

@@ -21,6 +21,7 @@ from .graphs import generate, generator_scale, parse_generator
 from .limits import (
     LimitLawParams,
     figure2_params,
+    limit_moments,
     limit_pmf,
     params_from_graph,
     validate_params,
@@ -126,9 +127,15 @@ class ExperimentSpec:
 
 @dataclass
 class Report:
+    """Outcome of one experiment. On failure ``error`` holds the message and
+    ``error_kind`` says what went wrong: "budget" when a cost guard refused,
+    otherwise the exception class name. ``error_kind`` stays out of the JSON
+    forms, whose ``error`` already starts with the class name."""
+
     spec: dict
     failed: bool = False
     error: str | None = None
+    error_kind: str | None = None
     graph: dict | None = None
     star_stats: dict | None = None
     params_used: dict | None = None
@@ -167,11 +174,9 @@ class Report:
 def run_experiment(spec: ExperimentSpec) -> Report:
     started = time.perf_counter()
     report = Report(spec=spec.spec_echo(), warnings=list(spec.notes))
-    if spec.comparison not in ("exact-oracle", "limit-law", "both"):
-        report.failed = True
-        report.error = f"unknown comparison {spec.comparison!r}"
-        return report
     try:
+        if spec.comparison not in ("exact-oracle", "limit-law", "both"):
+            raise ValueError(f"unknown comparison {spec.comparison!r}")
         gen = parse_generator(spec.generator)
         g = generate(gen)
         c = resolve_colors(spec.colors, generator_scale(gen))
@@ -192,8 +197,10 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             report.warnings.append(f"class_counts skipped: {exc}")
 
         references = {}
+        ref_moments = {}
         if spec.comparison in ("exact-oracle", "both"):
             references["exact-oracle"] = exact_pmf(g, spec.r, c, budget=spec.oracle_budget)
+            ref_moments["exact-oracle"] = pmf_moments(references["exact-oracle"], 4)
         if spec.comparison in ("limit-law", "both"):
             if spec.predicted_params is not None:
                 params = validate_params(spec.predicted_params)
@@ -215,6 +222,8 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                 )
             report.warnings.extend(params.flags)
             references["limit-law"] = limit_pmf(params, spec.tail_eps)
+            # exact, where the moments of the truncated pmf are not
+            ref_moments["limit-law"] = limit_moments(params, 4)
 
         dist = monte_carlo(g, spec.r, c, spec.samples, spec.seed,
                            workers=spec.workers, budget=spec.mc_budget)
@@ -229,8 +238,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         report.moments = {
             "empirical": emp_moments,
             "reference": {
-                mode: [float(x) for x in pmf_moments(ref, 4)]
-                for mode, ref in sorted(references.items())
+                mode: [float(x) for x in moments] for mode, moments in sorted(ref_moments.items())
             },
         }
         report.tv_to_reference = {
@@ -241,12 +249,11 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                    else DEFAULT_TV_TOLERANCE[mode])
             for mode in references
         }
-    except MonostarError as exc:
+    except (MonostarError, ValueError, OverflowError) as exc:
         report.failed = True
         report.error = f"{type(exc).__name__}: {exc}"
-    except (ValueError, OverflowError) as exc:
-        report.failed = True
-        report.error = f"{type(exc).__name__}: {exc}"
+        report.error_kind = ("budget" if isinstance(exc, BudgetExceededError)
+                             else type(exc).__name__)
     report.runtime_seconds = time.perf_counter() - started
     return report
 

@@ -6,16 +6,17 @@ decomposition used to isolate high-degree star mass.
 
 A spanning r-star in an (r+1)-vertex induced subgraph is exactly a vertex of
 full within-subset degree r, so "contains k spanning stars" is equivalent to
-"has k full-degree vertices". The classifier leans on this: a subset S = {v}
-union U (U inside the neighborhood of v) has k(S) = 1 + #{u in U adjacent to
-all of U \\ {u}}, and every full-degree vertex of S discovers S once, so
-accumulating weight 1/k(S) per discovery counts each subset exactly once.
+"has k full-degree vertices". The classifier counts by inclusion-exclusion
+over cliques: any j full-degree vertices J of a subset S are pairwise
+adjacent, and S is J plus r+1-j common neighbors of J. So the number N_j of
+pairs (S, J) is the sum over j-cliques J of C(|common neighborhood of J|,
+r+1-j), with N_1 the r-star count. Since N_j = sum_k C(k, j) Lambda_k,
+binomial inversion gives Lambda_k = sum_{j>=k} (-1)^(j-k) C(j, k) N_j.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -115,11 +116,23 @@ def _triangle_vertices(g: Graph) -> np.ndarray:
 def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarClassCounts:
     """Classify star-carrying (r+1)-subsets by their spanning-star count.
 
-    Cost guard: refuses when sum_v C(d_v, r) exceeds ``budget`` star visits.
-    For r >= 2, a center in no triangle has no full-degree leaf, so it
-    contributes C(d_v, r) class-1 subsets in closed form; only centers in a
-    triangle are enumerated, and the guard is conservative for sparse inputs.
-    For r = 1 every star is an edge whose two ends are both full-degree.
+    Cost guard: refuses when the star count sum_v C(d_v, r) exceeds
+    ``budget``. For r = 1 every star is an edge whose two ends are both
+    full-degree. For r >= 2, Lambda comes from the clique sums N_j of the
+    module docstring. Every member of a j-clique J (j >= 2) with a common
+    neighbor, and every such neighbor, lies in a triangle, so the cliques grow
+    in index order on the subgraph induced by the triangle vertices (Chiba &
+    Nishizeki; Danisch, Balalau & Sozio, "Listing k-cliques in sparse
+    real-world graphs", 2018). A clique stops growing once too few common
+    neighbors are left for any extension to count. A later common neighbor
+    adjacent to all the others is held out of the listing: it stays so for
+    every larger clique, so each listed clique counts the cliques that add any
+    a held vertices in closed form. Every other member past the first edge
+    cuts off a distinct common neighbor of that edge, so below an edge with c
+    common neighbors at most r C(c, r-1) cliques are listed, and at most
+    r^2 n_star in all, whatever the labels. Growth ends at the r-cliques: each
+    (r+1)-clique is an r-clique plus a common neighbor in r+1 ways, so
+    N_{r+1} = N_r / (r+1).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -135,49 +148,40 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
         lams[2] = g.edge_count
         return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
     in_triangle = _triangle_vertices(g)
-    free = np.bincount(g.degrees[~in_triangle])
-    lam1_direct = sum(comb(d, r) * int(free[d]) for d in range(r, free.size))
-    discoveries = [0] * (r + 2)  # index k: discoveries of subsets with k centers
-    triangle_vertices = np.flatnonzero(in_triangle).tolist()
-    adjacency = {v: g.neighbors(v).tolist() for v in triangle_vertices}
-    # a neighbor in no triangle shares no neighbor with v, so it is never a
-    # full-degree leaf and needs no set
-    adj_sets = {v: set(nb) for v, nb in adjacency.items()}
-    for v in triangle_vertices:
-        nb = adjacency[v]
-        if len(nb) < r:
-            continue
-        nb_set = adj_sets[v]
-        # Candidate full-degree leaves: need >= r-1 neighbors inside nb.
-        local: dict[int, set[int]] = {}
-        for u in nb:
-            u_set = adj_sets.get(u)
-            if u_set is None:
-                continue
-            common = u_set & nb_set
-            if len(common) >= r - 1:
-                local[u] = common
-        if not local:
-            lam1_direct += comb(len(nb), r)
-            continue
-        for subset in combinations(nb, r):
-            k = 1
-            for u in subset:
-                commons = local.get(u)
-                if commons is None:
-                    continue
-                for w in subset:
-                    if w != u and w not in commons:
-                        break
-                else:
-                    k += 1
-            discoveries[k] += 1
-    lams[1] = lam1_direct + discoveries[1]
-    for k in range(2, r + 2):
-        lam_k = Fraction(discoveries[k], k)
-        if lam_k.denominator != 1:
-            raise AssertionError(f"non-integral class count at k={k}: {lam_k}")
-        lams[k] = int(lam_k)
+    tri = np.flatnonzero(in_triangle)
+    inner = in_triangle[g.edge_u] & in_triangle[g.edge_v]
+    ends = np.stack((g.edge_u[inner], g.edge_v[inner]), axis=1)
+    h = build_graph(tri.size, np.searchsorted(tri, ends))
+    flat, bounds = h.indices.tolist(), h.indptr.tolist()
+    nbrs = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    pairs = [0, n_star] + [0] * r  # pairs[j] = N_j
+
+    def grow(j: int, last: int, rest: frozenset, held: int) -> None:
+        # a j-clique whose latest member is ``last``; its common neighborhood
+        # is ``rest`` plus ``held`` vertices adjacent to all of it, which an
+        # ancestor took out of the listing
+        size = len(rest) + held
+        if j == r or size <= r - j:
+            pairs[j] += comb(size, r + 1 - j)
+            return
+        later = [(u, rest & nbrs[u]) for u in rest if u > last]
+        joined = frozenset(u for u, c in later if len(c) == len(rest) - 1)
+        held += len(joined)
+        # a held vertex stays adjacent to every later common neighbor, so
+        # adding any a of them leaves size - a common neighbors
+        for a in range(min(held, r - j) + 1):
+            pairs[j + a] += comb(held, a) * comb(size - a, r + 1 - j - a)
+        for u, c in later:
+            if u not in joined:
+                grow(j + 1, u, c - joined, held)
+
+    for v, row in enumerate(nbrs):
+        for u in row:
+            if u > v:
+                grow(2, u, row & nbrs[u], 0)
+    pairs[r + 1] = pairs[r] // (r + 1)
+    for k in range(1, r + 2):
+        lams[k] = sum((-1) ** (j - k) * comb(j, k) * pairs[j] for j in range(k, r + 2))
     result = StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
     if sum(k * lam for k, lam in enumerate(result.class_counts, start=1)) != n_star:
         raise AssertionError("class counts violate the star counting identity")

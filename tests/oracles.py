@@ -10,6 +10,7 @@ from itertools import combinations, product
 import numpy as np
 
 from monostar.graphs import Graph, build_graph
+from monostar.stars import StarClassCounts, _triangle_vertices, count_stars
 
 
 def brute_adjacency(g: Graph) -> list[set[int]]:
@@ -51,6 +52,85 @@ def brute_class_counts(g: Graph, r: int) -> tuple[int, ...]:
         if k >= 1:
             lams[k] += 1
     return tuple(lams[1:])
+
+
+def enumerate_class_counts(g: Graph, r: int) -> StarClassCounts:
+    """Class counts by enumerating the r-subsets of each triangle vertex's
+    neighborhood: a reference for ``class_counts`` on graphs too large for
+    ``brute_class_counts``. It shares only the star count and the triangle
+    mask with the package, and both are checked on their own.
+
+    A subset S = {v} union U (U inside the neighborhood of v) has k(S) = 1 +
+    #{u in U adjacent to all of U \\ {u}}, and every full-degree vertex of S
+    discovers S once, so accumulating weight 1/k(S) per discovery counts each
+    subset exactly once. A center in no triangle has no full-degree leaf and
+    contributes C(d_v, r) class-1 subsets in closed form.
+    """
+    n_star = count_stars(g, r)
+    lams = [0] * (r + 2)
+    if r == 1:
+        lams[2] = g.edge_count
+        return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
+    in_triangle = _triangle_vertices(g)
+    free = np.bincount(g.degrees[~in_triangle])
+    lam1_direct = sum(math.comb(d, r) * int(free[d]) for d in range(r, free.size))
+    discoveries = [0] * (r + 2)  # index k: discoveries of subsets with k centers
+    triangle_vertices = np.flatnonzero(in_triangle).tolist()
+    adjacency = {v: g.neighbors(v).tolist() for v in triangle_vertices}
+    # a neighbor in no triangle shares no neighbor with v, so it is never a
+    # full-degree leaf and needs no set
+    adj_sets = {v: set(nb) for v, nb in adjacency.items()}
+    for v in triangle_vertices:
+        nb = adjacency[v]
+        if len(nb) < r:
+            continue
+        nb_set = adj_sets[v]
+        # Candidate full-degree leaves: need >= r-1 neighbors inside nb.
+        local: dict[int, set[int]] = {}
+        for u in nb:
+            u_set = adj_sets.get(u)
+            if u_set is None:
+                continue
+            common = u_set & nb_set
+            if len(common) >= r - 1:
+                local[u] = common
+        if not local:
+            lam1_direct += math.comb(len(nb), r)
+            continue
+        for subset in combinations(nb, r):
+            k = 1
+            for u in subset:
+                commons = local.get(u)
+                if commons is None:
+                    continue
+                for w in subset:
+                    if w != u and w not in commons:
+                        break
+                else:
+                    k += 1
+            discoveries[k] += 1
+    lams[1] = lam1_direct + discoveries[1]
+    for k in range(2, r + 2):
+        lam_k = Fraction(discoveries[k], k)
+        if lam_k.denominator != 1:
+            raise AssertionError(f"non-integral class count at k={k}: {lam_k}")
+        lams[k] = int(lam_k)
+    return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
+
+
+def brute_clique_pair_counts(g: Graph, r: int) -> list[int]:
+    """N_1..N_{r+1} straight from their clique definition: over every j-subset
+    J of V that is a clique, C(|vertices adjacent to all of J|, r+1-j)."""
+    adj = brute_adjacency(g)
+    out = []
+    for j in range(1, r + 2):
+        total = 0
+        for subset in combinations(range(g.vertex_count), j):
+            if all(b in adj[a] for a, b in combinations(subset, 2)):
+                common = set.intersection(*(adj[v] for v in subset))
+                total += math.comb(len(common), r + 1 - j)
+        out.append(total)
+    return out
 
 
 def brute_exact_pmf(g: Graph, r: int, c: int) -> dict[int, Fraction]:

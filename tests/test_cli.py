@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from monostar.cli import main
+from monostar import cli
+from monostar.cli import BUDGET_EXIT, USAGE_EXIT, main
+from monostar.experiment import Report
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +162,22 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "not-a-family"])
         assert exc.value.code == 2
+
+    def test_budget_exit_from_error_kind(self, capsys, monkeypatch):
+        # plug-in limit law with class counts refused by their budget
+        make = cli.builtin_example
+        monkeypatch.setattr(cli, "builtin_example",
+                            lambda *a, **k: dataclasses.replace(make(*a, **k), class_budget=1))
+        code, out, err = run_cli(capsys, "verify", "regular", "-n", "50", "--samples", "100")
+        assert code == BUDGET_EXIT
+        assert "verify failed: BudgetExceededError" in err
+        assert json.loads(out)["failed"]
+
+    @pytest.mark.parametrize("kind, code", [("budget", BUDGET_EXIT), ("ValueError", USAGE_EXIT)])
+    def test_exit_code_reads_error_kind_not_message(self, capsys, monkeypatch, kind, code):
+        report = Report(spec={}, failed=True, error="Budget in the message only", error_kind=kind)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: report)
+        assert run_cli(capsys, "verify", "star", "--samples", "10")[0] == code
 
 
 class TestBirthday:

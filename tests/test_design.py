@@ -1,6 +1,6 @@
 """Design rules checked on the package source: no dynamic code execution, no
-module reaching into another module's private names, and no exception type
-that nothing raises."""
+module reaching into another module's private names, no exception type that
+nothing raises, and no r-subset enumeration beside the clique-sum classifier."""
 import ast
 from pathlib import Path
 
@@ -46,3 +46,16 @@ def test_every_leaf_error_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert leaves and sorted(leaves - raised) == []
+
+
+def test_class_counts_has_no_subset_enumeration():
+    # the clique sums replace the r-subset enumeration; it lives on only as a
+    # test oracle
+    stars = next(p for p in SOURCES if p.name == "stars.py")
+    tree = ast.parse(stars.read_text(), filename=str(stars))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    imported |= {(alias.name, None) for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert ("itertools", "combinations") not in imported
+    assert ("itertools", None) not in imported

@@ -11,7 +11,7 @@ from monostar.experiment import (
     run_experiment,
 )
 from monostar.graphs import build_graph, complete, generate, parse_generator
-from monostar.limits import params_from_graph
+from monostar.limits import figure2_params, limit_moments, params_from_graph
 from monostar.stars import class_counts, count_stars
 
 
@@ -93,6 +93,7 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert report.failed
         assert "Budget" in report.error
+        assert report.error_kind == "budget"
 
     @pytest.mark.parametrize("generator, form", [
         ("star", "star:n"), ("circulant:10", "circulant:n:d"), ("path:5:9", "path:n"),
@@ -102,6 +103,7 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert report.failed
         assert f"does not match {form}" in report.error
+        assert report.error_kind == "ValueError"
 
     def test_class_counts_computed_once(self, monkeypatch):
         # plug-in params (no predicted_params) reuse the counts behind star_stats
@@ -128,7 +130,16 @@ class TestRunExperiment:
     def test_unknown_comparison(self):
         spec = ExperimentSpec(generator="star:5", r=2, colors=2, samples=10,
                               seed=0, comparison="nonsense")
-        assert run_experiment(spec).failed
+        report = run_experiment(spec)
+        assert report.failed
+        assert report.error_kind == "ValueError"
+
+    def test_limit_law_reference_moments_are_exact(self):
+        # the closed-form moments of the law, not those of its truncated pmf
+        spec = builtin_example("figure2", n=30, samples=2_000, seed=3)
+        report = run_experiment(spec)
+        assert not report.failed and report.error_kind is None
+        assert report.moments["reference"]["limit-law"] == limit_moments(figure2_params(1.0), 4)
 
     def test_runtime_excluded_from_canonical_form(self):
         spec = ExperimentSpec(generator="star:20", r=2, colors=20, samples=2_000,
