@@ -11,7 +11,6 @@ from .coloring import (
     empirical_moments,
     eval_T,
     monte_carlo,
-    sample_coloring,
 )
 from .errors import (
     BudgetExceededError,
@@ -49,16 +48,6 @@ from .limits import (
 )
 from .oracle import exact_pmf
 from .pmf import Pmf, pmf_mean, pmf_moments, tv_distance
-from .stars import (
-    Decomposition,
-    StarClassCounts,
-    beta,
-    class_counts,
-    count_stars,
-    decompose,
-    epsilon_big,
-    prune_low_degree_edges,
-    remainder_mean_bound,
-)
+from .stars import StarClassCounts, class_counts, count_stars
 
 __version__ = "0.1.0"

@@ -23,13 +23,14 @@ from .experiment import (
 )
 from .graphs import edge_list_text, generate, load_edge_list, parse_generator
 from .limits import (
+    DEFAULT_TAIL_EPS,
     LimitLawParams,
     limit_pmf,
     sample_limit_batch,
     validate_params,
 )
-from .oracle import exact_pmf
-from .stars import class_counts, count_stars
+from .oracle import DEFAULT_ORACLE_BUDGET, exact_pmf
+from .stars import DEFAULT_CLASS_BUDGET, class_counts, count_stars
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file or generator string")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--classes", action="store_true")
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_stats)
 
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-c", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     p.add_argument("--csv", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_exact)
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="limit-law parameters, pmf, and sampling")
     p.add_argument("action", choices=["params", "pmf", "sample"])
     p.add_argument("params", nargs="*", help='e.g. r=2 theta=1,0.5 lambda1=0.9 lambda3=0.2')
-    p.add_argument("--tail-eps", type=float, default=1e-9, dest="tail_eps")
+    p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS, dest="tail_eps")
     p.add_argument("-n", "--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")

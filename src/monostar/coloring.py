@@ -32,7 +32,6 @@ from .stars import count_stars
 __all__ = [
     "Coloring",
     "EmpiricalDist",
-    "sample_coloring",
     "eval_T",
     "eval_T_hits",
     "star_table",
@@ -68,14 +67,6 @@ def _color_dtype(c: int):
     if c <= 1 << 32:
         return np.uint32
     return np.uint64
-
-
-def sample_coloring(g: Graph, c: int, rng: np.random.Generator) -> Coloring:
-    """Independent uniform color per vertex; deterministic given the stream state."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    colors = rng.integers(0, c, size=g.vertex_count, dtype=_color_dtype(c))
-    return Coloring(colors=colors, c=c)
 
 
 def star_table(g: Graph, r: int) -> np.ndarray:

@@ -19,6 +19,9 @@ from .coloring import DEFAULT_MC_BUDGET, empirical_moments, monte_carlo
 from .errors import BudgetExceededError, MonostarError
 from .graphs import generate, generator_scale, parse_generator
 from .limits import (
+    DEFAULT_TAIL_EPS,
+    DEFAULT_THETA_CUT,
+    DEFAULT_THETA_THRESHOLD,
     LimitLawParams,
     figure2_params,
     limit_moments,
@@ -101,9 +104,9 @@ class ExperimentSpec:
     seed: int
     comparison: str = "limit-law"  # exact-oracle | limit-law | both
     workers: int = 1
-    theta_cut: int = 8
-    theta_threshold: float = 0.05
-    tail_eps: float = 1e-9
+    theta_cut: int = DEFAULT_THETA_CUT
+    theta_threshold: float = DEFAULT_THETA_THRESHOLD
+    tail_eps: float = DEFAULT_TAIL_EPS
     predicted_params: LimitLawParams | None = None
     tv_tolerance: float | None = None
     mean_rtol: float = 0.05
@@ -387,19 +390,13 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
 
 
 def birthday_probability(g, r: int, c: int, method: str = "oracle", *,
-                         samples: int = 200_000, seed: int = 0, workers: int = 1,
-                         oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-                         class_budget: int = DEFAULT_CLASS_BUDGET,
-                         theta_cut: int = 8, tail_eps: float = 1e-9):
+                         samples: int = 200_000, seed: int = 0):
     """P(T > 0) under the chosen reference: exact, empirical, or limit law."""
     if method == "oracle":
-        pmf = exact_pmf(g, r, c, budget=oracle_budget)
-        return Fraction(1) - pmf.prob(0)
+        return Fraction(1) - exact_pmf(g, r, c).prob(0)
     if method == "mc":
-        dist = monte_carlo(g, r, c, samples, seed, workers=workers)
+        dist = monte_carlo(g, r, c, samples, seed)
         return Fraction(dist.total_samples - dist.counts.get(0, 0), dist.total_samples)
     if method == "limit":
-        params = params_from_graph(g, c, r, theta_cut=theta_cut, budget=class_budget)
-        pmf = limit_pmf(params, tail_eps)
-        return 1.0 - float(pmf.prob(0))
+        return 1.0 - float(limit_pmf(params_from_graph(g, c, r)).prob(0))
     raise ValueError(f"unknown method {method!r}: use oracle, mc, or limit")

@@ -27,10 +27,14 @@ __all__ = [
     "limit_pmf",
     "limit_moments",
     "figure2_params",
+    "DEFAULT_THETA_CUT",
     "DEFAULT_THETA_THRESHOLD",
+    "DEFAULT_TAIL_EPS",
 ]
 
+DEFAULT_THETA_CUT = 8
 DEFAULT_THETA_THRESHOLD = 0.05
+DEFAULT_TAIL_EPS = 1e-9
 _Z1_SLACK = 1e-9
 _DENSE_LIMIT = 1 << 24  # values in limit_pmf's dense array (128 MiB of float64)
 
@@ -105,7 +109,7 @@ def _ensure_validated(p: LimitLawParams) -> LimitLawParams:
     return p if p.z1_rate is not None else validate_params(p)
 
 
-def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = 8,
+def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_CUT,
                       theta_threshold: float = DEFAULT_THETA_THRESHOLD,
                       budget: int = DEFAULT_CLASS_BUDGET, *,
                       stats: StarClassCounts | None = None) -> LimitLawParams:
@@ -212,7 +216,7 @@ def _poisson_window(rate: float, share: float) -> tuple[int, np.ndarray]:
     return t, masses * (1.0 - bounds / total)
 
 
-def limit_pmf(p: LimitLawParams, tail_eps: float = 1e-9) -> Pmf:
+def limit_pmf(p: LimitLawParams, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     """Float pmf of the limit law; truncation_deficit < tail_eps.
 
     Each atom contributes the pushforward of Poisson(theta) under t -> C(t, r)

@@ -32,13 +32,8 @@ def _decode_colorings(indices: np.ndarray, n: int, c: int) -> np.ndarray:
     return colors
 
 
-def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET,
-              witnesses: bool = False):
-    """Exact rational pmf of T(g, r) under a uniform c-coloring.
-
-    With ``witnesses=True`` also returns, per support value, one explicit
-    coloring achieving it.
-    """
+def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET) -> Pmf:
+    """Exact rational pmf of T(g, r) under a uniform c-coloring."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if c < 1:
@@ -53,20 +48,13 @@ def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET,
         )
     table = star_table(g, r)
     counts: dict[int, int] = {}
-    found: dict[int, tuple[int, ...]] = {}
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         colors = _decode_colorings(idx, n, c)
         hit_rows, hit_edges = np.nonzero(colors[:, g.edge_u] == colors[:, g.edge_v])
         t_vals = eval_T_hits(g, table, stop - start, hit_rows, hit_edges)
-        values, first, reps = np.unique(t_vals, return_index=True, return_counts=True)
-        for v, k, pos in zip(values, reps, first):
-            v = int(v)
-            counts[v] = counts.get(v, 0) + int(k)
-            if witnesses and v not in found:
-                found[v] = tuple(int(x) for x in colors[int(pos)])
-    pmf = Pmf({v: Fraction(k, total) for v, k in counts.items()}, Fraction(0))
-    if witnesses:
-        return pmf, found
-    return pmf
+        values, reps = np.unique(t_vals, return_counts=True)
+        for v, k in zip(values.tolist(), reps.tolist()):
+            counts[v] = counts.get(v, 0) + k
+    return Pmf({v: Fraction(k, total) for v, k in counts.items()}, Fraction(0))

@@ -6,7 +6,7 @@ sorted support order so float reductions are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -24,9 +24,13 @@ def _frac_str(x) -> str:
 class Pmf:
     support: dict[int, Fraction | float]
     deficit: Fraction | float = 0
+    # every probability and the deficit are rationals; set once at construction
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "support", dict(sorted(self.support.items())))
+        object.__setattr__(self, "is_exact", isinstance(self.deficit, Rational) and all(
+            isinstance(p, Rational) for p in self.support.values()))
         for v, p in self.support.items():
             if p < 0:
                 raise ValueError(f"negative probability at {v}")
@@ -38,12 +42,6 @@ class Pmf:
                 raise ValueError(f"exact pmf mass is {total}, not 1")
         elif abs(float(total) - 1.0) > _FLOAT_MASS_TOL:
             raise ValueError(f"pmf mass {total} deviates from 1 beyond {_FLOAT_MASS_TOL}")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.deficit, Rational) and all(
-            isinstance(p, Rational) for p in self.support.values()
-        )
 
     def prob(self, value: int) -> Fraction | float:
         return self.support.get(value, Fraction(0) if self.is_exact else 0.0)
@@ -62,7 +60,7 @@ class Pmf:
     def to_csv(self) -> str:
         lines = ["value,probability"]
         for v, p in self.support.items():
-            lines.append(f"{v},{float(p)!r}" if not self.is_exact else f"{v},{p}")
+            lines.append(f"{v},{p}" if self.is_exact else f"{v},{float(p)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,7 @@
 """Exact combinatorial star statistics.
 
-Counts r-stars, classifies the (r+1)-vertex subsets carrying them by the
-number k of spanning-star centers, and provides the degree-threshold
-decomposition used to isolate high-degree star mass.
+Counts r-stars and classifies the (r+1)-vertex subsets carrying them by the
+number k of spanning-star centers.
 
 A spanning r-star in an (r+1)-vertex induced subgraph is exactly a vertex of
 full within-subset degree r, so "contains k spanning stars" is equivalent to
@@ -16,7 +15,6 @@ binomial inversion gives Lambda_k = sum_{j>=k} (-1)^(j-k) C(j, k) N_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -24,19 +22,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import Graph, build_graph
 
-__all__ = [
-    "StarClassCounts",
-    "Decomposition",
-    "count_stars",
-    "class_counts",
-    "epsilon_big",
-    "decompose",
-    "remainder_mean_bound",
-    "beta",
-    "connected_components",
-    "prune_low_degree_edges",
-    "DEFAULT_CLASS_BUDGET",
-]
+__all__ = ["StarClassCounts", "count_stars", "class_counts", "DEFAULT_CLASS_BUDGET"]
 
 DEFAULT_CLASS_BUDGET = 10**9
 
@@ -186,112 +172,3 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
     if sum(k * lam for k, lam in enumerate(result.class_counts, start=1)) != n_star:
         raise AssertionError("class counts violate the star counting identity")
     return result
-
-
-# ----------------------------------------------------------------------------
-# Degree-threshold decomposition
-# ----------------------------------------------------------------------------
-
-
-def _big_mask(g: Graph, c: int, eps: float) -> np.ndarray:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return g.degrees >= eps * c
-
-
-def epsilon_big(g: Graph, c: int, eps: float) -> frozenset[int]:
-    """Vertices with degree >= eps * c (closed threshold on integer degrees)."""
-    return frozenset(np.flatnonzero(_big_mask(g, c, eps)).tolist())
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of a graph at a degree threshold.
-
-    ``g_plus`` holds the edges incident to big vertices (big-big edges
-    removed); ``g_minus`` is induced on the non-big vertices. Both live on the
-    original vertex universe, so their edges plus ``removed_big_big_edges``
-    partition the source edge set exactly.
-    """
-
-    epsilon: float
-    big_vertices: frozenset[int]
-    g_plus: Graph
-    g_minus: Graph
-    removed_big_big_edges: tuple[tuple[int, int], ...]
-
-
-def _edge_subgraph(g: Graph, keep: np.ndarray) -> Graph:
-    return build_graph(g.vertex_count, np.stack((g.edge_u[keep], g.edge_v[keep]), axis=1))
-
-
-def decompose(g: Graph, c: int, eps: float) -> Decomposition:
-    big = _big_mask(g, c, eps)
-    u_big, v_big = big[g.edge_u], big[g.edge_v]
-    both = u_big & v_big
-    return Decomposition(
-        epsilon=eps,
-        big_vertices=frozenset(np.flatnonzero(big).tolist()),
-        g_plus=_edge_subgraph(g, u_big ^ v_big),
-        g_minus=_edge_subgraph(g, ~(u_big | v_big)),
-        removed_big_big_edges=tuple(zip(g.edge_u[both].tolist(), g.edge_v[both].tolist())),
-    )
-
-
-def remainder_mean_bound(dec: Decomposition, r: int, c: int) -> float:
-    """Upper bound (eps*c)^(r-1) * c^(-r) * sum of original big-vertex degrees
-    on the expected count of cross stars centered outside the big set."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    n = dec.g_plus.vertex_count
-    big = np.fromiter(dec.big_vertices, dtype=np.int64)
-    removed = np.array(dec.removed_big_big_edges, dtype=np.int64).reshape(-1)
-    # a big vertex's original degree: its g_plus edges plus its removed ones
-    total = int(dec.g_plus.degrees[big].sum() + np.bincount(removed, minlength=n)[big].sum())
-    return (dec.epsilon * c) ** (r - 1) * c ** (-r) * total
-
-
-# ----------------------------------------------------------------------------
-# Joint indicator expectation
-# ----------------------------------------------------------------------------
-
-
-def connected_components(g: Graph) -> int:
-    """Number of connected components; isolated vertices count.
-
-    Union-find over the edge list, with path halving.
-    """
-    parent = list(range(g.vertex_count))
-    count = g.vertex_count
-    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[v] = u
-            count -= 1
-    return count
-
-
-def beta(h: Graph, c: int) -> Fraction:
-    """Probability that every edge of h is monochromatic: (1/c)^(|V|-components).
-
-    Isolated vertices add one to both |V| and the component count, so the
-    value is insensitive to how much of the ambient universe h carries.
-    """
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    exponent = h.vertex_count - connected_components(h)
-    return Fraction(1, c**exponent)
-
-
-def prune_low_degree_edges(g: Graph, r: int) -> Graph:
-    """Drop edges whose endpoints both have degree <= r-1.
-
-    Such edges carry no r-star, so star counts are unchanged; diagnostic use
-    only, generators never prune.
-    """
-    return _edge_subgraph(g, np.maximum(g.degrees[g.edge_u], g.degrees[g.edge_v]) >= r)

@@ -214,16 +214,6 @@ def reference_erdos_renyi_edges(n: int, p: float, seed: int) -> list[tuple[int, 
     return edges
 
 
-def brute_remainder_mean_bound(dec, r: int, c: int) -> float:
-    """The bound summed big vertex by big vertex over g_plus neighbors and
-    removed edges."""
-    adj = brute_adjacency(dec.g_plus)
-    total = 0
-    for u in dec.big_vertices:
-        total += len(adj[u]) + sum(1 for a, b in dec.removed_big_big_edges if u in (a, b))
-    return (dec.epsilon * c) ** (r - 1) * c ** (-r) * total
-
-
 def brute_limit_moments(r: int, thetas, rates, order: int, terms: int = 400) -> list[float]:
     """Raw moments 1..order of sum_v C(T_v, r) + sum_k k * Z_k (T_v ~
     Poisson(theta_v), Z_k ~ Poisson(rates[k-1])): each part by a direct fsum

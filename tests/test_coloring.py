@@ -9,7 +9,6 @@ from monostar.coloring import (
     empirical_moments,
     eval_T,
     monte_carlo,
-    sample_coloring,
 )
 from monostar.errors import BudgetExceededError
 from monostar.graphs import (build_graph, complete, cycle, generate, parse_generator, star,
@@ -45,7 +44,7 @@ class TestEvalT:
         for _ in range(50):
             g = random_graph(rng, 10)
             c = int(rng.integers(1, 5))
-            col = sample_coloring(g, c, rng)
+            col = Coloring(colors=rng.integers(0, c, size=g.vertex_count, dtype=np.uint16), c=c)
             perm = rng.permutation(c)
             relabeled = Coloring(colors=perm[col.colors].astype(col.colors.dtype), c=c)
             for r in (1, 2, 3):
@@ -57,32 +56,12 @@ class TestEvalT:
             g = random_graph(rng, 12)
             c = int(rng.integers(1, 6))
             r = int(rng.integers(1, 4))
-            col = sample_coloring(g, c, rng)
+            col = Coloring(colors=rng.integers(0, c, size=g.vertex_count, dtype=np.uint16), c=c)
             assert eval_T(g, r, col) == brute_eval_T(g, r, col.colors)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             eval_T(cycle(4), 2, _coloring(complete(3), [0, 1, 0]))
-
-
-class TestSampleColoring:
-    def test_single_color(self):
-        g = star(5)
-        col = sample_coloring(g, 1, np.random.default_rng(0))
-        assert col.colors.max() == 0
-
-    def test_equal_seeds_equal_colorings(self):
-        g = complete(10)
-        a = sample_coloring(g, 7, np.random.default_rng(5))
-        b = sample_coloring(g, 7, np.random.default_rng(5))
-        assert np.array_equal(a.colors, b.colors)
-
-    def test_uniform_frequencies(self):
-        g = build_graph(1, [])
-        rng = np.random.default_rng(31337)
-        draws = np.concatenate([sample_coloring(g, 4, rng).colors for _ in range(100_000)])
-        freqs = np.bincount(draws, minlength=4) / draws.size
-        assert np.all(np.abs(freqs - 0.25) < 0.01)
 
 
 class TestMonteCarlo:

@@ -1,6 +1,7 @@
 """Design rules checked on the package source: no dynamic code execution, no
 module reaching into another module's private names, no exception type that
-nothing raises, and no r-subset enumeration beside the clique-sum classifier."""
+nothing raises, no r-subset enumeration beside the clique-sum classifier, and
+no exported name that the package itself never uses."""
 import ast
 from pathlib import Path
 
@@ -59,3 +60,29 @@ def test_class_counts_has_no_subset_enumeration():
                  for alias in node.names}
     assert ("itertools", "combinations") not in imported
     assert ("itertools", None) not in imported
+
+
+# exported for the acceptance battery, which checks results through them
+UNUSED_EXPORTS_ALLOWED = {
+    "eval_T",  # T of one explicit coloring: criterion 3 checks it against brute force
+    "pmf_mean",  # mean of a pmf: criterion 1 checks E[T] = n_star / c^r with it
+}
+
+
+def test_every_export_is_used_in_the_package():
+    exported, used = {}, set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported.update((name, path.name) for name in ast.literal_eval(node.value))
+        used |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert exported
+    unused = sorted(f"{module}:{name}" for name, module in exported.items()
+                    if name not in used | UNUSED_EXPORTS_ALLOWED)
+    assert unused == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monostar.coloring import Coloring, eval_T, monte_carlo
+from monostar.coloring import monte_carlo
 from monostar.errors import BudgetExceededError
 from monostar.graphs import build_graph, complete, cycle, generate, parse_generator, star
 from monostar.oracle import exact_pmf
@@ -47,14 +47,6 @@ class TestExactPmf:
             exact_pmf(complete(12), 2, 10, budget=1000)
         assert "budget" in str(err.value)
         assert err.value.budget == 1000
-
-    def test_witnesses_achieve_their_values(self):
-        g = generate(parse_generator("tadpole31"))
-        pmf, witnesses = exact_pmf(g, 2, 2, witnesses=True)
-        assert set(witnesses) == set(pmf.support)
-        for value, coloring in witnesses.items():
-            col = Coloring(colors=np.asarray(coloring, dtype=np.uint16), c=2)
-            assert eval_T(g, 2, col) == value
 
 
 class TestMeanIdentity:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,17 @@ class TestTvDistance:
         p = exact({0: Fraction(3, 4), 3: Fraction(1, 4)})
         q = exact({0: Fraction(1)})
         assert tv_distance(p, q) == 0.25
+
+    def test_linear_time_on_large_exact_pmfs(self):
+        # exactness is fixed at construction; a per-lookup check that walks the
+        # support makes this quadratic (minutes at this size)
+        n = 20_000
+        p = Pmf({v: Fraction(1, n) for v in range(n)}, Fraction(0))
+        q = Pmf({v: Fraction(1, n) for v in range(n // 2, n // 2 + n)}, Fraction(0))
+        started = time.perf_counter()
+        assert tv_distance(p, q) == pytest.approx(0.5)
+        assert p.to_csv().count("\n") == n + 1
+        assert time.perf_counter() - started < 5.0
 
     def test_deficit_enters_shared_atom(self):
         p = Pmf({0: 0.9}, 0.1)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -14,25 +13,15 @@ from monostar.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    figure2_composite,
     generate,
     parse_generator,
     star,
     tadpole31,
 )
-from monostar.stars import (
-    beta,
-    class_counts,
-    connected_components,
-    count_stars,
-    decompose,
-    epsilon_big,
-    prune_low_degree_edges,
-    remainder_mean_bound,
-)
+from monostar.stars import class_counts, count_stars
 
 from oracles import (brute_adjacency, brute_class_counts, brute_clique_pair_counts,
-                     brute_count_stars, brute_remainder_mean_bound, enumerate_class_counts,
+                     brute_count_stars, enumerate_class_counts,
                      random_graph, with_pendant_trees)
 
 # star visits up to which a randomized case is also run through the
@@ -249,149 +238,3 @@ class TestClassCounts:
                     want[[a, b, c]] = True
             assert np.array_equal(stars._triangle_vertices(g), want)
 
-
-class TestDecomposition:
-    def test_star_hub_is_big(self):
-        assert epsilon_big(star(100), 100, 0.5) == {0}
-
-    def test_cycle_has_no_big(self):
-        assert epsilon_big(cycle(10), 100, 0.5) == frozenset()
-
-    def test_figure2_hub_only(self):
-        g = figure2_composite(100)
-        assert epsilon_big(g, 100, 0.5) == {0}
-
-    def test_threshold_is_closed(self):
-        g = star(50)
-        assert 0 in epsilon_big(g, 100, 0.5)  # degree 50 == 0.5 * 100
-
-    def test_no_big_vertices_identity(self):
-        g = cycle(10)
-        dec = decompose(g, 100, 0.5)
-        assert np.array_equal(dec.g_minus.indptr, g.indptr)
-        assert np.array_equal(dec.g_minus.indices, g.indices)
-        assert dec.g_plus.edge_count == 0
-        assert dec.removed_big_big_edges == ()
-
-    def test_big_big_edge_removed(self):
-        g = build_graph(2, [(0, 1)])
-        dec = decompose(g, 1, 0.5)
-        assert dec.big_vertices == {0, 1}
-        assert dec.removed_big_big_edges == ((0, 1),)
-        assert dec.g_plus.edge_count == dec.g_minus.edge_count == 0
-
-    def test_figure2_split(self):
-        g = figure2_composite(100)
-        dec = decompose(g, 100, 0.5)
-        assert dec.big_vertices == {0}
-        assert dec.g_plus.edge_count == 100  # the hub star
-        assert dec.g_minus.edge_count == g.edge_count - 100
-        assert len(dec.g_minus.neighbors(0)) == 0
-
-    def test_edge_partition_and_bipartite(self):
-        g = generate(parse_generator("er:40:0.3:seed=11"))
-        c = 20
-        dec = decompose(g, c, 0.4)
-        parts = dec.g_plus.edge_count + dec.g_minus.edge_count + len(dec.removed_big_big_edges)
-        assert parts == g.edge_count
-        # g_plus edges always join a big vertex to a non-big vertex
-        for u, v in zip(dec.g_plus.edge_u, dec.g_plus.edge_v):
-            assert (int(u) in dec.big_vertices) != (int(v) in dec.big_vertices)
-        # g_minus never touches big vertices
-        for v in dec.big_vertices:
-            assert len(dec.g_minus.neighbors(v)) == 0
-
-    @pytest.mark.parametrize("text,c,eps", [
-        ("figure2:100", 100, 0.5),
-        ("union:0.6,0.3,0.1:100", 100, 0.2),
-        ("star:50", 50, 0.5),
-    ])
-    def test_star_accounting_across_split(self, text, c, eps):
-        # with no big-big edges: total stars = stars centered at big vertices
-        # + stars inside g_minus + cross stars (small center, >= 1 big leaf)
-        g = generate(parse_generator(text))
-        r = 2
-        dec = decompose(g, c, eps)
-        assert dec.removed_big_big_edges == ()
-        from math import comb
-
-        big_centered = sum(comb(len(dec.g_plus.neighbors(v)), r) for v in dec.big_vertices)
-        cross = sum(
-            comb(int(g.degrees[v]), r) - comb(len(dec.g_minus.neighbors(v)), r)
-            for v in range(g.vertex_count)
-            if v not in dec.big_vertices
-        )
-        assert count_stars(g, r) == big_centered + count_stars(dec.g_minus, r) + cross
-
-    def test_remainder_bound_no_big(self):
-        assert remainder_mean_bound(decompose(cycle(10), 100, 0.5), 2, 100) == 0
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_remainder_bound_equals_per_vertex_sum(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, 25, p=float(rng.uniform(0.1, 0.6)))
-        for c, eps in ((5, 0.5), (10, 0.3), (20, 0.1)):
-            dec = decompose(g, c, eps)
-            for r in (1, 2, 3):
-                assert remainder_mean_bound(dec, r, c) == brute_remainder_mean_bound(dec, r, c)
-
-    @pytest.mark.parametrize("n", [20, 100])
-    def test_remainder_bound_star(self, n):
-        dec = decompose(star(n), n, 0.5)
-        assert remainder_mean_bound(dec, 2, n) == pytest.approx(0.5)
-        assert remainder_mean_bound(dec, 3, n) == pytest.approx(0.25)
-
-
-class TestBeta:
-    def test_single_edge(self):
-        assert beta(build_graph(2, [(0, 1)]), 3) == Fraction(1, 3)
-
-    def test_two_disjoint_edges(self):
-        assert beta(build_graph(4, [(0, 1), (2, 3)]), 3) == Fraction(1, 9)
-
-    def test_triangle(self):
-        assert beta(complete(3), 2) == Fraction(1, 4)
-
-    def test_isolated_vertices_cancel(self):
-        h1 = build_graph(2, [(0, 1)])
-        h2 = build_graph(10, [(0, 1)])
-        assert beta(h1, 5) == beta(h2, 5)
-
-    def test_disjoint_union_multiplies(self):
-        rng = np.random.default_rng(4242)
-        for _ in range(25):
-            a = random_graph(rng, 6)
-            b = random_graph(rng, 6)
-            union = build_graph(
-                a.vertex_count + b.vertex_count,
-                [(int(u), int(v)) for u, v in zip(a.edge_u, a.edge_v)]
-                + [(a.vertex_count + int(u), a.vertex_count + int(v))
-                   for u, v in zip(b.edge_u, b.edge_v)],
-            )
-            assert beta(union, 4) == beta(a, 4) * beta(b, 4)
-
-    @given(st.integers(2, 8), st.integers(2, 5), st.random_module())
-    @settings(max_examples=120, deadline=None)
-    def test_superadditive_under_overlapping_union(self, n, c, _rnd):
-        # H1, H2 are labelled edge subsets on a shared vertex universe
-        rng = np.random.default_rng(n * 7919 + c)
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        pick = lambda: [e for e in pool if rng.random() < 0.35]
-        e1, e2 = pick(), pick()
-        h1 = build_graph(n, e1)
-        h2 = build_graph(n, e2)
-        union = build_graph(n, e1 + e2)
-        assert beta(union, c) >= beta(h1, c) * beta(h2, c)
-
-
-class TestPrune:
-    def test_pruning_preserves_star_count(self):
-        g = generate(parse_generator("er:30:0.15:seed=3"))
-        for r in (2, 3):
-            pruned = prune_low_degree_edges(g, r)
-            assert pruned.edge_count <= g.edge_count
-            assert count_stars(pruned, r) == count_stars(g, r)
-
-    def test_components(self):
-        g = build_graph(5, [(0, 1), (2, 3)])
-        assert connected_components(g) == 3
