@@ -7,7 +7,9 @@ to its 2-core once per call. Core vertices get explicit colors and core edges
 are compared. The edges of the pendant trees hanging off the core match
 independently with probability 1/c, whatever the core's colors, so their
 matches are drawn directly as Bernoulli(1/c) positions via geometric skips.
-One row kernel (``eval_T_hits``) turns both kinds of hit into T per row.
+One vertex-major kernel (``eval_T_block``), also behind ``eval_T`` and the
+exact oracle, turns both into T per row: one flat scan finds the matched core
+edges and one bincount gives m_v for every colored vertex.
 
 Sample indices are split into fixed-size blocks, and one Philox stream is
 keyed per (seed, block). The block size depends on the graph and c alone, so
@@ -33,7 +35,7 @@ __all__ = [
     "Coloring",
     "EmpiricalDist",
     "eval_T",
-    "eval_T_hits",
+    "eval_T_block",
     "star_table",
     "monte_carlo",
     "empirical_moments",
@@ -81,25 +83,34 @@ def star_table(g: Graph, r: int) -> np.ndarray:
     return np.array([comb(m, r) for m in range(g.max_degree() + 1)], dtype=dtype)
 
 
-def eval_T_hits(g: Graph, table: np.ndarray, rows: int, hit_rows: np.ndarray,
-                hit_edges: np.ndarray) -> np.ndarray:
-    """T of each of ``rows`` colorings of ``g``, given their monochromatic edges.
+def eval_T_block(table: np.ndarray, colors: np.ndarray, edge_u: np.ndarray,
+                 edge_v: np.ndarray, hit_rows: np.ndarray | None = None,
+                 hit_ends: np.ndarray | None = None) -> np.ndarray:
+    """T of each of ``rows`` colorings, from vertex-major colors.
 
-    Pair i says that edge ``hit_edges[i]`` (an index into ``g.edge_u`` /
-    ``g.edge_v``) is monochromatic in row ``hit_rows[i]``; each edge appears at
-    most once per row. Every hit adds a match at both endpoints; the unique
-    (row, vertex) keys count m_v, and a row's T sums ``table[m_v]`` (see
-    ``star_table``) over its keys. The result has the table's dtype.
+    ``colors[j, i]`` is vertex j's color in row i, for k colored vertices, and
+    the edges ``(edge_u[i], edge_v[i])`` join colored vertices. Each pair of
+    ``hit_ends`` and ``hit_rows`` (broadcast together) adds one match at that
+    vertex in that row, for an edge known to match without colors; ends k and
+    up are vertices without colors.
+
+    One flat scan of the (edge, row) equality array finds the matched edges,
+    and one bincount over the keys ``vertex * rows + row`` gives m_v for every
+    colored vertex; hits at uncolored vertices are counted sparsely. A row's T
+    sums ``table[m_v]`` (see ``star_table``), in the table's dtype.
     """
-    out = np.zeros(rows, dtype=table.dtype)
-    if hit_edges.size == 0:
-        return out
-    n = g.vertex_count
-    base = hit_rows.astype(np.int64) * n
-    keys, matches = np.unique(np.concatenate([base + g.edge_u[hit_edges],
-                                              base + g.edge_v[hit_edges]]),
-                              return_counts=True)
-    np.add.at(out, keys // n, table[matches])
+    k, rows = colors.shape
+    e, row = np.divmod(np.flatnonzero(colors[edge_u] == colors[edge_v]), rows)
+    m = np.bincount(np.concatenate([edge_u[e] * rows + row, edge_v[e] * rows + row]),
+                    minlength=k * rows)
+    if hit_ends is not None:
+        # sorted, so the keys of colored vertices (below k * rows) come first
+        keys, matches = np.unique(hit_ends * rows + hit_rows, return_counts=True)
+        colored = np.searchsorted(keys, k * rows)
+        m[keys[:colored]] += matches[:colored]
+    out = table[m].reshape(k, rows).sum(axis=0)
+    if hit_ends is not None:
+        np.add.at(out, keys[colored:] % rows, table[matches[colored:]])
     return out
 
 
@@ -108,8 +119,7 @@ def eval_T(g: Graph, r: int, col: Coloring) -> int:
         raise ValueError("r must be >= 1")
     if col.colors.shape != (g.vertex_count,):
         raise ValueError("coloring does not match the graph")
-    hits = np.flatnonzero(col.colors[g.edge_u] == col.colors[g.edge_v])
-    return int(eval_T_hits(g, star_table(g, r), 1, np.zeros_like(hits), hits)[0])
+    return int(eval_T_block(star_table(g, r), col.colors[:, None], g.edge_u, g.edge_v)[0])
 
 
 @dataclass(frozen=True)
@@ -159,37 +169,39 @@ def empirical_moments(d: EmpiricalDist, order: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class _CoreTreeSplit:
-    """A graph's edges split at its 2-core.
+    """A graph's edges split at its 2-core, on vertices numbered core-first.
 
     Core edges need explicit colors: they close cycles, so their matches are
     dependent. A pendant-tree edge matches with probability 1/c independently
     of every other edge and of the core's colors (color each tree from its
-    root outwards), so tree matches are drawn directly.
+    root outwards), so tree matches are drawn directly. Core vertices are
+    numbered 0 .. core_count - 1 in their original order, tree vertices after
+    them, so an end below ``core_count`` is a core vertex.
     """
 
     core_count: int
-    core_u: np.ndarray  # core-local endpoints of the core edges
+    core_u: np.ndarray  # endpoints of the core edges
     core_v: np.ndarray
-    core_edges: np.ndarray  # their indices in the graph's edge arrays
-    tree_edges: np.ndarray
+    tree_ends: np.ndarray  # (2, tree edges): endpoints of the tree edges
 
     @classmethod
     def of(cls, g: Graph) -> "_CoreTreeSplit":
         core = two_core(g)
-        local = np.cumsum(core) - 1
+        core_count = int(core.sum())
+        local = np.where(core, np.cumsum(core), core_count + np.cumsum(~core)) - 1
+        u, v = local[g.edge_u], local[g.edge_v]
         in_core = core[g.edge_u] & core[g.edge_v]
-        core_edges = np.flatnonzero(in_core)
-        return cls(core_count=int(core.sum()),
-                   core_u=local[g.edge_u[core_edges]], core_v=local[g.edge_v[core_edges]],
-                   core_edges=core_edges, tree_edges=np.flatnonzero(~in_core))
+        return cls(core_count=core_count, core_u=u[in_core], core_v=v[in_core],
+                   tree_ends=np.stack([u[~in_core], v[~in_core]]))
 
     def block_rows(self, c: int) -> int:
         """Rows per block: about ``_BLOCK_CELL_TARGET`` cells, counting a core
         color and both ends of a core edge as one cell each, and an expected
-        tree hit as ``_TREE_HIT_CELLS``: the kernel's int64 row, edge, key and
-        sort arrays take about 100 bytes per hit, a color cell a few."""
-        cells = (self.core_count + 2 * self.core_edges.size
-                 - (-_TREE_HIT_CELLS * self.tree_edges.size // c))
+        tree hit as ``_TREE_HIT_CELLS``. A core cell costs a color byte and 16
+        bytes of counts (its m_v and ``table[m_v]``); a tree hit costs about
+        100 bytes of int64 row, end, key and sort arrays on the sparse route."""
+        cells = (self.core_count + 2 * self.core_u.size
+                 - (-_TREE_HIT_CELLS * self.tree_ends.shape[1] // c))
         return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_CELL_TARGET // max(cells, 1)))
 
 
@@ -214,23 +226,23 @@ def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.
         last = int(pos[-1])
 
 
-def _run_blocks(g: Graph, split: _CoreTreeSplit, table: np.ndarray, c: int, seed: int,
+def _run_blocks(split: _CoreTreeSplit, table: np.ndarray, c: int, seed: int,
                 block_span, block_size: int, samples: int) -> Counter:
     counter: Counter = Counter()
     dtype = _color_dtype(c)
-    tree_count = split.tree_edges.size
+    tree_count = split.tree_ends.shape[1]
     for b in block_span:
         rows = min(block_size, samples - b * block_size)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
-        colors = rng.integers(0, c, size=(rows, split.core_count), dtype=dtype)
-        ri, ei = np.nonzero(colors[:, split.core_u] == colors[:, split.core_v])
-        hit_rows, hit_edges = ri, split.core_edges[ei]
+        drawn = rng.integers(0, c, size=(rows, split.core_count), dtype=dtype)
+        colors = np.ascontiguousarray(drawn.T, dtype=np.min_scalar_type(c - 1))
+        hit_rows = hit_ends = None
         if tree_count:
-            pos = _bernoulli_positions(rng, rows * tree_count, 1.0 / c)
-            hit_rows = np.concatenate([hit_rows, pos // tree_count])
-            hit_edges = np.concatenate([hit_edges, split.tree_edges[pos % tree_count]])
-        values, reps = np.unique(eval_T_hits(g, table, rows, hit_rows, hit_edges),
-                                 return_counts=True)
+            hit_rows, t = np.divmod(_bernoulli_positions(rng, rows * tree_count, 1.0 / c),
+                                    tree_count)
+            hit_ends = np.take(split.tree_ends, t, axis=1)
+        t_vals = eval_T_block(table, colors, split.core_u, split.core_v, hit_rows, hit_ends)
+        values, reps = np.unique(t_vals, return_counts=True)
         for v, k in zip(values, reps):
             counter[int(v)] += int(k)
     return counter
@@ -265,13 +277,13 @@ def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
     block = split.block_rows(c)
     nblocks = -(-samples // block)
     if workers == 1 or nblocks == 1:
-        counter = _run_blocks(g, split, table, c, seed, range(nblocks), block, samples)
+        counter = _run_blocks(split, table, c, seed, range(nblocks), block, samples)
     else:
         spans = [rng for rng in np.array_split(np.arange(nblocks), workers) if rng.size]
         counter = Counter()
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             futures = [
-                pool.submit(_run_blocks, g, split, table, c, seed,
+                pool.submit(_run_blocks, split, table, c, seed,
                             [int(b) for b in span], block, samples)
                 for span in spans
             ]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import eval_T_hits, star_table
+from .coloring import eval_T_block, star_table
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .pmf import Pmf
@@ -23,17 +23,19 @@ _CHUNK = 1 << 16
 
 
 def _decode_colorings(indices: np.ndarray, n: int, c: int) -> np.ndarray:
-    """Mixed-radix decode: column j >= 1 is digit j-1 of the index in base c."""
-    colors = np.zeros((indices.size, n), dtype=np.min_scalar_type(c - 1))
+    """Mixed-radix decode into vertex-major colors: ``colors[j, i]`` is digit
+    j-1 of ``indices[i]`` in base c for j >= 1, and vertex 0 keeps color 0."""
+    colors = np.zeros((n, indices.size), dtype=np.min_scalar_type(c - 1))
     q = indices.copy()
     for j in range(1, n):
-        colors[:, j] = q % c
+        colors[j] = q % c
         q //= c
     return colors
 
 
 def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET) -> Pmf:
-    """Exact rational pmf of T(g, r) under a uniform c-coloring."""
+    """Exact rational pmf of T(g, r) under a uniform c-coloring; ``_CHUNK``
+    completions at a time are decoded and scored by ``eval_T_block``."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if c < 1:
@@ -51,9 +53,7 @@ def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET) -> 
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
-        colors = _decode_colorings(idx, n, c)
-        hit_rows, hit_edges = np.nonzero(colors[:, g.edge_u] == colors[:, g.edge_v])
-        t_vals = eval_T_hits(g, table, stop - start, hit_rows, hit_edges)
+        t_vals = eval_T_block(table, _decode_colorings(idx, n, c), g.edge_u, g.edge_v)
         values, reps = np.unique(t_vals, return_counts=True)
         for v, k in zip(values.tolist(), reps.tolist()):
             counts[v] = counts.get(v, 0) + k

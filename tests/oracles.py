@@ -191,13 +191,15 @@ def reference_monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
                           block: int) -> dict[int, int]:
     """Histogram of T drawing every vertex's color from the stream keyed by
     (seed, block index), ``block`` rows at a time, each row scored by
-    brute_eval_T. Colors are uint16 as in the sampler, so c <= 2**16."""
+    brute_eval_T. Colors are drawn as uint16 up to c = 2**16 and as uint32
+    above, as in the sampler, so c <= 2**32."""
     adj = brute_adjacency(g)
+    dtype = np.uint16 if c <= 1 << 16 else np.uint32
     counts: dict[int, int] = {}
     for b, start in enumerate(range(0, samples, block)):
         rows = min(block, samples - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
-        for colors in rng.integers(0, c, size=(rows, g.vertex_count), dtype=np.uint16):
+        for colors in rng.integers(0, c, size=(rows, g.vertex_count), dtype=dtype):
             t = _brute_eval_T(adj, r, colors)
             counts[t] = counts.get(t, 0) + 1
     return counts

@@ -6,9 +6,12 @@ import pytest
 from monostar.coloring import (
     Coloring,
     EmpiricalDist,
+    _CoreTreeSplit,
     empirical_moments,
     eval_T,
+    eval_T_block,
     monte_carlo,
+    star_table,
 )
 from monostar.errors import BudgetExceededError
 from monostar.graphs import (build_graph, complete, cycle, generate, parse_generator, star,
@@ -217,6 +220,91 @@ class TestCoreTreeSampler:
             g = generate(parse_generator(text))
             assert monte_carlo(g, r, 1, 300, seed=67).counts == {count_stars(g, r): 300}
             assert monte_carlo(g, r, 1 << 40, 300, seed=71).counts == {0: 300}
+
+
+def _split_T(g, r, colors):
+    """T of each row of ``colors`` (rows, n) through the kernel as the sampler
+    feeds it: core colors vertex-major, and every tree edge whose two colors
+    agree passed as a hit at both of its ends."""
+    split = _CoreTreeSplit.of(g)
+    core = two_core(g)
+    local = colors[:, np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])].T
+    tree_u, tree_v = split.tree_ends
+    row, t = np.nonzero((local[tree_u] == local[tree_v]).T)
+    return eval_T_block(star_table(g, r), np.ascontiguousarray(local[:split.core_count]),
+                        split.core_u, split.core_v, row, split.tree_ends[:, t])
+
+
+class TestVertexMajorKernel:
+    """The one kernel behind monte_carlo, eval_T and exact_pmf, checked row for
+    row against brute_eval_T and the explicit reference sampler."""
+
+    def test_core_first_numbering(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            g = with_pendant_trees(rng, random_graph(rng, 8, p=0.6), int(rng.integers(0, 10)))
+            split = _CoreTreeSplit.of(g)
+            k = split.core_count
+            assert k == len(brute_two_core(g))
+            assert split.core_u.size + split.tree_ends.shape[1] == g.edge_count
+            assert np.all(split.core_u < k) and np.all(split.core_v < k)
+            # a tree edge has at most one core end
+            assert np.all((split.tree_ends < k).sum(axis=0) <= 1)
+
+    def test_tree_hits_at_core_vertices_and_forests_vs_brute(self):
+        # pendant trees hung on core vertices put tree hits into the dense
+        # counts; forests (k = 0) send every hit down the sparse route
+        rng = np.random.default_rng(79)
+        graphs = [with_pendant_trees(rng, random_graph(rng, 7, p=0.7), int(rng.integers(1, 9)))
+                  for _ in range(25)]
+        graphs += [with_pendant_trees(rng, complete(4), 6), with_pendant_trees(rng, cycle(5), 8)]
+        forests = [generate(parse_generator(t))
+                   for t in ["path:9", "star:6", "copies:3:star:2", "figure2:1"]]
+        forests += [with_pendant_trees(rng, build_graph(1, []), 10) for _ in range(5)]
+        assert all(two_core(g).sum() == 0 for g in forests)
+        assert all(0 < two_core(g).sum() < g.vertex_count for g in graphs[-2:])
+        for g in graphs + forests:
+            for r, c in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+                colors = rng.integers(0, c, size=(40, g.vertex_count), dtype=np.uint16)
+                expected = [brute_eval_T(g, r, row) for row in colors]
+                assert _split_T(g, r, colors).tolist() == expected
+
+    def test_sampler_counts_both_tree_ends_at_one_color(self):
+        # c = 1: every edge matches, so T = n_star exactly, with tree hits at
+        # core vertices (dense counts) and at tree vertices (sparse)
+        rng = np.random.default_rng(97)
+        for core in (complete(4), cycle(5), build_graph(1, [])):
+            g = with_pendant_trees(rng, core, 12)
+            for r in (1, 2, 3):
+                assert monte_carlo(g, r, 1, 50, seed=101).counts == {count_stars(g, r): 50}
+
+    @pytest.mark.parametrize("c", [255, 256, 257, 65536, 65537])
+    def test_color_dtype_boundaries_vs_reference_sampler(self, c):
+        # colors are drawn as uint16 (uint32 past 2**16) and compared as the
+        # smallest type holding c - 1: uint8, uint16 or uint32
+        g = complete(40)
+        dist = monte_carlo(g, 1, c, 400, seed=83)
+        assert dist.counts == reference_monte_carlo(g, 1, c, 400, 83, own_core_block_rows(g))
+        assert len(dist.counts) > 1
+
+    @pytest.mark.parametrize("c", [255, 256, 257, 65536, 65537])
+    def test_color_dtype_boundaries_eval_T(self, c):
+        rng = np.random.default_rng(c)
+        g = with_pendant_trees(rng, complete(12), 5)
+        dtype = np.uint16 if c <= 1 << 16 else np.uint32
+        for _ in range(20):
+            # few colors in play, so that edges match
+            palette = rng.choice(c, size=3, replace=False).astype(dtype)
+            col = Coloring(colors=rng.choice(palette, size=g.vertex_count), c=c)
+            assert eval_T(g, 2, col) == brute_eval_T(g, 2, col.colors)
+
+    def test_empty_graph_and_single_vertex(self):
+        for n in (0, 1):
+            g = build_graph(n, [])
+            assert eval_T(g, 2, Coloring(colors=np.zeros(n, dtype=np.uint16), c=3)) == 0
+            for workers in (1, 2):
+                assert monte_carlo(g, 2, 3, 500, seed=89, workers=workers).counts == {0: 500}
+            assert exact_pmf(g, 2, 3).support == {0: Fraction(1)}
 
 
 class TestExactSums:

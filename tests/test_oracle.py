@@ -42,6 +42,31 @@ class TestExactPmf:
             r = int(rng.integers(1, 4))
             assert exact_pmf(g, r, c).support == brute_exact_pmf(g, r, c)
 
+    def test_isolated_vertices(self):
+        # isolated vertices, the pinned vertex 0 among them, add no stars but
+        # multiply the colorings enumerated
+        graphs = [build_graph(5, [(1, 2), (2, 3), (1, 3)]),
+                  build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+                  build_graph(4, []),
+                  build_graph(7, [(2, 5), (5, 6)])]
+        for g in graphs:
+            for r, c in [(1, 2), (2, 3), (2, 2)]:
+                assert exact_pmf(g, r, c).support == brute_exact_pmf(g, r, c)
+
+    @pytest.mark.parametrize("c", [255, 256, 257])
+    def test_triangle_at_color_dtype_boundaries(self, c):
+        # digits decode into uint8 up to c = 256 and uint16 above; c**2
+        # colorings span two chunks past c = 256
+        pmf = exact_pmf(complete(3), 1, c)
+        assert pmf.support == {0: Fraction((c - 1) * (c - 2), c**2),
+                               2: Fraction(3 * (c - 1), c**2), 6: Fraction(1, c**2)}
+
+    @pytest.mark.parametrize("c", [65536, 65537])
+    def test_edge_at_color_dtype_boundaries(self, c):
+        # uint16 digits at c = 2**16, uint32 one past it
+        pmf = exact_pmf(build_graph(2, [(0, 1)]), 1, c)
+        assert pmf.support == {0: Fraction(c - 1, c), 2: Fraction(1, c)}
+
     def test_budget_error_names_budget(self):
         with pytest.raises(BudgetExceededError) as err:
             exact_pmf(complete(12), 2, 10, budget=1000)
