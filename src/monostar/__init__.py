@@ -44,7 +44,6 @@ from .limits import (
     limit_pmf,
     params_from_graph,
     sample_limit_batch,
-    validate_params,
 )
 from .oracle import exact_pmf
 from .pmf import Pmf, pmf_mean, pmf_moments, tv_distance

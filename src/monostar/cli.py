@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coloring import monte_carlo
+from .coloring import EmpiricalDist, monte_carlo
 from .errors import BudgetExceededError, EdgeListParseError, InvalidParamsError
 from .experiment import (
     birthday_probability,
@@ -27,7 +27,6 @@ from .limits import (
     LimitLawParams,
     limit_pmf,
     sample_limit_batch,
-    validate_params,
 )
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_pmf
 from .stars import DEFAULT_CLASS_BUDGET, class_counts, count_stars
@@ -72,8 +71,11 @@ def _parse_limit_tokens(tokens) -> LimitLawParams:
             raise ValueError(f"unknown parameter {key!r}")
     if r is None:
         r = max(lambda_map, default=1)
+    outside = [k for k in lambda_map if not 1 <= k <= r + 1]
+    if outside:
+        raise ValueError(f"lambda{min(outside)} is outside lambda1..lambda{r + 1} for r = {r}")
     lambdas = tuple(lambda_map.get(k, 0.0) for k in range(1, r + 2))
-    return validate_params(LimitLawParams(r=r, thetas=thetas, lambdas=lambdas))
+    return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas)
 
 
 def _cmd_gen(args) -> int:
@@ -125,11 +127,15 @@ def _cmd_limit(args) -> int:
         _emit(pmf.to_csv() if args.csv else pmf.to_json_dict(), args)
         return 0
     if args.action == "sample":
+        if args.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if not 0 <= args.seed < 1 << 64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
         rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
         draws = sample_limit_batch(params, args.samples, rng)
         values, counts = np.unique(draws, return_counts=True)
-        _emit({"seed": args.seed, "samples": args.samples,
-               "counts": {str(int(v)): int(k) for v, k in zip(values, counts)}}, args)
+        dist = EmpiricalDist(dict(zip(values.tolist(), counts.tolist())), args.samples, args.seed)
+        _emit(dist.to_json_dict(), args)
         return 0
     raise ValueError(f"unknown limit action {args.action!r}")
 

@@ -6,10 +6,8 @@ sorted order and the canonical JSON form excludes wall-clock runtime.
 """
 from __future__ import annotations
 
-import ast
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -27,7 +25,6 @@ from .limits import (
     limit_moments,
     limit_pmf,
     params_from_graph,
-    validate_params,
 )
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_pmf
 from .pmf import pmf_moments, tv_distance
@@ -48,46 +45,15 @@ __all__ = [
 # are echoed in every report.
 DEFAULT_TV_TOLERANCE = {"exact-oracle": 0.005, "limit-law": 0.05}
 
-_EXPR_NAMES = {
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "sqrt": math.sqrt,
-    "log": math.log,
-    "round": round,
-    "min": min,
-    "max": max,
-}
-_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-             ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
-             ast.Pow: operator.pow, ast.USub: operator.neg}
-
-
-def _eval_rule(node: ast.AST, n: int) -> int | float:
-    """Value of a color-rule expression tree. Only int and float constants,
-    the name ``n``, the operators in ``_EXPR_OPS`` and calls to the functions
-    in ``_EXPR_NAMES`` are allowed; anything else raises ValueError."""
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return node.value
-    if isinstance(node, ast.Name) and node.id == "n":
-        return n
-    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _EXPR_OPS:
-        operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
-        return _EXPR_OPS[type(node.op)](*(_eval_rule(x, n) for x in operands))
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _EXPR_NAMES and not node.keywords):
-        return _EXPR_NAMES[node.func.id](*(_eval_rule(x, n) for x in node.args))
-    raise ValueError(f"color rule may not contain {ast.unparse(node)!r}")
-
 
 def resolve_colors(rule: int | str, scale: int) -> int:
-    """Fixed color count, or an expression in the generator scale ``n``."""
-    if isinstance(rule, int):
+    """The color count: a fixed int, or ``"n"`` for the generator scale."""
+    if rule == "n":
+        c = scale
+    elif isinstance(rule, int):
         c = rule
     else:
-        try:
-            c = int(round(_eval_rule(ast.parse(rule, mode="eval").body, scale)))
-        except (SyntaxError, ZeroDivisionError) as exc:
-            raise ValueError(f"color rule {rule!r} cannot be evaluated: {exc}") from None
+        raise ValueError(f"color rule {rule!r} is neither an integer nor 'n'")
     if c < 1:
         raise ValueError(f"color rule {rule!r} resolved to c = {c} < 1")
     return c
@@ -99,7 +65,7 @@ class ExperimentSpec:
 
     generator: str
     r: int
-    colors: int | str
+    colors: int | str  # a fixed count, or "n" for the generator scale
     samples: int
     seed: int
     comparison: str = "limit-law"  # exact-oracle | limit-law | both
@@ -206,7 +172,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             ref_moments["exact-oracle"] = pmf_moments(references["exact-oracle"], 4)
         if spec.comparison in ("limit-law", "both"):
             if spec.predicted_params is not None:
-                params = validate_params(spec.predicted_params)
+                params = spec.predicted_params
             else:
                 if stats is None:
                     raise BudgetExceededError(
@@ -232,12 +198,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                            workers=spec.workers, budget=spec.mc_budget)
         emp_pmf = dist.to_pmf()
         emp_moments = [float(x) for x in empirical_moments(dist, 4)]
-        report.empirical = {
-            "seed": dist.seed,
-            "samples": dist.total_samples,
-            "counts": {str(v): k for v, k in dist.counts.items()},
-            "mean": emp_moments[0],
-        }
+        report.empirical = {**dist.to_json_dict(), "mean": emp_moments[0]}
         report.moments = {
             "empirical": emp_moments,
             "reference": {
@@ -307,25 +268,21 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
 
     if name == "star":
         n = 1000 if n is None else n
-        params = validate_params(LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.5, 0.0, 0.0)))
+        params = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.5, 0.0, 0.0))
         return ExperimentSpec(generator=f"star:{n}", r=2, colors="n",
                               predicted_params=params, mean_rtol=0.01, **base)
     if name == "star-union":
         n = 3000 if n is None else n
         weights = (0.6, 0.3, 0.1)
         lam1 = sum(a**2 for a in weights) / 2
-        params = validate_params(
-            LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
-        )
+        params = LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
         return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}", r=2, colors="n",
                               predicted_params=params, mean_rtol=0.01, **base)
     if name == "star-union-shifted":
         n = 400 if n is None else n
         weights = (0.6, 0.3, 0.1)
         lam1 = sum(a**2 for a in weights) / 2 + 0.5
-        params = validate_params(
-            LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
-        )
+        params = LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
         return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}:shift=0.5", r=2,
                               colors="n", predicted_params=params, mean_rtol=0.08, **base)
     if name == "regular":
@@ -340,7 +297,7 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
         n = 40 if n is None else n
         c = round(math.sqrt(n * n * (n - 1) / 3.9936))
         mean = n * n * (n - 1) / c**2
-        params = validate_params(LimitLawParams(r=2, thetas=(), lambdas=(mean, 0.0, 0.0)))
+        params = LimitLawParams(r=2, thetas=(), lambdas=(mean, 0.0, 0.0))
         return ExperimentSpec(generator=f"bipartite:{n}", r=2, colors=c,
                               predicted_params=params, mean_rtol=1e-9,
                               notes=("triangle-free: pure coefficient-1 Poisson reference",),
@@ -350,9 +307,7 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
         n_star = n * comb(n - 1, 2)
         c = round(math.sqrt(n_star / 3.0))
         mean = n_star / c**2
-        params = validate_params(
-            LimitLawParams(r=2, thetas=(), lambdas=(0.0, 0.0, mean / 3.0))
-        )
+        params = LimitLawParams(r=2, thetas=(), lambdas=(0.0, 0.0, mean / 3.0))
         return ExperimentSpec(generator=f"complete:{n}", r=2, colors=c,
                               predicted_params=params, mean_rtol=1e-9,
                               notes=("complete family: support on multiples of 3",),
@@ -366,9 +321,7 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
         n = 10_000 if n is None else n
         c = _icbrt(n)
         mean = n / c**3
-        params = validate_params(
-            LimitLawParams(r=3, thetas=(), lambdas=(mean, 0.0, 0.0, 0.0))
-        )
+        params = LimitLawParams(r=3, thetas=(), lambdas=(mean, 0.0, 0.0, 0.0))
         return ExperimentSpec(generator=f"copies:{n}:star:3", r=3, colors=c,
                               predicted_params=params, mean_rtol=1e-9, **base)
     if name == "er":

@@ -22,7 +22,6 @@ __all__ = [
     "generate",
     "parse_generator",
     "generator_scale",
-    "spec_to_string",
     "degree_sequence",
     "two_core",
     "parse_edge_list",
@@ -386,12 +385,11 @@ class GeneratorSpec:
     inner: "GeneratorSpec | None" = None
 
 
-# A field is (GeneratorSpec attribute, read, show): read parses its part of the
-# CLI string, show prints it back.
-_N = ("n", int, str)
-_WEIGHTS = ("weights", lambda text: tuple(float(w) for w in text.split(",") if w),
-            lambda weights: ",".join(repr(float(w)) for w in weights))
-_INNER = ("inner", lambda text: parse_generator(text), lambda spec: spec_to_string(spec))
+# A field is (GeneratorSpec attribute, read): read parses its part of the CLI
+# string.
+_N = ("n", int)
+_WEIGHTS = ("weights", lambda text: tuple(float(w) for w in text.split(",") if w))
+_INNER = ("inner", lambda text: parse_generator(text))
 
 
 @dataclass(frozen=True)
@@ -419,18 +417,18 @@ class _Kind:
 _KINDS = (
     _Kind("star", ("star",), (_N,), star),
     _Kind("star-union", ("union", "star-union"), (_WEIGHTS, _N), star_union,
-          {"shift": ("shift_exponent", float, repr, None)}),
+          {"shift": ("shift_exponent", float, None)}),
     _Kind("complete", ("complete",), (_N,), complete),
     _Kind("complete-bipartite", ("bipartite", "complete-bipartite"), (_N,), complete_bipartite),
     _Kind("cycle", ("cycle",), (_N,), cycle),
     _Kind("path", ("path",), (_N,), path),
-    _Kind("circulant", ("circulant",), (_N, ("d", int, str)), circulant),
+    _Kind("circulant", ("circulant",), (_N, ("d", int)), circulant),
     _Kind("tadpole31", ("tadpole31",), (), tadpole31),
-    _Kind("disjoint-copies", ("copies",), (("count", int, str), _INNER),
+    _Kind("disjoint-copies", ("copies",), (("count", int), _INNER),
           lambda count, inner: disjoint_copies(generate(inner), count), scale="count"),
     _Kind("figure2", ("figure2",), (_N,), figure2_composite),
-    _Kind("erdos-renyi", ("er", "erdos-renyi"), (_N, ("p", float, repr)), erdos_renyi,
-          {"seed": ("seed", int, str, 0)}),
+    _Kind("erdos-renyi", ("er", "erdos-renyi"), (_N, ("p", float)), erdos_renyi,
+          {"seed": ("seed", int, 0)}),
 )
 _BY_KIND = {row.kind: row for row in _KINDS}
 _BY_NAME = {name: row for row in _KINDS for name in row.names}
@@ -447,12 +445,12 @@ def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec; deterministic given the spec (incl. seed)."""
     row = _row(spec.kind)
     options = [default if getattr(spec, attr) is None else getattr(spec, attr)
-               for attr, _, _, default in row.options.values()]
+               for attr, _, default in row.options.values()]
     return row.build(*(getattr(spec, attr) for attr, *_ in row.fields), *options)
 
 
 def generator_scale(spec: GeneratorSpec) -> int:
-    """The size parameter a color-scaling expression refers to as ``n``."""
+    """The size parameter that the color rule ``"n"`` stands for."""
     scale = getattr(spec, _row(spec.kind).scale)
     return scale if scale is not None else 1
 
@@ -474,19 +472,10 @@ def parse_generator(text: str) -> GeneratorSpec:
                                           for kv in options):
         raise ValueError(f"generator {text.strip()!r} does not match {row.form}")
     parts = [*zip(row.fields, args), *((row.options[key], part) for key, part in options)]
-    values = {attr: default for attr, _, _, default in row.options.values()}
+    values = {attr: default for attr, _, default in row.options.values()}
     try:
         values.update((attr, read(part)) for (attr, read, *_), part in parts)
     except ValueError as exc:
         raise ValueError(f"generator {text.strip()!r} does not match {row.form}: {exc}") from None
     return GeneratorSpec(row.kind, **values)
 
-
-def spec_to_string(spec: GeneratorSpec) -> str:
-    """The canonical CLI string of a spec; ``parse_generator`` reads it back."""
-    row = _row(spec.kind)
-    parts = [row.names[0], *(show(getattr(spec, attr)) for attr, _, show in row.fields)]
-    for name, (attr, _, show, _) in row.options.items():
-        if getattr(spec, attr) is not None:
-            parts.append(f"{name}={show(getattr(spec, attr))}")
-    return ":".join(parts)

@@ -8,7 +8,7 @@ class-1 subset density minus the star mass already carried by the atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -21,7 +21,6 @@ from .stars import DEFAULT_CLASS_BUDGET, StarClassCounts, class_counts
 
 __all__ = [
     "LimitLawParams",
-    "validate_params",
     "params_from_graph",
     "sample_limit_batch",
     "limit_pmf",
@@ -41,21 +40,53 @@ _DENSE_LIMIT = 1 << 24  # values in limit_pmf's dense array (128 MiB of float64)
 
 @dataclass(frozen=True)
 class LimitLawParams:
-    """Parameters of the limit law.
+    """Parameters of the limit law, checked for representability when built.
 
     thetas: non-increasing degree atoms (top degrees over the color count).
     lambdas: class-count densities lambda_1..lambda_{r+1}.
-    z1_rate: materialized by validate_params.
+    z1_rate: the coefficient-1 rate lambda_1 - sum(theta^r) / r!, derived.
     theta_dropped_tail: star mass of atoms dropped at extraction (report only).
     flags: provenance notes surfaced as report warnings; not serialized.
+
+    A lambda_1 short of the atoms' star mass by more than a small slack is
+    rejected: no graph family realizes such a limit. Plug-in extraction from
+    finite graphs passes ``clamp_z1=True``: there the shortfall is finite-size
+    bias, clamped to zero and flagged instead of rejected.
     """
 
     r: int
     thetas: tuple[float, ...]
     lambdas: tuple[float, ...]
-    z1_rate: float | None = None
     theta_dropped_tail: float = 0.0
     flags: tuple[str, ...] = ()
+    clamp_z1: InitVar[bool] = False
+    z1_rate: float = field(init=False)
+
+    def __post_init__(self, clamp_z1: bool):
+        if self.r < 1:
+            raise InvalidParamsError("r must be >= 1")
+        if len(self.lambdas) != self.r + 1:
+            raise InvalidParamsError(
+                f"need exactly r+1 = {self.r + 1} lambda entries, got {len(self.lambdas)}")
+        if not all(x >= 0 for x in self.lambdas):
+            raise InvalidParamsError("lambda rates must be non-negative")
+        if not all(t >= 0 for t in self.thetas):
+            raise InvalidParamsError("theta atoms must be non-negative")
+        if any(a < b for a, b in zip(self.thetas, self.thetas[1:])):
+            raise InvalidParamsError("theta atoms must be non-increasing")
+        star_mass = sum(t**self.r for t in self.thetas) / factorial(self.r)
+        z1 = self.lambdas[0] - star_mass
+        if z1 < -_Z1_SLACK:
+            if not clamp_z1:
+                raise InvalidParamsError(
+                    f"lambda_1 = {self.lambdas[0]} is below the atom star mass {star_mass}; "
+                    "no coefficient-1 Poisson rate exists for these parameters"
+                )
+            object.__setattr__(self, "flags", self.flags + (
+                f"finite-size bias: raw coefficient-1 rate {z1!r} clamped to 0",))
+        if not math.isfinite(self.mean):
+            raise InvalidParamsError("mean is not finite")
+        object.__setattr__(self, "z1_rate", max(z1, 0.0))
 
     @property
     def mean(self) -> float:
@@ -68,45 +99,8 @@ class LimitLawParams:
             "r": self.r,
             "thetas": [float(t) for t in self.thetas],
             "lambdas": [float(x) for x in self.lambdas],
-            "z1_rate": None if self.z1_rate is None else float(self.z1_rate),
+            "z1_rate": float(self.z1_rate),
         }
-
-
-def validate_params(p: LimitLawParams, clip_negative_z1: bool = False) -> LimitLawParams:
-    """Check representability and return params with z1_rate materialized.
-
-    Rejects when lambda_1 falls short of the atoms' star mass by more than a
-    small slack: no graph family realizes such a limit. Plug-in extraction
-    from finite graphs passes ``clip_negative_z1=True``: there the shortfall
-    is finite-size bias, clamped to zero and flagged instead of rejected.
-    """
-    if p.r < 1:
-        raise InvalidParamsError("r must be >= 1")
-    if len(p.lambdas) != p.r + 1:
-        raise InvalidParamsError(f"need exactly r+1 = {p.r + 1} lambda entries, got {len(p.lambdas)}")
-    if any(x < 0 for x in p.lambdas):
-        raise InvalidParamsError("lambda rates must be non-negative")
-    if any(t < 0 for t in p.thetas):
-        raise InvalidParamsError("theta atoms must be non-negative")
-    if any(a < b for a, b in zip(p.thetas, p.thetas[1:])):
-        raise InvalidParamsError("theta atoms must be non-increasing")
-    star_mass = sum(t**p.r for t in p.thetas) / factorial(p.r)
-    z1 = p.lambdas[0] - star_mass
-    flags = p.flags
-    if z1 < -_Z1_SLACK:
-        if not clip_negative_z1:
-            raise InvalidParamsError(
-                f"lambda_1 = {p.lambdas[0]} is below the atom star mass {star_mass}; "
-                "no coefficient-1 Poisson rate exists for these parameters"
-            )
-        flags = flags + (f"finite-size bias: raw coefficient-1 rate {z1!r} clamped to 0",)
-    if not math.isfinite(p.mean):
-        raise InvalidParamsError("mean is not finite")
-    return replace(p, z1_rate=max(z1, 0.0), flags=flags)
-
-
-def _ensure_validated(p: LimitLawParams) -> LimitLawParams:
-    return p if p.z1_rate is not None else validate_params(p)
 
 
 def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_CUT,
@@ -132,13 +126,11 @@ def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_C
     candidates = [d / c for d in degree_sequence(g)[:theta_cut]]
     thetas = tuple(x for x in candidates if x >= theta_threshold)
     dropped = sum(x**r for x in candidates if x < theta_threshold) / factorial(r)
-    return validate_params(
-        LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, theta_dropped_tail=dropped),
-        clip_negative_z1=True,
-    )
+    return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, theta_dropped_tail=dropped,
+                          clamp_z1=True)
 
 
-def figure2_params(kappa: float, r: int = 2, literal_z1: bool = False) -> LimitLawParams:
+def figure2_params(kappa: float, literal_z1: bool = False) -> LimitLawParams:
     """Limit parameters of the three-part composite family at scale kappa.
 
     The hub gives theta = kappa, the clique contributes lambda_3 = kappa^2/6,
@@ -150,17 +142,13 @@ def figure2_params(kappa: float, r: int = 2, literal_z1: bool = False) -> LimitL
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if r != 2:
-        raise ValueError("the composite family is defined for r = 2")
     if literal_z1:
         lam1 = kappa**2  # z1 = lam1 - kappa^2/2 = kappa^2/2
         flags = ("z1-convention: literal kappa^2/2 variant; total mean 3k^2/2",)
     else:
         lam1 = 1.5 * kappa**2
         flags = ("z1-convention: kappa^2, consistent with total mean 2k^2",)
-    return validate_params(
-        LimitLawParams(r=2, thetas=(kappa,), lambdas=(lam1, 0.0, kappa**2 / 6), flags=flags)
-    )
+    return LimitLawParams(r=2, thetas=(kappa,), lambdas=(lam1, 0.0, kappa**2 / 6), flags=flags)
 
 
 # ----------------------------------------------------------------------------
@@ -178,7 +166,6 @@ def _parts(p: LimitLawParams) -> list[tuple[float, int, int]]:
 
 def sample_limit_batch(p: LimitLawParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws (component-major stream layout)."""
-    p = _ensure_validated(p)
     out = np.zeros(size, dtype=np.int64)
     for rate, s, k in _parts(p):
         t = rng.poisson(rate, size=size)
@@ -227,7 +214,6 @@ def limit_pmf(p: LimitLawParams, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     """
     if not 0 < tail_eps < 1:
         raise ValueError("tail_eps must lie in (0, 1)")
-    p = _ensure_validated(p)
     share = tail_eps / (len(p.thetas) + p.r + 1)
     low, acc = 0, np.ones(1)
     for rate, s, k in _parts(p):
@@ -273,7 +259,6 @@ def limit_moments(p: LimitLawParams, order: int) -> list[float]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    p = _ensure_validated(p)
     total = [Fraction(1)] + [Fraction(0)] * order
     for rate, s, k in _parts(p):
         part = [k**j * m for j, m in enumerate(_binomial_power_moments(rate, s, order))]

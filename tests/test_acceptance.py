@@ -18,7 +18,6 @@ from monostar.limits import (
     limit_moments,
     limit_pmf,
     sample_limit_batch,
-    validate_params,
 )
 from monostar.oracle import exact_pmf
 from monostar.pmf import Pmf, pmf_mean, tv_distance
@@ -282,8 +281,7 @@ def test_criterion_9_tadpole_remark():
 
 
 def _param_battery():
-    mk = lambda r, thetas, lambdas: validate_params(
-        LimitLawParams(r=r, thetas=thetas, lambdas=lambdas))
+    mk = lambda r, thetas, lambdas: LimitLawParams(r=r, thetas=thetas, lambdas=lambdas)
     return [
         ("pure-linear r2", mk(2, (), (2.0, 0.0, 0.0))),
         ("pure-linear r3 mixed-k", mk(3, (), (0.5, 0.3, 0.2, 0.1))),

@@ -143,6 +143,38 @@ class TestLimit:
         counts = json.loads(out)["counts"]
         assert all(int(v) % 3 == 0 for v in counts)
 
+    def test_sample_payload_is_the_histogram_form(self, capsys):
+        code, out, _ = run_cli(capsys, "limit", "sample", "r=2", "lambda1=2", "-n", "500",
+                               "--seed", "11")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"seed", "samples", "counts"}
+        assert payload["seed"] == 11 and payload["samples"] == 500
+        assert sum(payload["counts"].values()) == 500
+
+    @pytest.mark.parametrize("tokens", [
+        ("r=2", "lambda4=1.0", "lambda0=3"),
+        ("r=2", "lambda4=1.0"),
+        ("r=2", "lambda0=3"),
+        ("r=1", "lambda1=1", "lambda3=0.5"),
+        ("r=2", "lambda-1=1"),
+    ])
+    @pytest.mark.parametrize("action", ["params", "pmf", "sample"])
+    def test_lambda_index_outside_classes_usage_exit(self, capsys, action, tokens):
+        code, out, err = run_cli(capsys, "limit", action, *tokens)
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert "outside lambda1..lambda" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("-n", "0"), ("-n", "-3"), ("--seed", "-1"), ("--seed", str(2**64)),
+    ])
+    def test_sample_bad_count_or_seed_usage_exit(self, capsys, flags):
+        code, out, err = run_cli(capsys, "limit", "sample", "r=2", "lambda1=1", *flags)
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert "must be" in err
+
 
 class TestVerify:
     def test_passing_builtin(self, capsys):

@@ -21,17 +21,12 @@ class TestResolveColors:
 
     def test_expression(self):
         assert resolve_colors("n", 42) == 42
-        assert resolve_colors("floor(n**(1/3))", 10_000) == 21
-        assert resolve_colors("round((15*n/2)**0.5)", 1000) == 87
 
     def test_must_be_positive(self):
-        with pytest.raises(ValueError):
-            resolve_colors("n - 50", 10)
-
-    def test_arithmetic_and_whitelisted_calls(self):
-        assert resolve_colors("-n + 2*n", 5) == 5
-        assert resolve_colors("max(n // 2, n % 3, 1) + min(1, 2)", 9) == 5
-        assert resolve_colors("ceil(sqrt(n)) + log(1) + 0.4", 10) == 4
+        with pytest.raises(ValueError, match="c = 0 < 1"):
+            resolve_colors(0, 10)
+        with pytest.raises(ValueError, match="c = 0 < 1"):
+            resolve_colors("n", 0)
 
     @pytest.mark.parametrize("rule", [
         "().__class__.__base__.__subclasses__().__len__()",
@@ -40,16 +35,19 @@ class TestResolveColors:
         "(lambda: 5)()", "m", "__import__('os')", "eval('5')", "floor",
         "True + n", "'5'", "1j", "round(n, ndigits=1)", "max(*(n, 2))",
         "n if n else 2", "n < 3", "n(",
+        "floor(n**(1/3))", "round((15*n/2)**0.5)", "-n + 2*n", "n / (n - 5)",
+        "N", " n", "7", 7.0, None,
     ])
     def test_rejects_anything_outside_the_grammar(self, rule):
         with pytest.raises(ValueError):
             resolve_colors(rule, 5)
 
-    def test_division_by_zero_fails_report(self):
+    def test_unsupported_rule_fails_report(self):
         spec = ExperimentSpec(generator="star:5", r=2, colors="n / (n - 5)", samples=10, seed=0)
         report = run_experiment(spec)
         assert report.failed
-        assert "cannot be evaluated" in report.error
+        assert report.error_kind == "ValueError"
+        assert "neither an integer nor 'n'" in report.error
 
 
 class TestRunExperiment:

@@ -26,7 +26,6 @@ from monostar.graphs import (
     parse_edge_list,
     parse_generator,
     path,
-    spec_to_string,
     star,
     star_union,
     tadpole31,
@@ -202,10 +201,16 @@ class TestGenerators:
         assert_well_formed(g)
 
     def test_spec_string_round_trip(self):
-        for text in ["star:4", "figure2:10", "er:100:0.05:seed=7",
-                     "copies:10000:star:3", "union:0.6,0.3,0.1:3000"]:
-            spec = parse_generator(text)
-            assert parse_generator(spec_to_string(spec)) == spec
+        for canonical, text in [
+            ("star:4", "STAR:4"),
+            ("figure2:10", " figure2:10 "),
+            ("er:100:0.05:seed=7", "erdos-renyi:100:5e-2:seed=07"),
+            ("copies:10000:star:3", "copies:10000:Star:3"),
+            ("union:0.6,0.3,0.1:3000", "star-union:0.6,0.3,0.1,:3000"),
+        ]:
+            assert parse_generator(text) == parse_generator(canonical)
+        assert parse_generator("copies:10000:star:3") == GeneratorSpec(
+            "disjoint-copies", count=10000, inner=GeneratorSpec("star", n=3))
 
     def test_generator_scale(self):
         assert generator_scale(parse_generator("star:123")) == 123
@@ -238,7 +243,7 @@ class TestGenerators:
         ("copies:2:er:9:0.5", "copies:2:er:9:0.5:seed=0"),
     ])
     def test_canonical_string(self, text, canonical):
-        assert spec_to_string(parse_generator(text)) == canonical
+        assert parse_generator(text) == parse_generator(canonical)
 
 
 # Sample text for every field and option of the generator table; a kind with
@@ -263,9 +268,12 @@ def _table_strings():
 @pytest.mark.parametrize("text", list(_table_strings()))
 def test_table_round_trip_and_scale(text):
     spec = parse_generator(text)
-    canonical = spec_to_string(spec)
+    row = graphs._BY_KIND[spec.kind]
+    # first name, then every option that is set, defaults included
+    options = [f"{option}={getattr(spec, attr)}" for option, (attr, *_) in row.options.items()
+               if getattr(spec, attr) is not None]
+    canonical = ":".join([row.names[0], *(_SAMPLE[attr] for attr, *_ in row.fields), *options])
     assert parse_generator(canonical) == spec
-    assert spec_to_string(parse_generator(canonical)) == canonical
     name, sep, rest = text.partition(":")
     assert parse_generator(f" {name.upper()}{sep}{rest} ") == spec
     assert generator_scale(spec) == _SCALE[spec.kind]

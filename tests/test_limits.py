@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from math import comb, exp, factorial
@@ -17,42 +18,84 @@ from monostar.limits import (
     limit_pmf,
     params_from_graph,
     sample_limit_batch,
-    validate_params,
 )
 
 
 def make(r, thetas=(), **lam):
     lambdas = tuple(lam.get(f"l{k}", 0.0) for k in range(1, r + 2))
-    return validate_params(LimitLawParams(r=r, thetas=tuple(thetas), lambdas=lambdas))
+    return LimitLawParams(r=r, thetas=tuple(thetas), lambdas=lambdas)
 
 
 class TestValidate:
     def test_pure_poisson_valid(self):
-        p = make(2, l1=2.0)
+        p = LimitLawParams(r=2, thetas=(), lambdas=(2.0, 0.0, 0.0))
         assert p.z1_rate == 2.0
 
     def test_star_example_z1_zero(self):
-        p = make(2, thetas=(1.0,), l1=0.5)
+        p = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.5, 0.0, 0.0))
         assert p.z1_rate == 0.0
+        assert p.flags == ()
 
     def test_lambda1_below_star_mass_invalid(self):
+        with pytest.raises(InvalidParamsError, match="below the atom star mass"):
+            LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.3, 0.0, 0.0))
+
+    def test_shortfall_within_slack_accepted(self):
+        p = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.5 - 1e-10, 0.0, 0.0))
+        assert p.z1_rate == 0.0 and p.flags == ()
+
+    def test_clamp_flags_the_shortfall(self):
+        p = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.3, 0.0, 0.0), flags=("given",),
+                           clamp_z1=True)
+        assert p.z1_rate == 0.0
+        assert p.flags[0] == "given"
+        assert len(p.flags) == 2 and "clamped" in p.flags[1]
+
+    def test_clamp_leaves_representable_params_alone(self):
+        p = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.9, 0.0, 0.0), clamp_z1=True)
+        assert p.z1_rate == pytest.approx(0.4)
+        assert p.flags == ()
+        assert p == LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.9, 0.0, 0.0))
+
+    def test_z1_rate_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            LimitLawParams(r=2, thetas=(), lambdas=(1.0, 0.0, 0.0), z1_rate=5.0)
+
+    def test_replace_checks_again(self):
+        p = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.9, 0.0, 0.0))
+        assert dataclasses.replace(p, lambdas=(2.0, 0.0, 0.0)).z1_rate == pytest.approx(1.5)
         with pytest.raises(InvalidParamsError):
-            make(2, thetas=(1.0,), l1=0.3)
+            dataclasses.replace(p, lambdas=(0.3, 0.0, 0.0))
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_r_must_be_positive(self, r):
+        with pytest.raises(InvalidParamsError, match="r must be >= 1"):
+            LimitLawParams(r=r, thetas=(), lambdas=(1.0,) * max(r + 1, 0))
 
     def test_wrong_lambda_length(self):
         with pytest.raises(InvalidParamsError):
-            validate_params(LimitLawParams(r=2, thetas=(), lambdas=(1.0, 0.0)))
+            LimitLawParams(r=2, thetas=(), lambdas=(1.0, 0.0))
 
     def test_decreasing_thetas_required(self):
         with pytest.raises(InvalidParamsError):
-            validate_params(LimitLawParams(r=2, thetas=(0.5, 1.0), lambdas=(1.0, 0, 0)))
+            LimitLawParams(r=2, thetas=(0.5, 1.0), lambdas=(1.0, 0, 0))
 
     def test_negative_rates_rejected(self):
         with pytest.raises(InvalidParamsError):
-            make(2, l2=-0.5)
+            LimitLawParams(r=2, thetas=(), lambdas=(0.0, -0.5, 0.0))
+
+    @pytest.mark.parametrize("thetas", [(-0.1,), (math.nan,), (1.0, math.nan)])
+    def test_thetas_must_be_non_negative_numbers(self, thetas):
+        with pytest.raises(InvalidParamsError, match="theta atoms must be non-negative"):
+            LimitLawParams(r=2, thetas=thetas, lambdas=(5.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("lambdas", [(math.nan, 0.0, 0.0), (1.0, math.inf, 0.0)])
+    def test_rates_must_be_finite_numbers(self, lambdas):
+        with pytest.raises(InvalidParamsError):
+            LimitLawParams(r=2, thetas=(), lambdas=lambdas)
 
     def test_mean(self):
-        p = make(2, l1=1.0, l2=0.5, l3=0.25)
+        p = LimitLawParams(r=2, thetas=(), lambdas=(1.0, 0.5, 0.25))
         assert p.mean == pytest.approx(1.0 + 1.0 + 0.75)
 
 
@@ -84,8 +127,7 @@ class TestLimitPmf:
         # single atom, no linear part: the law is C(Poisson(theta), r)
         lam1 = theta**r / factorial(r)
         lambdas = tuple(lam1 if k == 1 else 0.0 for k in range(1, r + 2))
-        pmf = limit_pmf(validate_params(LimitLawParams(r=r, thetas=(theta,), lambdas=lambdas)),
-                        tail_eps=1e-13)
+        pmf = limit_pmf(LimitLawParams(r=r, thetas=(theta,), lambdas=lambdas), tail_eps=1e-13)
         pois = [exp(-theta)]
         for t in range(1, 40):
             pois.append(pois[-1] * theta / t)
@@ -170,7 +212,7 @@ class TestLimitMoments:
         thetas = tuple(sorted(thetas, reverse=True))
         star_mass = sum(t**r for t in thetas) / factorial(r)
         lambdas = (star_mass + lams[0],) + tuple(lams[1 : r + 1])
-        p = validate_params(LimitLawParams(r=r, thetas=thetas, lambdas=lambdas))
+        p = LimitLawParams(r=r, thetas=thetas, lambdas=lambdas)
         moments = limit_moments(p, 1)
         assert moments[0] == pytest.approx(p.mean, rel=1e-8, abs=1e-8)
 
@@ -312,10 +354,6 @@ class TestFigure2Params:
         p = figure2_params(1e-4)
         assert p.z1_rate == pytest.approx(0.0, abs=1e-7)
         assert p.mean == pytest.approx(0.0, abs=1e-7)
-
-    def test_r_restricted(self):
-        with pytest.raises(ValueError):
-            figure2_params(1.0, r=3)
 
     def test_kappa_positive(self):
         with pytest.raises(ValueError):
