@@ -33,7 +33,6 @@ from .graphs import (
     degree_sequence,
     edge_list_text,
     generate,
-    load_edge_list,
     parse_edge_list,
     parse_generator,
 )

@@ -21,7 +21,7 @@ from .experiment import (
     builtin_names,
     run_experiment,
 )
-from .graphs import edge_list_text, generate, load_edge_list, parse_generator
+from .graphs import edge_list_text, generate, parse_edge_list, parse_generator
 from .limits import (
     DEFAULT_TAIL_EPS,
     LimitLawParams,
@@ -39,7 +39,7 @@ TOLERANCE_EXIT = 4
 def _load_graph(arg: str):
     p = Path(arg)
     if p.exists():
-        return load_edge_list(p.read_text())
+        return parse_edge_list(p.read_text())[0]
     return generate(parse_generator(arg))
 
 
@@ -131,7 +131,7 @@ def _cmd_limit(args) -> int:
             raise ValueError("samples must be >= 1")
         if not 0 <= args.seed < 1 << 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
         draws = sample_limit_batch(params, args.samples, rng)
         values, counts = np.unique(draws, return_counts=True)
         dist = EmpiricalDist(dict(zip(values.tolist(), counts.tolist())), args.samples, args.seed)

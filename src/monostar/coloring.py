@@ -11,7 +11,7 @@ One vertex-major kernel (``eval_T_block``), also behind ``eval_T`` and the
 exact oracle, turns both into T per row: one flat scan finds the matched core
 edges and one bincount gives m_v for every colored vertex.
 
-Sample indices are split into fixed-size blocks, and one Philox stream is
+The samples are split into fixed-size blocks, and one Philox stream is
 keyed per (seed, block). The block size depends on the graph and c alone, so
 the sample-i draws depend only on (seed, i) and the merged histogram is
 identical for any worker count. A graph that is its own 2-core draws exactly
@@ -233,7 +233,7 @@ def _run_blocks(split: _CoreTreeSplit, table: np.ndarray, c: int, seed: int,
     tree_count = split.tree_ends.shape[1]
     for b in block_span:
         rows = min(block_size, samples - b * block_size)
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         drawn = rng.integers(0, c, size=(rows, split.core_count), dtype=dtype)
         colors = np.ascontiguousarray(drawn.T, dtype=np.min_scalar_type(c - 1))
         hit_rows = hit_ends = None

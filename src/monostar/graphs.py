@@ -1,10 +1,10 @@
 """Immutable simple-graph container, deterministic generators, and edge-list I/O.
 
-A graph is numpy CSR arrays plus sorted flat edge arrays, built by key sorts
-with no per-vertex Python objects; the generators emit edge arrays. Vertices
-are dense 0-based integers. Loaders compact arbitrary ids and report
-the mapping. Graphs are immutable after construction and safe to share across
-threads.
+A graph is its edge list, sorted lexicographically with ``edge_u < edge_v``
+and no duplicates, plus the vertex degrees. It is built by one key sort with
+no per-vertex Python objects; the generators emit edge arrays. Vertices are
+dense 0-based integers. Loaders compact arbitrary ids and report the mapping.
+Graphs are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "degree_sequence",
     "two_core",
     "parse_edge_list",
-    "load_edge_list",
     "edge_list_text",
     "star",
     "star_union",
@@ -43,27 +42,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph in compressed sparse row (CSR) form, plus flat
-    edge arrays.
+    """Simple undirected graph as a sorted edge list plus degrees.
 
-    Vertex v's neighbors are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
-    order, and every edge appears in the rows of both its endpoints.
-    ``edge_u[i] < edge_v[i]`` and the edges are sorted lexicographically; the
-    flat arrays exist for vectorized kernels. Invariants: no self-loops, no
-    duplicate neighbors, ``degrees == diff(indptr)``,
-    ``edge_count == sum(degrees) / 2``. Every array is read-only.
+    Edge i joins ``edge_u[i] < edge_v[i]`` (int32); the pairs are distinct and
+    sorted lexicographically, so there are no self-loops and no duplicates.
+    ``degrees[v]`` (int64) counts the edges at v, and ``edge_count ==
+    sum(degrees) / 2``. Every array is read-only. Build one with
+    ``build_graph``.
     """
 
     vertex_count: int
-    edge_count: int
-    indptr: np.ndarray = field(repr=False)  # int64, vertex_count + 1 entries
-    indices: np.ndarray = field(repr=False)  # int32, 2 * edge_count entries
     degrees: np.ndarray = field(repr=False)
     edge_u: np.ndarray = field(repr=False)
     edge_v: np.ndarray = field(repr=False)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+    @property
+    def edge_count(self) -> int:
+        return self.edge_u.size
 
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.vertex_count else 0
@@ -74,9 +69,8 @@ def build_graph(vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]
     iterable of pairs.
 
     Duplicate edges (in either orientation) collapse; self-loops and
-    out-of-range endpoints raise ValueError. Edges are deduplicated by sorting
-    the keys ``min * n + max``; the CSR rows come from one more sort of the
-    keys ``source * n + target`` over both orientations.
+    out-of-range endpoints raise ValueError. Edges are deduplicated and
+    ordered by one sort of the keys ``min * n + max``.
     """
     if vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
@@ -106,22 +100,11 @@ def build_graph(vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]
     keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
     edge_u = (keys // n).astype(np.int32)
     edge_v = (keys % n).astype(np.int32)
-    source = np.concatenate((edge_u, edge_v)).astype(np.int64)
-    arcs = np.sort(source * n + np.concatenate((edge_v, edge_u)))
-    indices = (arcs % n).astype(np.int32)
-    degrees = np.bincount(source, minlength=n).astype(np.int64, copy=False)
-    indptr = np.concatenate(([0], np.cumsum(degrees)))
-    for arr in (indptr, indices, degrees, edge_u, edge_v):
+    degrees = (np.bincount(edge_u, minlength=n)
+               + np.bincount(edge_v, minlength=n)).astype(np.int64, copy=False)
+    for arr in (degrees, edge_u, edge_v):
         arr.flags.writeable = False
-    return Graph(
-        vertex_count=n,
-        edge_count=int(keys.size),
-        indptr=indptr,
-        indices=indices,
-        degrees=degrees,
-        edge_u=edge_u,
-        edge_v=edge_v,
-    )
+    return Graph(vertex_count=n, degrees=degrees, edge_u=edge_u, edge_v=edge_v)
 
 
 def degree_sequence(g: Graph) -> list[int]:
@@ -137,10 +120,11 @@ def two_core(g: Graph) -> np.ndarray:
     form pendant trees, each hanging off at most one core vertex.
     """
     # other[v] is the XOR of v's remaining neighbors, so a vertex of degree 1
-    # names its last neighbor without a walk over its row
+    # names its last neighbor without a search of the edge list
     other = np.zeros(g.vertex_count, dtype=np.int64)
-    has_row = g.degrees > 0
-    other[has_row] = np.bitwise_xor.reduceat(g.indices, g.indptr[:-1][has_row])
+    # int64 values, matching ``other``, keep ufunc.at on its fast loop
+    np.bitwise_xor.at(other, g.edge_u, g.edge_v.astype(np.int64))
+    np.bitwise_xor.at(other, g.edge_v, g.edge_u.astype(np.int64))
     other = other.tolist()
     degree = g.degrees.tolist()
     stack = np.flatnonzero(g.degrees == 1).tolist()
@@ -164,7 +148,7 @@ def two_core(g: Graph) -> np.ndarray:
 def parse_edge_list(text: str | IO[str]) -> tuple[Graph, dict[int, int]]:
     """Parse edge-list text; returns the compacted graph and the id mapping.
 
-    Ids need not be contiguous; they are compacted to dense 0-based indices in
+    Ids need not be contiguous; they are compacted to dense 0-based ids in
     sorted order. Duplicate lines and reversed duplicates collapse to one edge.
     """
     if hasattr(text, "read"):
@@ -194,11 +178,6 @@ def parse_edge_list(text: str | IO[str]) -> tuple[Graph, dict[int, int]]:
     ids, dense = np.unique(ids, return_inverse=True)
     mapping = dict(zip(ids.tolist(), range(ids.size)))
     return build_graph(ids.size, dense.reshape(-1, 2)), mapping
-
-
-def load_edge_list(text: str | IO[str]) -> Graph:
-    g, _ = parse_edge_list(text)
-    return g
 
 
 def edge_list_text(g: Graph) -> str:
@@ -349,7 +328,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048]))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048], dtype=np.uint64)))
     # offsets[u]: index of pair (u, u+1) in the flat pair order
     offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))))
     hits = [np.empty(0, dtype=np.int64)]

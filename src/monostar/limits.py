@@ -51,7 +51,10 @@ class LimitLawParams:
     A lambda_1 short of the atoms' star mass by more than a small slack is
     rejected: no graph family realizes such a limit. Plug-in extraction from
     finite graphs passes ``clamp_z1=True``: there the shortfall is finite-size
-    bias, clamped to zero and flagged instead of rejected.
+    bias, clamped to zero and flagged instead of rejected. Lambda_r is 0 for
+    every graph, since r full-degree vertices of an (r+1)-subset make the
+    last one full-degree too, so lambda_r > 0 is accepted here but no graph
+    family realizes it.
     """
 
     r: int
@@ -123,32 +126,27 @@ def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_C
     if stats is None:
         stats = class_counts(g, r, budget=budget)
     lambdas = tuple(lam / c**r for lam in stats.class_counts)
-    candidates = [d / c for d in degree_sequence(g)[:theta_cut]]
+    # at r = 1 both ends of every edge are full-degree, so lambda_2 already
+    # carries all the star mass and no vertex acts as an atom
+    candidates = [d / c for d in degree_sequence(g)[:theta_cut]] if r > 1 else []
     thetas = tuple(x for x in candidates if x >= theta_threshold)
     dropped = sum(x**r for x in candidates if x < theta_threshold) / factorial(r)
     return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, theta_dropped_tail=dropped,
                           clamp_z1=True)
 
 
-def figure2_params(kappa: float, literal_z1: bool = False) -> LimitLawParams:
+def figure2_params(kappa: float) -> LimitLawParams:
     """Limit parameters of the three-part composite family at scale kappa.
 
     The hub gives theta = kappa, the clique contributes lambda_3 = kappa^2/6,
     and class-1 mass kappa^2 (path) + kappa^2/2 (hub pairs) gives lambda_1 =
     3 kappa^2 / 2, hence z1_rate = kappa^2 after removing the atom's star
-    mass. ``literal_z1=True`` instead pins the coefficient-1 rate to
-    kappa^2/2; that convention underestimates the total mean (3 kappa^2 / 2
-    instead of 2 kappa^2) and is provided for side-by-side comparison.
+    mass.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if literal_z1:
-        lam1 = kappa**2  # z1 = lam1 - kappa^2/2 = kappa^2/2
-        flags = ("z1-convention: literal kappa^2/2 variant; total mean 3k^2/2",)
-    else:
-        lam1 = 1.5 * kappa**2
-        flags = ("z1-convention: kappa^2, consistent with total mean 2k^2",)
-    return LimitLawParams(r=2, thetas=(kappa,), lambdas=(lam1, 0.0, kappa**2 / 6), flags=flags)
+    return LimitLawParams(r=2, thetas=(kappa,), lambdas=(1.5 * kappa**2, 0.0, kappa**2 / 6),
+                          flags=("z1-convention: kappa^2, consistent with total mean 2k^2",))
 
 
 # ----------------------------------------------------------------------------

@@ -22,11 +22,11 @@ DEFAULT_ORACLE_BUDGET = 10**8
 _CHUNK = 1 << 16
 
 
-def _decode_colorings(indices: np.ndarray, n: int, c: int) -> np.ndarray:
+def _decode_colorings(codes: np.ndarray, n: int, c: int) -> np.ndarray:
     """Mixed-radix decode into vertex-major colors: ``colors[j, i]`` is digit
-    j-1 of ``indices[i]`` in base c for j >= 1, and vertex 0 keeps color 0."""
-    colors = np.zeros((n, indices.size), dtype=np.min_scalar_type(c - 1))
-    q = indices.copy()
+    j-1 of ``codes[i]`` in base c for j >= 1, and vertex 0 keeps color 0."""
+    colors = np.zeros((n, codes.size), dtype=np.min_scalar_type(c - 1))
+    q = codes.copy()
     for j in range(1, n):
         colors[j] = q % c
         q //= c

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import Graph, build_graph
+from .graphs import Graph
 
 __all__ = ["StarClassCounts", "count_stars", "class_counts", "DEFAULT_CLASS_BUDGET"]
 
@@ -136,10 +136,13 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
     in_triangle = _triangle_vertices(g)
     tri = np.flatnonzero(in_triangle)
     inner = in_triangle[g.edge_u] & in_triangle[g.edge_v]
-    ends = np.stack((g.edge_u[inner], g.edge_v[inner]), axis=1)
-    h = build_graph(tri.size, np.searchsorted(tri, ends))
-    flat, bounds = h.indices.tolist(), h.indptr.tolist()
-    nbrs = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # rows of the subgraph on the triangle vertices, relabelled in order
+    rows: list[list[int]] = [[] for _ in range(tri.size)]
+    for u, v in zip(np.searchsorted(tri, g.edge_u[inner]).tolist(),
+                    np.searchsorted(tri, g.edge_v[inner]).tolist()):
+        rows[u].append(v)
+        rows[v].append(u)
+    nbrs = [frozenset(row) for row in rows]
     pairs = [0, n_star] + [0] * r  # pairs[j] = N_j
 
     def grow(j: int, last: int, rest: frozenset, held: int) -> None:

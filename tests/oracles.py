@@ -14,7 +14,7 @@ from monostar.stars import StarClassCounts, _triangle_vertices, count_stars
 
 
 def brute_adjacency(g: Graph) -> list[set[int]]:
-    """Neighbor sets built from the flat edge arrays, never from the CSR rows."""
+    """Neighbor sets built from the flat edge arrays in plain Python."""
     adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
     for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
         adj[u].add(v)
@@ -76,7 +76,8 @@ def enumerate_class_counts(g: Graph, r: int) -> StarClassCounts:
     lam1_direct = sum(math.comb(d, r) * int(free[d]) for d in range(r, free.size))
     discoveries = [0] * (r + 2)  # index k: discoveries of subsets with k centers
     triangle_vertices = np.flatnonzero(in_triangle).tolist()
-    adjacency = {v: g.neighbors(v).tolist() for v in triangle_vertices}
+    adj = brute_adjacency(g)
+    adjacency = {v: sorted(adj[v]) for v in triangle_vertices}
     # a neighbor in no triangle shares no neighbor with v, so it is never a
     # full-degree leaf and needs no set
     adj_sets = {v: set(nb) for v, nb in adjacency.items()}
@@ -198,7 +199,7 @@ def reference_monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
     counts: dict[int, int] = {}
     for b, start in enumerate(range(0, samples, block)):
         rows = min(block, samples - start)
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         for colors in rng.integers(0, c, size=(rows, g.vertex_count), dtype=dtype):
             t = _brute_eval_T(adj, r, colors)
             counts[t] = counts.get(t, 0) + 1
@@ -208,7 +209,8 @@ def reference_monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
 def reference_erdos_renyi_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     """G(n, p) edges drawn one row of candidate pairs per ``rng.random`` call,
     from the same Philox stream as the generator."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048]))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048], dtype=np.uint64)))
     edges = []
     for u in range(n - 1):
         hits = np.flatnonzero(rng.random(n - u - 1) < p)

@@ -14,7 +14,6 @@ from monostar.experiment import ExperimentSpec, builtin_example, run_experiment
 from monostar.graphs import generate, parse_generator
 from monostar.limits import (
     LimitLawParams,
-    figure2_params,
     limit_moments,
     limit_pmf,
     sample_limit_batch,
@@ -238,7 +237,9 @@ def test_criterion_7_figure2_desk_check():
     emp_mean = report.empirical["mean"]
     tv_theorem = report.tv_to_reference["limit-law"]
     emp = empirical_pmf_of(report)
-    literal = limit_pmf(figure2_params(1.0, literal_z1=True), 1e-9)
+    # the literal convention pins the coefficient-1 rate to kappa^2/2, so
+    # lambda_1 = kappa^2 and the total mean is 3 kappa^2 / 2
+    literal = limit_pmf(LimitLawParams(r=2, thetas=(1.0,), lambdas=(1.0, 0.0, 1 / 6)), 1e-9)
     tv_literal = tv_distance(emp, literal)
     elapsed = time.perf_counter() - started
     ok = (abs(emp_mean - 2.0) <= 0.14  # 7% of 2

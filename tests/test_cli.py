@@ -143,6 +143,16 @@ class TestLimit:
         counts = json.loads(out)["counts"]
         assert all(int(v) % 3 == 0 for v in counts)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sample_seeds_past_2_63_keep_their_low_bits(self, capsys):
+        counts = []
+        for seed in (2**63, 2**63 + 1, 2**64 - 1):
+            code, out, _ = run_cli(capsys, "limit", "sample", "r=2", "lambda1=3", "-n", "500",
+                                   "--seed", str(seed))
+            assert code == 0
+            counts.append(json.loads(out)["counts"])
+        assert counts[0] != counts[1]
+
     def test_sample_payload_is_the_histogram_form(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "sample", "r=2", "lambda1=2", "-n", "500",
                                "--seed", "11")

@@ -111,6 +111,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(complete(3), 2, 2, 10, seed=1 << 64)
 
+    @pytest.mark.filterwarnings("error")
+    def test_seeds_past_2_63_keep_their_low_bits(self):
+        g = complete(6)
+        counts = {}
+        for seed in (1 << 63, (1 << 63) + 1, (1 << 64) - 1):
+            counts[seed] = monte_carlo(g, 2, 3, 2000, seed).counts
+            assert counts[seed] == reference_monte_carlo(g, 2, 3, 2000, seed,
+                                                         own_core_block_rows(g))
+        assert counts[1 << 63] != counts[(1 << 63) + 1]
+
     def test_vanishing_mean_kills_positive_probability(self):
         # raising c so the mean drops drives P(T > 0) down monotonically
         g = star(30)

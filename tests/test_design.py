@@ -1,11 +1,16 @@
 """Design rules checked on the package source: no dynamic code execution, no
 module reaching into another module's private names, no exception type that
-nothing raises, no r-subset enumeration beside the clique-sum classifier, and
-no exported name that the package itself never uses."""
+nothing raises, no r-subset enumeration beside the clique-sum classifier, one
+graph representation, and no exported name that the package itself never
+uses."""
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
+
+from monostar.graphs import Graph
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "monostar").glob("*.py"))
 
@@ -60,6 +65,18 @@ def test_class_counts_has_no_subset_enumeration():
                  for alias in node.names}
     assert ("itertools", "combinations") not in imported
     assert ("itertools", None) not in imported
+
+
+def test_graph_is_its_edge_list_and_degrees():
+    # the sorted edge arrays are the one graph representation: no CSR rows
+    # beside them
+    assert [f.name for f in dataclasses.fields(Graph)] == [
+        "vertex_count", "degrees", "edge_u", "edge_v"]
+    row_access = re.compile(r"\bindptr\b|\bindices\b|\.neighbors\(")
+    mentions = [f"{path.name}:{lineno}" for path in SOURCES
+                for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                if row_access.search(line)]
+    assert mentions == []
 
 
 # exported for the acceptance battery, which checks results through them

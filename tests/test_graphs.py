@@ -22,7 +22,6 @@ from monostar.graphs import (
     figure2_composite,
     generate,
     generator_scale,
-    load_edge_list,
     parse_edge_list,
     parse_generator,
     path,
@@ -35,43 +34,44 @@ from oracles import reference_erdos_renyi_edges
 
 
 def rows(g):
-    return [g.neighbors(v).tolist() for v in range(g.vertex_count)]
+    """Sorted neighbor lists derived from the edge arrays in plain Python."""
+    adjacency = [[] for _ in range(g.vertex_count)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return [sorted(nb) for nb in adjacency]
 
 
-def same_rows(a, b):
-    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+def same_edges(a, b):
+    return (a.vertex_count == b.vertex_count and np.array_equal(a.edge_u, b.edge_u)
+            and np.array_equal(a.edge_v, b.edge_v))
 
 
 def assert_well_formed(g):
-    adjacency = rows(g)
-    assert g.edge_count * 2 == sum(len(nb) for nb in adjacency)
-    for v, nb in enumerate(adjacency):
-        assert nb == sorted(set(nb)), "neighbors sorted and unique"
-        assert v not in nb, "no self-loops"
-        for u in nb:
-            assert 0 <= u < g.vertex_count
-            assert v in adjacency[u], "symmetry"
-    assert len(g.edge_u) == g.edge_count
-    assert all(int(u) < int(v) for u, v in zip(g.edge_u, g.edge_v))
+    pairs = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    assert pairs == sorted(set(pairs)), "edges sorted lexicographically and distinct"
+    assert all(0 <= u < v < g.vertex_count for u, v in pairs), "u < v, in range"
+    assert g.edge_count == len(pairs)
+    assert g.degrees.tolist() == [len(nb) for nb in rows(g)]
 
 
 class TestLoader:
     def test_two_edge_path(self):
-        g = load_edge_list("0 1\n1 2")
+        g = parse_edge_list("0 1\n1 2")[0]
         assert g.vertex_count == 3
         assert g.edge_count == 2
         assert degree_sequence(g) == [2, 1, 1]
 
     def test_duplicates_collapse(self):
-        g = load_edge_list("0 1\n1 0\n0 1")
+        g = parse_edge_list("0 1\n1 0\n0 1")[0]
         assert (g.vertex_count, g.edge_count) == (2, 1)
 
     def test_tadpole_edge_list(self):
-        g = load_edge_list("0 1\n1 2\n2 0\n2 3")
+        g = parse_edge_list("0 1\n1 2\n2 0\n2 3")[0]
         assert degree_sequence(g) == [3, 2, 2, 1]
 
     def test_comments_and_blanks(self):
-        g = load_edge_list("# header\n\n0 1  # inline\n   \n1 2\n")
+        g = parse_edge_list("# header\n\n0 1  # inline\n   \n1 2\n")[0]
         assert g.edge_count == 2
 
     def test_id_compaction(self):
@@ -80,25 +80,25 @@ class TestLoader:
         assert mapping == {10: 0, 70: 1, 300: 2}
 
     def test_reads_streams(self):
-        g = load_edge_list(io.StringIO("0 1\n"))
+        g = parse_edge_list(io.StringIO("0 1\n"))[0]
         assert g.edge_count == 1
 
     def test_malformed_line_number(self):
         with pytest.raises(EdgeListParseError) as err:
-            load_edge_list("0 1\n0 1 2\n")
+            parse_edge_list("0 1\n0 1 2\n")
         assert err.value.line_number == 2
 
     def test_non_integer_rejected(self):
         with pytest.raises(EdgeListParseError):
-            load_edge_list("a b\n")
+            parse_edge_list("a b\n")
 
     def test_negative_id_rejected(self):
         with pytest.raises(EdgeListParseError):
-            load_edge_list("-1 2\n")
+            parse_edge_list("-1 2\n")
 
     def test_self_loop_rejected(self):
         with pytest.raises(EdgeListParseError) as err:
-            load_edge_list("0 1\n3 3\n")
+            parse_edge_list("0 1\n3 3\n")
         assert err.value.line_number == 2
 
 
@@ -183,8 +183,8 @@ class TestGenerators:
         a = generate(parse_generator("er:50:0.2:seed=7"))
         b = generate(parse_generator("er:50:0.2:seed=7"))
         c = generate(parse_generator("er:50:0.2:seed=8"))
-        assert same_rows(a, b)
-        assert not same_rows(a, c)
+        assert same_edges(a, b)
+        assert not same_edges(a, c)
 
     def test_disjoint_copies(self):
         g = generate(parse_generator("copies:3:star:3"))
@@ -283,8 +283,8 @@ def test_table_round_trip_and_scale(text):
 class TestRoundTrip:
     def test_save_load_identity_on_dense_ids(self):
         g = figure2_composite(4)
-        g2 = load_edge_list(edge_list_text(g))
-        assert same_rows(g2, g)
+        g2 = parse_edge_list(edge_list_text(g))[0]
+        assert same_edges(g2, g)
 
     @given(st.integers(2, 12), st.random_module())
     @settings(max_examples=40, deadline=None)
@@ -294,7 +294,7 @@ class TestRoundTrip:
         g = build_graph(n, edges)
         if g.edge_count == 0:
             return
-        g2 = load_edge_list(edge_list_text(g))
+        g2 = parse_edge_list(edge_list_text(g))[0]
         # compaction drops isolated vertices; degree sequences match on support
         assert [d for d in degree_sequence(g) if d > 0] == degree_sequence(g2)
 
@@ -354,22 +354,18 @@ class TestCSR:
         for g in (build_graph(n, edges), build_graph(n, as_array), build_graph(n, iter(edges))):
             assert g.vertex_count == n and g.edge_count == len(pairs)
             assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == pairs, "lexicographic edges"
-            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
-            assert g.indptr.shape == (n + 1,) and g.indptr[0] == 0
-            assert np.array_equal(np.diff(g.indptr), g.degrees)
+            assert g.edge_u.dtype == g.edge_v.dtype == np.int32
+            assert g.degrees.dtype == np.int64 and g.degrees.shape == (n,)
             assert [len(a) for a in adj] == g.degrees.tolist()
-            for v in range(n):
-                row = g.neighbors(v).tolist()
-                assert row == sorted(adj[v]), "sorted unique rows"
-                assert all(v in g.neighbors(u).tolist() for u in row), "symmetry"
-            for arr in (g.indptr, g.indices, g.degrees, g.edge_u, g.edge_v):
+            assert rows(g) == [sorted(a) for a in adj]
+            for arr in (g.degrees, g.edge_u, g.edge_v):
                 assert not arr.flags.writeable
 
     def test_empty_graphs(self):
         for n in (0, 5):
             g = build_graph(n, [])
-            assert g.edge_count == 0 and g.indices.size == 0
-            assert g.indptr.tolist() == [0] * (n + 1)
+            assert g.edge_count == 0 and g.edge_u.size == g.edge_v.size == 0
+            assert g.degrees.tolist() == [0] * n
             assert g.max_degree() == 0
 
     def test_first_bad_pair_is_reported(self):
@@ -446,6 +442,17 @@ class TestErdosRenyiChunks:
             g = erdos_renyi(n, p, seed)
             assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
                 reference_erdos_renyi_edges(n, p, seed)
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeds_past_2_63_keep_their_low_bits(self):
+        graphs_by_seed = {seed: generate(parse_generator(f"er:50:0.2:seed={seed}"))
+                          for seed in (2**63, 2**63 + 1, 2**64 - 1, -1)}
+        assert not same_edges(graphs_by_seed[2**63], graphs_by_seed[2**63 + 1])
+        # the seed is taken modulo 2**64
+        assert same_edges(graphs_by_seed[-1], graphs_by_seed[2**64 - 1])
+        g = graphs_by_seed[2**63 + 1]
+        assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
+            reference_erdos_renyi_edges(50, 0.2, 2**63 + 1)
 
     def test_complete_at_p_one(self):
         g = erdos_renyi(9, 1.0, 0)

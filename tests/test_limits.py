@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import brute_limit_moments
 
 from monostar.errors import BudgetExceededError, InvalidParamsError
-from monostar.graphs import complete, complete_bipartite, figure2_composite, star
+from monostar.graphs import complete, complete_bipartite, figure2_composite, star, star_union
 from monostar.limits import (
     LimitLawParams,
     figure2_params,
@@ -336,6 +336,17 @@ class TestParamsFromGraph:
         assert p.thetas == (1.0,)
         assert p.theta_dropped_tail == pytest.approx(4 * (0.01) ** 2 / 2)
 
+    @pytest.mark.parametrize("g", [star(100), star_union((0.6, 0.3, 0.1), 100)],
+                             ids=["star", "star-union"])
+    def test_r1_plugin_mean_is_twice_edges_over_c(self, g):
+        # T = 2 * (monochromatic edges) at r = 1, so E[T] = 2E/c; every edge
+        # is a class-2 subset and no degree atom may count its stars again
+        c = 100
+        p = params_from_graph(g, c=c, r=1)
+        assert p.thetas == () and p.flags == () and p.theta_dropped_tail == 0.0
+        assert p.lambdas == (0.0, g.edge_count / c)
+        assert limit_moments(p, 1)[0] == pytest.approx(2 * g.edge_count / c)
+
 
 class TestFigure2Params:
     def test_kappa_one(self):
@@ -344,11 +355,7 @@ class TestFigure2Params:
         assert p.lambdas == (1.5, 0.0, pytest.approx(1 / 6))
         assert p.z1_rate == pytest.approx(1.0)
         assert p.mean == pytest.approx(2.0)
-
-    def test_literal_variant(self):
-        p = figure2_params(1.0, literal_z1=True)
-        assert p.z1_rate == pytest.approx(0.5)
-        assert p.mean == pytest.approx(1.5)
+        assert p.flags == ("z1-convention: kappa^2, consistent with total mean 2k^2",)
 
     def test_small_kappa_rates_vanish(self):
         p = figure2_params(1e-4)
