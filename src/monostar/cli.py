@@ -120,6 +120,11 @@ def _cmd_exact(args) -> int:
 def _cmd_limit(args) -> int:
     params = _parse_limit_tokens(args.params)
     if args.action == "params":
+        lambda_r = params.lambdas[params.r - 1]
+        if lambda_r > 0:
+            # r full-degree vertices of an (r+1)-set make the last one full-degree too
+            sys.stderr.write(f"warning: lambda{params.r} = {lambda_r} > 0 is accepted but not "
+                             "realizable: every graph has Lambda_r = 0\n")
         _emit(params.to_json_dict(), args)
         return 0
     if args.action == "pmf":

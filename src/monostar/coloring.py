@@ -2,20 +2,26 @@
 reproducible Monte-Carlo engine.
 
 T = sum over vertices of C(m_v, r), m_v = number of v's monochromatic edges,
-so a sample only needs to know which edges match. The engine peels the graph
-to its 2-core once per call. Core vertices get explicit colors and core edges
-are compared. The edges of the pendant trees hanging off the core match
-independently with probability 1/c, whatever the core's colors, so their
-matches are drawn directly as Bernoulli(1/c) positions via geometric skips.
+so a sample only needs to know which edges match, and T is a sum of
+independent terms over the connected components. A component with an
+identical copy (``graphs.component_groups``) whose exact law takes at most
+2^16 colorings is not simulated: per row, the numbers of its copies at each
+value of their T are one multinomial draw from that law (``oracle.exact_pmf``).
+The engine peels the rest of the graph to its 2-core once per call. Core
+vertices get explicit colors and core edges are compared. The edges of the
+pendant trees hanging off the core match independently with probability 1/c,
+whatever the core's colors, so their matches are drawn directly as
+Bernoulli(1/c) positions via geometric skips.
 One vertex-major kernel (``eval_T_block``), also behind ``eval_T`` and the
 exact oracle, turns both into T per row: one flat scan finds the matched core
 edges and one bincount gives m_v for every colored vertex.
 
 The samples are split into fixed-size blocks, and one Philox stream is
-keyed per (seed, block). The block size depends on the graph and c alone, so
-the sample-i draws depend only on (seed, i) and the merged histogram is
-identical for any worker count. A graph that is its own 2-core draws exactly
-the colors an explicit n-vertex sampler would.
+keyed per (seed, block); each block draws its core colors, then its tree
+hits, then one multinomial per group. The block size depends on the graph
+and c alone, so the sample-i draws depend only on (seed, i) and the merged
+histogram is identical for any worker count. A graph with no group that is
+its own 2-core draws exactly the colors an explicit n-vertex sampler would.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from math import comb, log1p
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import Graph, two_core
+from .graphs import Graph, build_graph, component_groups, two_core
 from .stars import count_stars
 
 __all__ = [
@@ -47,6 +53,7 @@ DEFAULT_MC_BUDGET = 10**11
 _BLOCK_CELL_TARGET = 2_000_000
 _MAX_BLOCK_ROWS = 4096
 _TREE_HIT_CELLS = 64
+_GROUP_COLORINGS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -226,7 +233,49 @@ def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.
         last = int(pos[-1])
 
 
-def _run_blocks(split: _CoreTreeSplit, table: np.ndarray, c: int, seed: int,
+def _max_group_vertices(c: int, n: int) -> int:
+    """Largest k with c^(k-1) <= ``_GROUP_COLORINGS``: the vertex count up to
+    which a component's exact law is cheap (all n at c = 1)."""
+    if c == 1:
+        return n
+    k = 1
+    while c**k <= _GROUP_COLORINGS:
+        k += 1
+    return k
+
+
+def _split_off_copies(g: Graph, r: int, c: int, table: np.ndarray) -> tuple[Graph, list]:
+    """The graph of the components left for the core/tree kernel, and the
+    laws of the rest: every component that has an identical copy and at most
+    ``_max_group_vertices(c, n)`` vertices, grouped with its copies.
+
+    A group's law is ``(copies, support, probs)``: each copy's T takes the
+    ``support`` values (in the table's dtype) with ``probs``. The copies are
+    independent, so in each row the numbers of copies at each value are one
+    Multinomial(copies, probs) draw. A group whose T is always 0 gets no
+    law. With no group, ``g`` itself is returned.
+    """
+    from .oracle import exact_pmf  # oracle imports this module's kernel
+
+    groups = component_groups(g, _max_group_vertices(c, g.vertex_count))
+    if not groups:
+        return g, []
+    keep = np.ones(g.vertex_count, dtype=bool)
+    laws = []
+    for copy, vertices in groups:
+        keep[vertices] = False
+        law = exact_pmf(copy, r, c).support
+        if list(law) != [0]:
+            laws.append((vertices.shape[0], np.array(list(law), dtype=table.dtype),
+                         np.array([float(p) for p in law.values()])))
+    local = np.cumsum(keep) - 1
+    inside = keep[g.edge_u]
+    rest = build_graph(int(keep.sum()),
+                       np.stack([local[g.edge_u[inside]], local[g.edge_v[inside]]], axis=1))
+    return rest, laws
+
+
+def _run_blocks(split: _CoreTreeSplit, laws: list, table: np.ndarray, c: int, seed: int,
                 block_span, block_size: int, samples: int) -> Counter:
     counter: Counter = Counter()
     dtype = _color_dtype(c)
@@ -242,6 +291,8 @@ def _run_blocks(split: _CoreTreeSplit, table: np.ndarray, c: int, seed: int,
                                     tree_count)
             hit_ends = np.take(split.tree_ends, t, axis=1)
         t_vals = eval_T_block(table, colors, split.core_u, split.core_v, hit_rows, hit_ends)
+        for copies, support, probs in laws:
+            t_vals = t_vals + rng.multinomial(copies, probs, size=rows) @ support
         values, reps = np.unique(t_vals, return_counts=True)
         for v, k in zip(values, reps):
             counter[int(v)] += int(k)
@@ -273,17 +324,18 @@ def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
             budget=budget,
         )
     table = star_table(g, r)
-    split = _CoreTreeSplit.of(g)
+    rest, laws = _split_off_copies(g, r, c, table)
+    split = _CoreTreeSplit.of(rest)
     block = split.block_rows(c)
     nblocks = -(-samples // block)
     if workers == 1 or nblocks == 1:
-        counter = _run_blocks(split, table, c, seed, range(nblocks), block, samples)
+        counter = _run_blocks(split, laws, table, c, seed, range(nblocks), block, samples)
     else:
         spans = [rng for rng in np.array_split(np.arange(nblocks), workers) if rng.size]
         counter = Counter()
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             futures = [
-                pool.submit(_run_blocks, split, table, c, seed,
+                pool.submit(_run_blocks, split, laws, table, c, seed,
                             [int(b) for b in span], block, samples)
                 for span in spans
             ]

@@ -24,6 +24,8 @@ __all__ = [
     "generator_scale",
     "degree_sequence",
     "two_core",
+    "components",
+    "component_groups",
     "parse_edge_list",
     "edge_list_text",
     "star",
@@ -138,6 +140,84 @@ def two_core(g: Graph) -> np.ndarray:
             if degree[u] == 1:
                 stack.append(u)
     return np.array(degree, dtype=np.int64) >= 2
+
+
+def components(g: Graph) -> np.ndarray:
+    """Connected-component label of every vertex: the smallest vertex of its
+    component (int32, as the edge arrays).
+
+    Min-label hooking with pointer jumping. Each round hooks every root to
+    the smallest root across an edge that still joins two trees, then jumps
+    pointers until each vertex points at its root; a parent is always smaller
+    than its child, so no cycle forms. A tree that neither hooks nor is
+    hooked into in one round hooks in the next (its neighbor took a root
+    no larger than its own), so each tree merges within two rounds and
+    O(log n) rounds suffice.
+    """
+    label = np.arange(g.vertex_count, dtype=np.int32)
+    u, v = g.edge_u, g.edge_v
+    while True:
+        lu, lv = label[u], label[v]
+        cross = lu != lv
+        if not cross.any():
+            return label
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def component_groups(g: Graph, max_vertices: int) -> list[tuple[Graph, np.ndarray]]:
+    """The components of at most ``max_vertices`` vertices that have an
+    identical copy, grouped: one ``(copy, vertices)`` pair per group. ``copy``
+    is one of the components, each vertex numbered by its rank in it, and row
+    i of ``vertices`` (copies, copy.vertex_count) lists the i-th component's
+    vertices in rank order.
+
+    Two components are identical when they have the same vertex count and
+    the same edge list after each vertex is relabelled by its rank in its
+    component. So disjoint copies of one graph form one group, and isomorphic
+    components numbered differently stay apart. Groups come ordered by vertex
+    count, edge count and relabelled edge list; rows by smallest vertex.
+    """
+    n = g.vertex_count
+    labels = components(g)
+    sizes = np.bincount(labels, minlength=n)  # non-zero only at the roots
+    roots = np.flatnonzero((sizes >= 1) & (sizes <= max_vertices))
+    if roots.size < 2:
+        return []
+    edge_comp = labels[g.edge_u]
+    edge_counts = np.bincount(edge_comp, minlength=n)
+    shapes, shape_of, repeats = np.unique(
+        np.stack([sizes[roots], edge_counts[roots]], axis=1), axis=0,
+        return_inverse=True, return_counts=True)
+    if not (repeats >= 2).any():
+        return []
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    rank = pos - pos[labels]  # a root is the smallest vertex, so it comes first
+    # each component's edges in a row, still sorted, so relabelled by rank
+    # they are sorted too
+    edge_order = np.argsort(edge_comp, kind="stable")
+    edge_start = np.cumsum(edge_counts) - edge_counts
+    groups = []
+    for (k, e), shape_roots in zip(shapes.tolist(), np.split(
+            roots[np.argsort(shape_of.ravel(), kind="stable")], np.cumsum(repeats)[:-1])):
+        if shape_roots.size < 2:
+            continue
+        edges = edge_order[edge_start[shape_roots][:, None] + np.arange(e)]
+        relabelled = np.stack([rank[g.edge_u[edges]], rank[g.edge_v[edges]]], axis=2)
+        keys, key_of, copies = np.unique(relabelled.reshape(len(edges), 2 * e), axis=0,
+                                         return_inverse=True, return_counts=True)
+        for j in np.flatnonzero(copies >= 2):
+            members = shape_roots[key_of.ravel() == j]
+            groups.append((build_graph(k, keys[j].reshape(e, 2)),
+                           order[pos[members][:, None] + np.arange(k)]))
+    return groups
 
 
 # ----------------------------------------------------------------------------

@@ -182,6 +182,34 @@ def brute_two_core(g: Graph) -> set[int]:
     return alive
 
 
+def brute_components(g: Graph) -> list[int]:
+    """Each vertex's component label, the smallest vertex of its component,
+    by breadth-first search from the vertices in increasing order."""
+    adj = brute_adjacency(g)
+    label = [-1] * g.vertex_count
+    for root in range(g.vertex_count):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        queue = [root]
+        for v in queue:
+            for u in adj[v]:
+                if label[u] < 0:
+                    label[u] = root
+                    queue.append(u)
+    return label
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each part's vertices numbered after the
+    previous part's."""
+    edges, base = [], 0
+    for g in parts:
+        edges += [(base + u, base + v) for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())]
+        base += g.vertex_count
+    return build_graph(base, edges)
+
+
 def own_core_block_rows(g: Graph) -> int:
     """Rows per Philox block that the sampler uses on a graph that is its own
     2-core: about 2e6 cells of n + 2E each, at most 4096."""

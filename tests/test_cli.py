@@ -110,11 +110,22 @@ class TestExact:
 
 class TestLimit:
     def test_params_echo(self, capsys):
-        code, out, _ = run_cli(capsys, "limit", "params", "r=2", "theta=1",
-                               "lambda1=0.5")
-        assert code == 0
+        code, out, err = run_cli(capsys, "limit", "params", "r=2", "theta=1",
+                                 "lambda1=0.5", "lambda3=0.5")
+        assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["z1_rate"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("tokens", [["r=2", "lambda2=1.0"],
+                                        ["r=3", "lambda1=1", "lambda3=0.25"],
+                                        ["r=1", "lambda1=0.5"]])
+    def test_unrealizable_lambda_r_warns(self, capsys, tokens):
+        # accepted and echoed as before, with a warning on stderr
+        code, out, err = run_cli(capsys, "limit", "params", *tokens)
+        r = int(tokens[0][2:])
+        assert code == 0
+        assert json.loads(out)["lambdas"][r - 1] > 0
+        assert err.startswith(f"warning: lambda{r} = ") and "not realizable" in err
 
     def test_invalid_params_usage_exit(self, capsys):
         code, _, err = run_cli(capsys, "limit", "params", "r=2", "theta=1",

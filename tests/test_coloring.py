@@ -7,6 +7,7 @@ from monostar.coloring import (
     Coloring,
     EmpiricalDist,
     _CoreTreeSplit,
+    _split_off_copies,
     empirical_moments,
     eval_T,
     eval_T_block,
@@ -19,8 +20,8 @@ from monostar.graphs import (build_graph, complete, cycle, generate, parse_gener
 from monostar.oracle import exact_pmf
 from monostar.stars import count_stars
 
-from oracles import (brute_eval_T, brute_two_core, own_core_block_rows, random_graph,
-                     reference_monte_carlo, with_pendant_trees)
+from oracles import (brute_eval_T, brute_two_core, disjoint_union, own_core_block_rows,
+                     random_graph, reference_monte_carlo, with_pendant_trees)
 
 
 def _coloring(g, values):
@@ -141,6 +142,27 @@ def _z_scores(counts_a: dict, n_a: int, counts_b: dict, n_b: int) -> list[float]
         if pooled < 1:
             out.append(abs(pa - pb) / (pooled * (1 - pooled) * (1 / n_a + 1 / n_b)) ** 0.5)
     return out
+
+
+def _tail_pooled_z_scores(counts_a: dict, n_a: int, counts_b: dict, n_b: int,
+                          tail: int = 20) -> list[float]:
+    """``_z_scores`` with every value above the point where fewer than ``tail``
+    of the b samples lie merged into one bin: one rare draw in a small
+    reference sample says nothing about the law."""
+    above = 0
+    cap = max(counts_b)
+    for v in sorted(counts_b, reverse=True):
+        above += counts_b[v]
+        if above >= tail:
+            break
+        cap = v
+
+    def pooled(counts):
+        out: dict = {}
+        for v, k in counts.items():
+            out[min(v, cap)] = out.get(min(v, cap), 0) + k
+        return out
+    return _z_scores(pooled(counts_a), n_a, pooled(counts_b), n_b)
 
 
 def _mixed_graphs():
@@ -315,6 +337,98 @@ class TestVertexMajorKernel:
             for workers in (1, 2):
                 assert monte_carlo(g, 2, 3, 500, seed=89, workers=workers).counts == {0: 500}
             assert exact_pmf(g, 2, 3).support == {0: Fraction(1)}
+
+
+def _grouped(g, r, c):
+    """The graph left for the core/tree kernel and the group laws."""
+    return _split_off_copies(g, r, c, star_table(g, r))
+
+
+class TestGroupedSampler:
+    """Identical small components are drawn as one multinomial per group from
+    their exact law; checked against the explicit reference sampler, which
+    colors every vertex."""
+
+    @pytest.mark.parametrize("text,r,c", [
+        ("copies:40:star:3", 2, 3), ("copies:40:star:3", 3, 2), ("copies:30:path:4", 2, 2),
+        ("copies:30:complete:3", 2, 2), ("copies:25:tadpole31", 2, 3),
+        ("copies:25:tadpole31", 3, 2), ("er:150:0.012:seed=5", 1, 3)])
+    def test_grouped_graphs_two_sample_vs_reference(self, text, r, c):
+        g = generate(parse_generator(text))
+        rest, laws = _grouped(g, r, c)
+        assert laws and rest.vertex_count < g.vertex_count
+        ref = reference_monte_carlo(g, r, c, 3000, seed=107, block=500)
+        dist = monte_carlo(g, r, c, 100_000, seed=109)
+        assert set(dist.counts) >= {v for v, k in ref.items() if k >= 5}
+        assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 3000)) <= 5
+
+    def test_mixed_union_two_sample_vs_reference(self):
+        # figure2:6 stays on the core/tree kernel, the copies are grouped
+        g = disjoint_union(generate(parse_generator("figure2:6")),
+                           generate(parse_generator("copies:20:tadpole31")),
+                           generate(parse_generator("copies:30:star:2")))
+        rest, laws = _grouped(g, 2, 3)
+        assert len(laws) == 2 and rest.vertex_count == 6 + 1 + 36 + 4
+        ref = reference_monte_carlo(g, 2, 3, 3000, seed=113, block=500)
+        dist = monte_carlo(g, 2, 3, 100_000, seed=127)
+        assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 3000)) <= 5
+
+    def test_binomial_copies_mean_and_variance(self):
+        # T is Binomial(10**4, 21**-3) for 10**4 copies of the 3-star at r = 3
+        g = generate(parse_generator("copies:10000:star:3"))
+        samples = 200_000
+        dist = monte_carlo(g, 3, 21, samples, seed=131)
+        mean, second = (float(x) for x in empirical_moments(dist, 2))
+        p = 21.0**-3
+        assert abs(mean - 10_000 * p) <= 5 * (10_000 * p * (1 - p) / samples) ** 0.5
+        assert abs((second - mean**2) / (10_000 * p * (1 - p)) - 1) <= 0.05
+
+    @pytest.mark.parametrize("text,r,c,samples", [
+        ("copies:2000:star:3", 3, 5, 20_000), ("copies:500:tadpole31", 2, 3, 20_000),
+        ("er:400:0.005:seed=3", 1, 4, 20_000)])
+    def test_worker_invariance(self, text, r, c, samples):
+        g = generate(parse_generator(text))
+        assert _grouped(g, r, c)[1]
+        dists = [monte_carlo(g, r, c, samples, seed=137, workers=w) for w in (1, 2, 8)]
+        assert dists[0].counts == dists[1].counts == dists[2].counts
+
+    def test_mixed_union_worker_invariance(self):
+        g = disjoint_union(generate(parse_generator("figure2:20")),
+                           generate(parse_generator("copies:300:star:3")))
+        assert _grouped(g, 2, 20)[1]
+        dists = [monte_carlo(g, 2, 20, 20_000, seed=139, workers=w) for w in (1, 2, 8)]
+        assert dists[0].counts == dists[1].counts == dists[2].counts
+
+    @pytest.mark.parametrize("text,r,c", [
+        ("complete:3", 2, 2), ("path:3", 2, 3), ("tadpole31", 3, 2), ("figure2:300", 2, 300),
+        ("complete:60", 2, 185), ("bipartite:40", 2, 125), ("union:0.6,0.3,0.1:3000", 2, 3000),
+        ("union:0.6,0.3,0.1:400:shift=0.5", 2, 400), ("circulant:1000:6", 2, 87),
+        ("star:1000", 2, 1000)])
+    def test_acceptance_graphs_form_no_group(self, text, r, c):
+        # the criteria that check the kernel keep checking the kernel
+        g = generate(parse_generator(text))
+        rest, laws = _grouped(g, r, c)
+        assert rest is g and laws == []
+
+    def test_constant_and_zero_groups(self):
+        # c = 1: every copy's T is its star count; r above the degrees: T = 0,
+        # and the group needs no draw
+        for text, r in [("copies:30:star:3", 3), ("copies:12:tadpole31", 2)]:
+            g = generate(parse_generator(text))
+            assert monte_carlo(g, r, 1, 300, seed=149).counts == {count_stars(g, r): 300}
+        g = disjoint_union(generate(parse_generator("copies:50:star:3")), complete(5))
+        rest, laws = _grouped(g, 4, 3)
+        assert laws == [] and rest.vertex_count == 5
+        assert (monte_carlo(g, 4, 3, 5000, seed=151).counts
+                == monte_carlo(complete(5), 4, 3, 5000, seed=151).counts)
+
+    def test_groups_sum_past_int64(self):
+        # the law's values take the table's object dtype
+        g = disjoint_union(complete(65), complete(65))
+        assert star_table(g, 32).dtype == object
+        [(copies, support, probs)] = _grouped(g, 32, 1)[1]
+        assert copies == 2 and support.dtype == object and probs.tolist() == [1.0]
+        assert monte_carlo(g, 32, 1, 20, seed=0).counts == {count_stars(g, 32): 20}
 
 
 class TestExactSums:

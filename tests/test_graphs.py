@@ -13,6 +13,8 @@ from monostar.graphs import (
     build_graph,
     circulant,
     complete,
+    component_groups,
+    components,
     complete_bipartite,
     cycle,
     degree_sequence,
@@ -30,7 +32,7 @@ from monostar.graphs import (
     tadpole31,
 )
 
-from oracles import reference_erdos_renyi_edges
+from oracles import brute_components, disjoint_union, random_graph, reference_erdos_renyi_edges
 
 
 def rows(g):
@@ -464,3 +466,110 @@ def test_parse_keeps_ids_past_int64():
     g, mapping = parse_edge_list(f"5 {big}\n{big} 7\n")
     assert mapping == {5: 0, 7: 1, big: 2}
     assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == [(0, 2), (1, 2)]
+
+
+class _CountingMinimum:
+    """``np.minimum`` that counts its ``at`` calls: one per hooking round of
+    ``components``."""
+
+    def __init__(self):
+        self.rounds = 0
+        self.ufunc = np.minimum
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def at(self, *args):
+        self.rounds += 1
+        return self.ufunc.at(*args)
+
+
+class TestComponents:
+    def test_random_graphs_with_isolated_vertices_vs_bfs(self):
+        rng = np.random.default_rng(811)
+        isolated = 0
+        for _ in range(200):
+            g = random_graph(rng, 30, p=float(rng.uniform(0.0, 0.15)))
+            labels = components(g)
+            assert labels.dtype == np.int32
+            assert labels.tolist() == brute_components(g)
+            isolated += int((g.degrees == 0).sum())
+        assert isolated > 200
+
+    def test_generators_vs_bfs(self):
+        for text in ["figure2:6", "er:400:0.004:seed=3", "copies:7:tadpole31",
+                     "union:0.6,0.3,0.1:50", "star:0", "path:1", "cycle:9"]:
+            g = generate(parse_generator(text))
+            assert components(g).tolist() == brute_components(g), text
+
+    def test_empty_and_one_vertex(self):
+        assert components(build_graph(0, [])).tolist() == []
+        assert components(build_graph(1, [])).tolist() == [0]
+        assert component_groups(build_graph(0, []), 5) == []
+        assert component_groups(build_graph(1, []), 5) == []
+
+    def test_long_paths_take_few_rounds(self, monkeypatch):
+        n = 100_000
+        shuffled = np.random.default_rng(823).permutation(n)
+        for g in (path(n), build_graph(n, np.stack([shuffled[:-1], shuffled[1:]], axis=1))):
+            counter = _CountingMinimum()
+            monkeypatch.setattr(np, "minimum", counter)
+            labels = components(g)
+            monkeypatch.undo()
+            assert not labels.any()
+            # each tree merges within two rounds, so at most 2 * log2(n) + 2
+            assert 1 <= counter.rounds <= 36
+        assert counter.rounds > 1  # the shuffled path does need more than one
+
+    @pytest.mark.parametrize("inner", ["star:3", "path:4", "complete:3", "tadpole31", "path:1"])
+    def test_copies_form_one_group(self, inner):
+        h = generate(parse_generator(inner))
+        g = disjoint_copies(h, 25)
+        [(copy, vertices)] = component_groups(g, h.vertex_count)
+        assert same_edges(copy, h)
+        k = h.vertex_count
+        assert vertices.tolist() == [list(range(k * i, k * i + k)) for i in range(25)]
+        assert component_groups(g, h.vertex_count - 1) == []
+        assert component_groups(disjoint_copies(h, 1), h.vertex_count) == []
+
+    def test_renumbered_isomorphic_copy_stays_apart(self):
+        # the path 0-2-1-3 is a path:4 numbered otherwise
+        renumbered = build_graph(4, [(0, 2), (1, 2), (1, 3)])
+        g = disjoint_union(disjoint_copies(path(4), 3), renumbered, star(3))
+        [(copy, vertices)] = component_groups(g, 4)
+        assert same_edges(copy, path(4))
+        assert vertices.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        # two of them group with each other, ordered by the relabelled edges
+        g = disjoint_union(renumbered, path(4), renumbered, path(4))
+        (first, first_rows), (second, second_rows) = component_groups(g, 4)
+        assert same_edges(first, path(4)) and same_edges(second, renumbered)
+        assert first_rows.tolist() == [[4, 5, 6, 7], [12, 13, 14, 15]]
+        assert second_rows.tolist() == [[0, 1, 2, 3], [8, 9, 10, 11]]
+
+    def test_groups_partition_the_matching_components(self):
+        # er: isolated vertices, edges and short trees in several numberings
+        for seed in range(5):
+            g = generate(parse_generator(f"er:300:0.005:seed={seed}"))
+            labels = np.array(brute_components(g))
+            sizes = np.bincount(labels, minlength=g.vertex_count)
+            groups = component_groups(g, 4)
+            assert groups
+            seen = set()
+            for copy, vertices in groups:
+                assert vertices.shape[0] >= 2
+                for row in vertices.tolist():
+                    assert row == sorted(row) and set(row) == set(np.flatnonzero(labels == row[0]))
+                    ranks = {v: i for i, v in enumerate(row)}
+                    edges = sorted((ranks[u], ranks[v]) for u, v in
+                                   zip(g.edge_u.tolist(), g.edge_v.tolist()) if u in ranks)
+                    assert edges == list(zip(copy.edge_u.tolist(), copy.edge_v.tolist()))
+                    seen.add(row[0])
+            # every small component left out has no identical copy
+            keys = {}
+            for root in np.flatnonzero((sizes >= 1) & (sizes <= 4)).tolist():
+                row = np.flatnonzero(labels == root).tolist()
+                ranks = {v: i for i, v in enumerate(row)}
+                key = (len(row), tuple(sorted((ranks[u], ranks[v]) for u, v in zip(
+                    g.edge_u.tolist(), g.edge_v.tolist()) if u in ranks)))
+                keys.setdefault(key, []).append(root)
+            assert seen == {root for roots in keys.values() if len(roots) >= 2 for root in roots}
