@@ -70,7 +70,7 @@ def _parse_limit_tokens(tokens) -> LimitLawParams:
         else:
             raise ValueError(f"unknown parameter {key!r}")
     if r is None:
-        r = max(lambda_map, default=1)
+        raise ValueError("missing r=: give the star size, e.g. r=2")
     outside = [k for k in lambda_map if not 1 <= k <= r + 1]
     if outside:
         raise ValueError(f"lambda{min(outside)} is outside lambda1..lambda{r + 1} for r = {r}")

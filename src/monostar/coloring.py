@@ -12,9 +12,9 @@ vertices get explicit colors and core edges are compared. The edges of the
 pendant trees hanging off the core match independently with probability 1/c,
 whatever the core's colors, so their matches are drawn directly as
 Bernoulli(1/c) positions via geometric skips.
-One vertex-major kernel (``eval_T_block``), also behind ``eval_T`` and the
-exact oracle, turns both into T per row: one flat scan finds the matched core
-edges and one bincount gives m_v for every colored vertex.
+One vertex-major kernel (``stars.eval_T_block``), also behind ``eval_T`` and
+the exact oracle, turns both into T per row: one flat scan finds the matched
+core edges and one bincount gives m_v for every colored vertex.
 
 The samples are split into fixed-size blocks, and one Philox stream is
 keyed per (seed, block); each block draws its core colors, then its tree
@@ -29,20 +29,20 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log1p
+from math import log1p
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .graphs import Graph, build_graph, component_groups, two_core
-from .stars import count_stars
+from .oracle import exact_pmf
+from .pmf import Pmf
+from .stars import eval_T_block, star_table
 
 __all__ = [
     "Coloring",
     "EmpiricalDist",
     "eval_T",
-    "eval_T_block",
-    "star_table",
     "monte_carlo",
     "empirical_moments",
     "DEFAULT_MC_BUDGET",
@@ -78,49 +78,6 @@ def _color_dtype(c: int):
     return np.uint64
 
 
-def star_table(g: Graph, r: int) -> np.ndarray:
-    """C(m, r) for m = 0 .. max degree: the share of T of a vertex with m
-    matching neighbors.
-
-    int64 when ``count_stars(g, r)`` fits: that is T with every edge
-    monochromatic, so it bounds every row sum. Otherwise Python ints (object
-    dtype), so sums stay exact at any size.
-    """
-    dtype = np.int64 if count_stars(g, r) < 1 << 63 else object
-    return np.array([comb(m, r) for m in range(g.max_degree() + 1)], dtype=dtype)
-
-
-def eval_T_block(table: np.ndarray, colors: np.ndarray, edge_u: np.ndarray,
-                 edge_v: np.ndarray, hit_rows: np.ndarray | None = None,
-                 hit_ends: np.ndarray | None = None) -> np.ndarray:
-    """T of each of ``rows`` colorings, from vertex-major colors.
-
-    ``colors[j, i]`` is vertex j's color in row i, for k colored vertices, and
-    the edges ``(edge_u[i], edge_v[i])`` join colored vertices. Each pair of
-    ``hit_ends`` and ``hit_rows`` (broadcast together) adds one match at that
-    vertex in that row, for an edge known to match without colors; ends k and
-    up are vertices without colors.
-
-    One flat scan of the (edge, row) equality array finds the matched edges,
-    and one bincount over the keys ``vertex * rows + row`` gives m_v for every
-    colored vertex; hits at uncolored vertices are counted sparsely. A row's T
-    sums ``table[m_v]`` (see ``star_table``), in the table's dtype.
-    """
-    k, rows = colors.shape
-    e, row = np.divmod(np.flatnonzero(colors[edge_u] == colors[edge_v]), rows)
-    m = np.bincount(np.concatenate([edge_u[e] * rows + row, edge_v[e] * rows + row]),
-                    minlength=k * rows)
-    if hit_ends is not None:
-        # sorted, so the keys of colored vertices (below k * rows) come first
-        keys, matches = np.unique(hit_ends * rows + hit_rows, return_counts=True)
-        colored = np.searchsorted(keys, k * rows)
-        m[keys[:colored]] += matches[:colored]
-    out = table[m].reshape(k, rows).sum(axis=0)
-    if hit_ends is not None:
-        np.add.at(out, keys[colored:] % rows, table[matches[colored:]])
-    return out
-
-
 def eval_T(g: Graph, r: int, col: Coloring) -> int:
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -144,9 +101,7 @@ class EmpiricalDist:
         if any(v < 0 for v in self.counts):
             raise ValueError("negative T value in histogram")
 
-    def to_pmf(self):
-        from .pmf import Pmf
-
+    def to_pmf(self) -> Pmf:
         total = self.total_samples
         return Pmf({v: Fraction(k, total) for v, k in self.counts.items()}, Fraction(0))
 
@@ -255,8 +210,6 @@ def _split_off_copies(g: Graph, r: int, c: int, table: np.ndarray) -> tuple[Grap
     Multinomial(copies, probs) draw. A group whose T is always 0 gets no
     law. With no group, ``g`` itself is returned.
     """
-    from .oracle import exact_pmf  # oracle imports this module's kernel
-
     groups = component_groups(g, _max_group_vertices(c, g.vertex_count))
     if not groups:
         return g, []

@@ -9,26 +9,24 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import comb
 
-from .coloring import DEFAULT_MC_BUDGET, empirical_moments, monte_carlo
+from .coloring import empirical_moments, monte_carlo
 from .errors import BudgetExceededError, MonostarError
 from .graphs import generate, generator_scale, parse_generator
 from .limits import (
-    DEFAULT_TAIL_EPS,
     DEFAULT_THETA_CUT,
-    DEFAULT_THETA_THRESHOLD,
     LimitLawParams,
     figure2_params,
     limit_moments,
     limit_pmf,
     params_from_graph,
 )
-from .oracle import DEFAULT_ORACLE_BUDGET, exact_pmf
+from .oracle import exact_pmf
 from .pmf import pmf_moments, tv_distance
-from .stars import DEFAULT_CLASS_BUDGET, class_counts, count_stars
+from .stars import class_counts, count_stars
 
 __all__ = [
     "ExperimentSpec",
@@ -61,7 +59,8 @@ def resolve_colors(rule: int | str, scale: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Generator + scaling + sampling plan and the comparison to run."""
+    """Generator + scaling + sampling plan and the comparison to run. Cost
+    guards and the limit pmf's truncation take the library defaults."""
 
     generator: str
     r: int
@@ -71,16 +70,10 @@ class ExperimentSpec:
     comparison: str = "limit-law"  # exact-oracle | limit-law | both
     workers: int = 1
     theta_cut: int = DEFAULT_THETA_CUT
-    theta_threshold: float = DEFAULT_THETA_THRESHOLD
-    tail_eps: float = DEFAULT_TAIL_EPS
     predicted_params: LimitLawParams | None = None
     tv_tolerance: float | None = None
-    mean_rtol: float = 0.05
     name: str = ""
     notes: tuple[str, ...] = ()
-    class_budget: int = DEFAULT_CLASS_BUDGET
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET
-    mc_budget: int = DEFAULT_MC_BUDGET
 
     def spec_echo(self) -> dict:
         d = asdict(self)
@@ -116,22 +109,8 @@ class Report:
     runtime_seconds: float = 0.0
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
-        d = {
-            "spec": self.spec,
-            "failed": self.failed,
-            "error": self.error,
-            "graph": self.graph,
-            "star_stats": self.star_stats,
-            "params_used": self.params_used,
-            "empirical": self.empirical,
-            "tv_to_reference": self.tv_to_reference,
-            "moments": self.moments,
-            "tolerance": self.tolerance,
-            "warnings": self.warnings,
-        }
-        if include_runtime:
-            d["runtime_seconds"] = self.runtime_seconds
-        return d
+        left_out = {"error_kind"} if include_runtime else {"error_kind", "runtime_seconds"}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in left_out}
 
     def canonical_json(self) -> str:
         """Deterministic byte form: identical across reruns and worker counts
@@ -159,7 +138,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             "mean_T": n_star / c**spec.r,
         }
         try:
-            stats = class_counts(g, spec.r, budget=spec.class_budget)
+            stats = class_counts(g, spec.r)
             report.star_stats = stats.to_json_dict()
         except BudgetExceededError as exc:
             stats = None
@@ -168,7 +147,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         references = {}
         ref_moments = {}
         if spec.comparison in ("exact-oracle", "both"):
-            references["exact-oracle"] = exact_pmf(g, spec.r, c, budget=spec.oracle_budget)
+            references["exact-oracle"] = exact_pmf(g, spec.r, c)
             ref_moments["exact-oracle"] = pmf_moments(references["exact-oracle"], 4)
         if spec.comparison in ("limit-law", "both"):
             if spec.predicted_params is not None:
@@ -178,24 +157,19 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                     raise BudgetExceededError(
                         "limit-law comparison needs class counts, which hit the budget"
                     )
-                params = params_from_graph(
-                    g, c, spec.r,
-                    theta_cut=spec.theta_cut,
-                    theta_threshold=spec.theta_threshold,
-                    stats=stats,
-                )
+                params = params_from_graph(g, c, spec.r, theta_cut=spec.theta_cut,
+                                           stats=stats)
             report.params_used = params.to_json_dict()
             if params.theta_dropped_tail > 0:
                 report.warnings.append(
                     f"theta tail dropped: star mass {params.theta_dropped_tail!r}"
                 )
             report.warnings.extend(params.flags)
-            references["limit-law"] = limit_pmf(params, spec.tail_eps)
+            references["limit-law"] = limit_pmf(params)
             # exact, where the moments of the truncated pmf are not
             ref_moments["limit-law"] = limit_moments(params, 4)
 
-        dist = monte_carlo(g, spec.r, c, spec.samples, spec.seed,
-                           workers=spec.workers, budget=spec.mc_budget)
+        dist = monte_carlo(g, spec.r, c, spec.samples, spec.seed, workers=spec.workers)
         emp_pmf = dist.to_pmf()
         emp_moments = [float(x) for x in empirical_moments(dist, 4)]
         report.empirical = {**dist.to_json_dict(), "mean": emp_moments[0]}
@@ -244,93 +218,84 @@ def _er_regime(n: int, p: float, r: int) -> str:
     return "(b) sparse: Poisson limit"
 
 
+# every pre-wired example family, with its default size n
+_BUILTIN_SIZES = {
+    "star": 1000,
+    "star-union": 3000,
+    "star-union-shifted": 400,
+    "regular": 1000,
+    "bipartite": 40,
+    "complete": 60,
+    "figure2": 300,
+    "tadpole-remark": 10_000,
+    "er": 4000,
+}
+
+
 def builtin_names() -> tuple[str, ...]:
-    return (
-        "star",
-        "star-union",
-        "star-union-shifted",
-        "regular",
-        "bipartite",
-        "complete",
-        "figure2",
-        "tadpole-remark",
-        "er",
-    )
+    return tuple(_BUILTIN_SIZES)
 
 
 def builtin_example(name: str, n: int | None = None, samples: int | None = None,
                     seed: int | None = None, workers: int = 1) -> ExperimentSpec:
     """Pre-wired experiment matching one of the named example families,
     including its predicted limit parameters."""
+    n = _BUILTIN_SIZES.get(name) if n is None else n
     samples = 200_000 if samples is None else samples
     seed = 20240601 if seed is None else seed
     base = dict(samples=samples, seed=seed, workers=workers, name=name)
 
     if name == "star":
-        n = 1000 if n is None else n
         params = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.5, 0.0, 0.0))
         return ExperimentSpec(generator=f"star:{n}", r=2, colors="n",
-                              predicted_params=params, mean_rtol=0.01, **base)
+                              predicted_params=params, **base)
     if name == "star-union":
-        n = 3000 if n is None else n
         weights = (0.6, 0.3, 0.1)
         lam1 = sum(a**2 for a in weights) / 2
         params = LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
         return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}", r=2, colors="n",
-                              predicted_params=params, mean_rtol=0.01, **base)
+                              predicted_params=params, **base)
     if name == "star-union-shifted":
-        n = 400 if n is None else n
         weights = (0.6, 0.3, 0.1)
         lam1 = sum(a**2 for a in weights) / 2 + 0.5
         params = LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
         return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}:shift=0.5", r=2,
-                              colors="n", predicted_params=params, mean_rtol=0.08, **base)
+                              colors="n", predicted_params=params, **base)
     if name == "regular":
-        n = 1000 if n is None else n
         d = 6
         c = round(math.sqrt(n * comb(d, 2) / 2.0))
-        return ExperimentSpec(generator=f"circulant:{n}:{d}", r=2, colors=c,
-                              theta_cut=0, mean_rtol=0.01,
+        return ExperimentSpec(generator=f"circulant:{n}:{d}", r=2, colors=c, theta_cut=0,
                               notes=("regular family: no degree atoms, plug-in class rates",),
                               **base)
     if name == "bipartite":
-        n = 40 if n is None else n
         c = round(math.sqrt(n * n * (n - 1) / 3.9936))
         mean = n * n * (n - 1) / c**2
         params = LimitLawParams(r=2, thetas=(), lambdas=(mean, 0.0, 0.0))
-        return ExperimentSpec(generator=f"bipartite:{n}", r=2, colors=c,
-                              predicted_params=params, mean_rtol=1e-9,
+        return ExperimentSpec(generator=f"bipartite:{n}", r=2, colors=c, predicted_params=params,
                               notes=("triangle-free: pure coefficient-1 Poisson reference",),
                               **base)
     if name == "complete":
-        n = 60 if n is None else n
         n_star = n * comb(n - 1, 2)
         c = round(math.sqrt(n_star / 3.0))
         mean = n_star / c**2
         params = LimitLawParams(r=2, thetas=(), lambdas=(0.0, 0.0, mean / 3.0))
-        return ExperimentSpec(generator=f"complete:{n}", r=2, colors=c,
-                              predicted_params=params, mean_rtol=1e-9,
+        return ExperimentSpec(generator=f"complete:{n}", r=2, colors=c, predicted_params=params,
                               notes=("complete family: support on multiples of 3",),
                               **base)
     if name == "figure2":
-        n = 300 if n is None else n
         return ExperimentSpec(generator=f"figure2:{n}", r=2, colors="n",
-                              predicted_params=figure2_params(1.0),
-                              tv_tolerance=0.07, mean_rtol=0.07, **base)
+                              predicted_params=figure2_params(1.0), tv_tolerance=0.07, **base)
     if name == "tadpole-remark":
-        n = 10_000 if n is None else n
         c = _icbrt(n)
         mean = n / c**3
         params = LimitLawParams(r=3, thetas=(), lambdas=(mean, 0.0, 0.0, 0.0))
         return ExperimentSpec(generator=f"copies:{n}:star:3", r=3, colors=c,
-                              predicted_params=params, mean_rtol=1e-9, **base)
+                              predicted_params=params, **base)
     if name == "er":
-        n = 4000 if n is None else n
         p = 0.001
         expected_stars = n * comb(n - 1, 2) * p**2
         c = round(math.sqrt(expected_stars / 2.0))
         return ExperimentSpec(generator=f"er:{n}:{p}:seed=7", r=2, colors=c,
-                              mean_rtol=1e-9,
                               notes=(f"er-regime {_er_regime(n, p, 2)}; "
                                      "comparison conditions on the realized graph",),
                               **base)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidParamsError
 from .graphs import Graph, degree_sequence
 from .pmf import Pmf
-from .stars import DEFAULT_CLASS_BUDGET, StarClassCounts, class_counts
+from .stars import StarClassCounts, class_counts
 
 __all__ = [
     "LimitLawParams",
@@ -27,7 +27,6 @@ __all__ = [
     "limit_moments",
     "figure2_params",
     "DEFAULT_THETA_CUT",
-    "DEFAULT_THETA_THRESHOLD",
     "DEFAULT_TAIL_EPS",
 ]
 
@@ -106,31 +105,29 @@ class LimitLawParams:
         }
 
 
-def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_CUT,
-                      theta_threshold: float = DEFAULT_THETA_THRESHOLD,
-                      budget: int = DEFAULT_CLASS_BUDGET, *,
+def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_CUT, *,
                       stats: StarClassCounts | None = None) -> LimitLawParams:
     """Finite-size plug-in parameters: lambda_k = Lambda_k / c^r and theta
     atoms from the top ``theta_cut`` degrees over c.
 
-    Candidate atoms below ``theta_threshold`` are dropped (finite graphs have
-    all degrees positive, but only Theta(c)-degree vertices act as atoms); the
-    star mass of dropped candidates is recorded in theta_dropped_tail.
-    ``stats``, when given, is ``class_counts(g, r)`` already computed; else it
-    is computed here under ``budget``.
+    Candidate atoms below ``DEFAULT_THETA_THRESHOLD`` are dropped (finite
+    graphs have all degrees positive, but only Theta(c)-degree vertices act as
+    atoms); the star mass of dropped candidates is recorded in
+    theta_dropped_tail. ``stats``, when given, is ``class_counts(g, r)``
+    already computed; else it is computed here.
     """
     if theta_cut < 0:
         raise ValueError("theta_cut must be >= 0")
     if c < 1:
         raise ValueError("c must be >= 1")
     if stats is None:
-        stats = class_counts(g, r, budget=budget)
+        stats = class_counts(g, r)
     lambdas = tuple(lam / c**r for lam in stats.class_counts)
     # at r = 1 both ends of every edge are full-degree, so lambda_2 already
     # carries all the star mass and no vertex acts as an atom
     candidates = [d / c for d in degree_sequence(g)[:theta_cut]] if r > 1 else []
-    thetas = tuple(x for x in candidates if x >= theta_threshold)
-    dropped = sum(x**r for x in candidates if x < theta_threshold) / factorial(r)
+    thetas = tuple(x for x in candidates if x >= DEFAULT_THETA_THRESHOLD)
+    dropped = sum(x**r for x in candidates if x < DEFAULT_THETA_THRESHOLD) / factorial(r)
     return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, theta_dropped_tail=dropped,
                           clamp_z1=True)
 
@@ -163,14 +160,23 @@ def _parts(p: LimitLawParams) -> list[tuple[float, int, int]]:
 
 
 def sample_limit_batch(p: LimitLawParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draws (component-major stream layout)."""
+    """Vectorized draws (component-major stream layout).
+
+    The sum is int64 while the parts' largest values so far add up to less
+    than 2^63, a bound on every sum; from the first part past that on, it is
+    Python ints (object dtype), so large draws stay exact.
+    """
     out = np.zeros(size, dtype=np.int64)
+    bound = 0
     for rate, s, k in _parts(p):
         t = rng.poisson(rate, size=size)
+        top = int(t.max(initial=0))
+        bound += k * comb(top, s)
+        if bound >= 1 << 63:
+            out = out.astype(object, copy=False)
         if s > 1:
-            top = int(t.max(initial=0))
-            t = np.array([comb(m, s) for m in range(top + 1)], dtype=np.int64)[t]
-        out += k * t
+            t = np.array([comb(m, s) for m in range(top + 1)], dtype=out.dtype)[t]
+        out += k * t.astype(out.dtype, copy=False)
     return out
 
 

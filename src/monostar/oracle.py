@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import eval_T_block, star_table
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .pmf import Pmf
+from .stars import eval_T_block, star_table
 
 __all__ = ["exact_pmf", "DEFAULT_ORACLE_BUDGET"]
 

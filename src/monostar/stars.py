@@ -1,7 +1,8 @@
 """Exact combinatorial star statistics.
 
-Counts r-stars and classifies the (r+1)-vertex subsets carrying them by the
-number k of spanning-star centers.
+Counts r-stars, scores colorings by their monochromatic r-star count T (the
+kernel behind the sampler and the exact oracle), and classifies the
+(r+1)-vertex subsets carrying stars by the number k of spanning-star centers.
 
 A spanning r-star in an (r+1)-vertex induced subgraph is exactly a vertex of
 full within-subset degree r, so "contains k spanning stars" is equivalent to
@@ -22,7 +23,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import Graph
 
-__all__ = ["StarClassCounts", "count_stars", "class_counts", "DEFAULT_CLASS_BUDGET"]
+__all__ = ["StarClassCounts", "count_stars", "star_table", "eval_T_block", "class_counts",
+           "DEFAULT_CLASS_BUDGET"]
 
 DEFAULT_CLASS_BUDGET = 10**9
 
@@ -35,6 +37,49 @@ def count_stars(g: Graph, r: int) -> int:
         return 0
     values, counts = np.unique(g.degrees, return_counts=True)
     return sum(comb(int(d), r) * int(c) for d, c in zip(values, counts))
+
+
+def star_table(g: Graph, r: int) -> np.ndarray:
+    """C(m, r) for m = 0 .. max degree: the share of T of a vertex with m
+    matching neighbors.
+
+    int64 when ``count_stars(g, r)`` fits: that is T with every edge
+    monochromatic, so it bounds every row sum. Otherwise Python ints (object
+    dtype), so sums stay exact at any size.
+    """
+    dtype = np.int64 if count_stars(g, r) < 1 << 63 else object
+    return np.array([comb(m, r) for m in range(g.max_degree() + 1)], dtype=dtype)
+
+
+def eval_T_block(table: np.ndarray, colors: np.ndarray, edge_u: np.ndarray,
+                 edge_v: np.ndarray, hit_rows: np.ndarray | None = None,
+                 hit_ends: np.ndarray | None = None) -> np.ndarray:
+    """T of each of ``rows`` colorings, from vertex-major colors.
+
+    ``colors[j, i]`` is vertex j's color in row i, for k colored vertices, and
+    the edges ``(edge_u[i], edge_v[i])`` join colored vertices. Each pair of
+    ``hit_ends`` and ``hit_rows`` (broadcast together) adds one match at that
+    vertex in that row, for an edge known to match without colors; ends k and
+    up are vertices without colors.
+
+    One flat scan of the (edge, row) equality array finds the matched edges,
+    and one bincount over the keys ``vertex * rows + row`` gives m_v for every
+    colored vertex; hits at uncolored vertices are counted sparsely. A row's T
+    sums ``table[m_v]`` (see ``star_table``), in the table's dtype.
+    """
+    k, rows = colors.shape
+    e, row = np.divmod(np.flatnonzero(colors[edge_u] == colors[edge_v]), rows)
+    m = np.bincount(np.concatenate([edge_u[e] * rows + row, edge_v[e] * rows + row]),
+                    minlength=k * rows)
+    if hit_ends is not None:
+        # sorted, so the keys of colored vertices (below k * rows) come first
+        keys, matches = np.unique(hit_ends * rows + hit_rows, return_counts=True)
+        colored = np.searchsorted(keys, k * rows)
+        m[keys[:colored]] += matches[:colored]
+    out = table[m].reshape(k, rows).sum(axis=0)
+    if hit_ends is not None:
+        np.add.at(out, keys[colored:] % rows, table[matches[colored:]])
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
-import dataclasses
 import json
 import math
+from functools import partial
 
 import pytest
 
-from monostar import cli
+from monostar import cli, experiment
 from monostar.cli import BUDGET_EXIT, USAGE_EXIT, main
 from monostar.experiment import Report
+from monostar.stars import class_counts
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,28 @@ class TestLimit:
         assert out == ""
         assert "outside lambda1..lambda" in err
 
+    @pytest.mark.parametrize("action", ["params", "pmf", "sample"])
+    def test_missing_r_usage_exit(self, capsys, action):
+        # inferring r from the top lambda index would always put that lambda
+        # on lambda_r, which no graph realizes
+        code, out, err = run_cli(capsys, "limit", action, "lambda1=0.5")
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert "r=" in err
+
+    @pytest.mark.parametrize("tokens, mean", [
+        (("r=1", "lambda1=8e18", "lambda2=8e18"), 2.4e19),
+        (("r=8", "theta=900", "lambda1=1.1e19"), None),
+    ])
+    def test_sample_past_int64(self, capsys, tokens, mean):
+        # draws past 2^63 neither wrap nor overflow while the table is built
+        code, out, _ = run_cli(capsys, "limit", "sample", *tokens, "-n", "5")
+        assert code == 0
+        values = [int(v) for v in json.loads(out)["counts"]]
+        assert len(values) == 5 and min(values) > 0
+        if mean is not None:
+            assert all(abs(v / mean - 1) < 1e-6 for v in values)
+
     @pytest.mark.parametrize("flags", [
         ("-n", "0"), ("-n", "-3"), ("--seed", "-1"), ("--seed", str(2**64)),
     ])
@@ -218,9 +241,7 @@ class TestVerify:
 
     def test_budget_exit_from_error_kind(self, capsys, monkeypatch):
         # plug-in limit law with class counts refused by their budget
-        make = cli.builtin_example
-        monkeypatch.setattr(cli, "builtin_example",
-                            lambda *a, **k: dataclasses.replace(make(*a, **k), class_budget=1))
+        monkeypatch.setattr(experiment, "class_counts", partial(class_counts, budget=1))
         code, out, err = run_cli(capsys, "verify", "regular", "-n", "50", "--samples", "100")
         assert code == BUDGET_EXIT
         assert "verify failed: BudgetExceededError" in err

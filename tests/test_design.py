@@ -1,8 +1,9 @@
 """Design rules checked on the package source: no dynamic code execution, no
-module reaching into another module's private names, no exception type that
-nothing raises, no r-subset enumeration beside the clique-sum classifier, one
-graph representation, and no exported name that the package itself never
-uses."""
+module reaching into another module's private names, no package import hidden
+below module top level, no exception type that nothing raises, no r-subset
+enumeration beside the clique-sum classifier, one graph representation, an
+experiment spec holding only what callers set, and no exported name that the
+package itself never uses."""
 import ast
 import dataclasses
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from monostar.experiment import ExperimentSpec
 from monostar.graphs import Graph
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "monostar").glob("*.py"))
@@ -37,6 +39,17 @@ def test_no_private_imports(path):
                 for alias in node.names
                 if any(part.startswith("_") for part in alias.name.split(".")[1:])]
     assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_imports_at_module_top(path):
+    # an import inside a function hides a cycle between the package's modules
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [node.lineno for node in ast.walk(tree) if node not in tree.body and (
+        isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("monostar"))
+        or isinstance(node, ast.Import) and any(alias.name.startswith("monostar")
+                                                for alias in node.names))]
+    assert nested == []
 
 
 def test_every_leaf_error_is_raised():
@@ -77,6 +90,13 @@ def test_graph_is_its_edge_list_and_degrees():
                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
                 if row_access.search(line)]
     assert mentions == []
+
+
+def test_experiment_spec_keeps_what_callers_set():
+    # budgets, truncation and the atom threshold take the library defaults
+    assert [f.name for f in dataclasses.fields(ExperimentSpec)] == [
+        "generator", "r", "colors", "samples", "seed", "comparison", "workers", "theta_cut",
+        "predicted_params", "tv_tolerance", "name", "notes"]
 
 
 # exported for the acceptance battery, which checks results through them

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -85,9 +87,9 @@ class TestRunExperiment:
         assert len(payloads) == 1
 
     def test_failure_recorded_not_raised(self):
+        # 4^29 colorings, past the oracle's default budget of 10^8
         spec = ExperimentSpec(generator="complete:30", r=2, colors=4,
-                              samples=1000, seed=0, comparison="exact-oracle",
-                              oracle_budget=100)
+                              samples=1000, seed=0, comparison="exact-oracle")
         report = run_experiment(spec)
         assert report.failed
         assert "Budget" in report.error
@@ -121,8 +123,7 @@ class TestRunExperiment:
         assert not report.failed
         assert calls == [2]
         g = generate(parse_generator(spec.generator))
-        want = params_from_graph(g, spec.colors, spec.r, theta_cut=spec.theta_cut,
-                                 theta_threshold=spec.theta_threshold)
+        want = params_from_graph(g, spec.colors, spec.r, theta_cut=spec.theta_cut)
         assert report.params_used == want.to_json_dict()
 
     def test_unknown_comparison(self):
@@ -159,6 +160,11 @@ class TestBuiltins:
             builtin_example("nope")
         assert "star" in str(err.value)
 
+    # finite-size tolerance of each family's predicted mean at its default size
+    MEAN_RTOL = {"star": 0.01, "star-union": 0.01, "star-union-shifted": 0.08,
+                 "regular": 0.01, "bipartite": 1e-9, "complete": 1e-9, "figure2": 0.07,
+                 "tadpole-remark": 1e-9, "er": 1e-9}
+
     @pytest.mark.parametrize("name", builtin_names())
     def test_predicted_mean_matches_star_density(self, name):
         # the wired prediction must agree with n_star / c^r at the default size
@@ -175,7 +181,14 @@ class TestBuiltins:
         else:
             from monostar.limits import params_from_graph
             predicted = params_from_graph(g, c, spec.r, theta_cut=spec.theta_cut).mean
-        assert predicted == pytest.approx(exact_mean, rel=spec.mean_rtol)
+        assert predicted == pytest.approx(exact_mean, rel=self.MEAN_RTOL[name])
+
+    def test_quick_sweep_sizes_cover_every_builtin(self):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "run_builtin_examples.py"
+        module_spec = importlib.util.spec_from_file_location("run_builtin_examples", path)
+        script = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(script)
+        assert sorted(script.QUICK_SIZES) == sorted(builtin_names())
 
     def test_star_runs_small(self):
         spec = builtin_example("star", n=200, samples=20_000, seed=7)

@@ -280,6 +280,19 @@ class TestSampling:
         draws = sample_limit_batch(p, 400_000, rng)
         assert abs(draws.mean() - 0.5) < 0.01
 
+    @pytest.mark.parametrize("p", [make(1, l1=8e18, l2=8e18),
+                                   make(8, thetas=(900.0,), l1=1.1e19)], ids=["linear", "atom"])
+    def test_draws_past_int64_are_exact(self, p):
+        # the same Poisson draws, summed in Python ints: nothing wraps at 2^63
+        draws = sample_limit_batch(p, 50, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        parts = [(t, p.r, 1) for t in p.thetas] + [(p.z1_rate, 1, 1), (p.lambdas[1], 1, 2)]
+        want = [0] * 50
+        for rate, s, k in parts:
+            want = [w + k * comb(int(t), s) for w, t in zip(want, rng.poisson(rate, size=50))]
+        assert max(want) >= 1 << 63
+        assert draws.tolist() == want
+
     def test_batch_and_single_agree_in_distribution(self):
         p = make(2, thetas=(0.8,), l1=1.0, l3=0.2)
         rng = np.random.default_rng(3)
