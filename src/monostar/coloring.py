@@ -3,25 +3,23 @@ reproducible Monte-Carlo engine.
 
 T = sum over vertices of C(m_v, r), m_v = number of v's monochromatic edges,
 so a sample only needs to know which edges match, and T is a sum of
-independent terms over the connected components. A component with an
-identical copy (``graphs.component_groups``) whose exact law takes at most
-2^16 colorings is not simulated: per row, the numbers of its copies at each
-value of their T are one multinomial draw from that law (``oracle.exact_pmf``).
-The engine peels the rest of the graph to its 2-core once per call. Core
-vertices get explicit colors and core edges are compared. The edges of the
-pendant trees hanging off the core match independently with probability 1/c,
-whatever the core's colors, so their matches are drawn directly as
-Bernoulli(1/c) positions via geometric skips.
-One vertex-major kernel (``stars.eval_T_block``), also behind ``eval_T`` and
-the exact oracle, turns both into T per row: one flat scan finds the matched
-core edges and one bincount gives m_v for every colored vertex.
+independent terms over the connected components. ``monte_carlo`` builds one
+``_Plan`` per call, which draws each kind of term its cheapest exact way:
+identical copies of a small component as one multinomial per group from
+their exact law (``oracle.exact_pmf``), pendant-tree edges as Bernoulli(1/c)
+matches via geometric skips, and explicit colors only for the 2-core of the
+rest. One vertex-major kernel (``stars.eval_T_block``), also behind
+``eval_T`` and the exact oracle, turns core colors and tree hits into T per
+row: one flat scan finds the matched core edges and one bincount gives m_v
+for every colored vertex.
 
-The samples are split into fixed-size blocks, and one Philox stream is
-keyed per (seed, block); each block draws its core colors, then its tree
-hits, then one multinomial per group. The block size depends on the graph
-and c alone, so the sample-i draws depend only on (seed, i) and the merged
-histogram is identical for any worker count. A graph with no group that is
-its own 2-core draws exactly the colors an explicit n-vertex sampler would.
+The samples are split into blocks of the plan's row count, and one Philox
+stream is keyed per (seed, block); each block draws its core colors, then its
+tree hits, then one multinomial per group. The block size depends on the
+graph and c alone, so the sample-i draws depend only on (seed, i) and the
+merged histogram is identical for any worker count. A graph with no group
+that is its own 2-core draws exactly the colors an explicit n-vertex sampler
+would.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import Graph, build_graph, component_groups, two_core
 from .oracle import exact_pmf
-from .pmf import Pmf
+from .pmf import Pmf, pmf_moments
 from .stars import eval_T_block, star_table
 
 __all__ = [
@@ -120,51 +118,7 @@ class EmpiricalDist:
 
 def empirical_moments(d: EmpiricalDist, order: int) -> list[Fraction]:
     """Exact rational raw moments 1..order of the empirical measure."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = []
-    for j in range(1, order + 1):
-        num = sum(k * v**j for v, k in d.counts.items())
-        out.append(Fraction(num, d.total_samples))
-    return out
-
-
-@dataclass(frozen=True)
-class _CoreTreeSplit:
-    """A graph's edges split at its 2-core, on vertices numbered core-first.
-
-    Core edges need explicit colors: they close cycles, so their matches are
-    dependent. A pendant-tree edge matches with probability 1/c independently
-    of every other edge and of the core's colors (color each tree from its
-    root outwards), so tree matches are drawn directly. Core vertices are
-    numbered 0 .. core_count - 1 in their original order, tree vertices after
-    them, so an end below ``core_count`` is a core vertex.
-    """
-
-    core_count: int
-    core_u: np.ndarray  # endpoints of the core edges
-    core_v: np.ndarray
-    tree_ends: np.ndarray  # (2, tree edges): endpoints of the tree edges
-
-    @classmethod
-    def of(cls, g: Graph) -> "_CoreTreeSplit":
-        core = two_core(g)
-        core_count = int(core.sum())
-        local = np.where(core, np.cumsum(core), core_count + np.cumsum(~core)) - 1
-        u, v = local[g.edge_u], local[g.edge_v]
-        in_core = core[g.edge_u] & core[g.edge_v]
-        return cls(core_count=core_count, core_u=u[in_core], core_v=v[in_core],
-                   tree_ends=np.stack([u[~in_core], v[~in_core]]))
-
-    def block_rows(self, c: int) -> int:
-        """Rows per block: about ``_BLOCK_CELL_TARGET`` cells, counting a core
-        color and both ends of a core edge as one cell each, and an expected
-        tree hit as ``_TREE_HIT_CELLS``. A core cell costs a color byte and 16
-        bytes of counts (its m_v and ``table[m_v]``); a tree hit costs about
-        100 bytes of int64 row, end, key and sort arrays on the sparse route."""
-        cells = (self.core_count + 2 * self.core_u.size
-                 - (-_TREE_HIT_CELLS * self.tree_ends.shape[1] // c))
-        return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_CELL_TARGET // max(cells, 1)))
+    return pmf_moments(d.to_pmf(), order)
 
 
 def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.ndarray:
@@ -199,52 +153,84 @@ def _max_group_vertices(c: int, n: int) -> int:
     return k
 
 
-def _split_off_copies(g: Graph, r: int, c: int, table: np.ndarray) -> tuple[Graph, list]:
-    """The graph of the components left for the core/tree kernel, and the
-    laws of the rest: every component that has an identical copy and at most
-    ``_max_group_vertices(c, n)`` vertices, grouped with its copies.
+@dataclass(frozen=True)
+class _Plan:
+    """What one ``monte_carlo`` call draws from, built once by ``_Plan.of``.
 
-    A group's law is ``(copies, support, probs)``: each copy's T takes the
-    ``support`` values (in the table's dtype) with ``probs``. The copies are
-    independent, so in each row the numbers of copies at each value are one
-    Multinomial(copies, probs) draw. A group whose T is always 0 gets no
-    law. With no group, ``g`` itself is returned.
+    Each component with an identical copy and at most
+    ``_max_group_vertices(c, n)`` vertices is grouped with its copies. A
+    group's law is ``(copies, support, probs)``: each copy's T takes the
+    ``support`` values (in the table's dtype) with ``probs``, so per row the
+    numbers of copies at each value are one Multinomial(copies, probs) draw.
+    A group whose T is always 0 gets no law.
+
+    The rest is split at its 2-core. Core edges close cycles, so their
+    matches are dependent and core vertices get explicit colors. A tree edge
+    matches with probability 1/c independently of every other edge and of the
+    core's colors (color each tree from its root outwards). Core vertices are
+    numbered 0 .. core_count - 1 in their original order, tree vertices after
+    them, so an end below ``core_count`` is a core vertex.
+
+    ``block`` rows make about ``_BLOCK_CELL_TARGET`` cells: a core color and
+    both ends of a core edge are one cell each (a color byte and 16 bytes of
+    m_v and ``table[m_v]``), an expected tree hit ``_TREE_HIT_CELLS`` (about
+    100 bytes of int64 row, end, key and sort arrays on the sparse route).
     """
-    groups = component_groups(g, _max_group_vertices(c, g.vertex_count))
-    if not groups:
-        return g, []
-    keep = np.ones(g.vertex_count, dtype=bool)
-    laws = []
-    for copy, vertices in groups:
-        keep[vertices] = False
-        law = exact_pmf(copy, r, c).support
-        if list(law) != [0]:
-            laws.append((vertices.shape[0], np.array(list(law), dtype=table.dtype),
-                         np.array([float(p) for p in law.values()])))
-    local = np.cumsum(keep) - 1
-    inside = keep[g.edge_u]
-    rest = build_graph(int(keep.sum()),
-                       np.stack([local[g.edge_u[inside]], local[g.edge_v[inside]]], axis=1))
-    return rest, laws
+
+    c: int
+    table: np.ndarray  # star_table: C(m, r) by match count m
+    laws: list  # (copies, support, probs) per group
+    core_count: int
+    core_u: np.ndarray  # endpoints of the core edges
+    core_v: np.ndarray
+    tree_ends: np.ndarray  # (2, tree edges): endpoints of the tree edges
+    block: int
+
+    @classmethod
+    def of(cls, g: Graph, r: int, c: int) -> "_Plan":
+        table = star_table(g, r)
+        groups = component_groups(g, _max_group_vertices(c, g.vertex_count))
+        laws = []
+        if groups:
+            keep = np.ones(g.vertex_count, dtype=bool)
+            for copy, vertices in groups:
+                keep[vertices] = False
+                law = exact_pmf(copy, r, c).support
+                if list(law) != [0]:
+                    laws.append((vertices.shape[0], np.array(list(law), dtype=table.dtype),
+                                 np.array([float(p) for p in law.values()])))
+            local = np.cumsum(keep) - 1
+            inside = keep[g.edge_u]
+            g = build_graph(int(keep.sum()),
+                            np.stack([local[g.edge_u[inside]], local[g.edge_v[inside]]], axis=1))
+        core = two_core(g)
+        core_count = int(core.sum())
+        local = np.where(core, np.cumsum(core), core_count + np.cumsum(~core)) - 1
+        u, v = local[g.edge_u], local[g.edge_v]
+        in_core = core[g.edge_u] & core[g.edge_v]
+        core_u, tree_ends = u[in_core], np.stack([u[~in_core], v[~in_core]])
+        cells = core_count + 2 * core_u.size - (-_TREE_HIT_CELLS * tree_ends.shape[1] // c)
+        return cls(c=c, table=table, laws=laws, core_count=core_count, core_u=core_u,
+                   core_v=v[in_core], tree_ends=tree_ends,
+                   block=max(1, min(_MAX_BLOCK_ROWS, _BLOCK_CELL_TARGET // max(cells, 1))))
 
 
-def _run_blocks(split: _CoreTreeSplit, laws: list, table: np.ndarray, c: int, seed: int,
-                block_span, block_size: int, samples: int) -> Counter:
+def _run_blocks(plan: _Plan, seed: int, blocks, samples: int) -> Counter:
     counter: Counter = Counter()
-    dtype = _color_dtype(c)
-    tree_count = split.tree_ends.shape[1]
-    for b in block_span:
-        rows = min(block_size, samples - b * block_size)
+    c, dtype = plan.c, _color_dtype(plan.c)
+    tree_count = plan.tree_ends.shape[1]
+    for b in blocks:
+        rows = min(plan.block, samples - b * plan.block)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        drawn = rng.integers(0, c, size=(rows, split.core_count), dtype=dtype)
+        drawn = rng.integers(0, c, size=(rows, plan.core_count), dtype=dtype)
         colors = np.ascontiguousarray(drawn.T, dtype=np.min_scalar_type(c - 1))
         hit_rows = hit_ends = None
         if tree_count:
             hit_rows, t = np.divmod(_bernoulli_positions(rng, rows * tree_count, 1.0 / c),
                                     tree_count)
-            hit_ends = np.take(split.tree_ends, t, axis=1)
-        t_vals = eval_T_block(table, colors, split.core_u, split.core_v, hit_rows, hit_ends)
-        for copies, support, probs in laws:
+            hit_ends = np.take(plan.tree_ends, t, axis=1)
+        t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v, hit_rows, hit_ends)
+        for copies, support, probs in plan.laws:
             t_vals = t_vals + rng.multinomial(copies, probs, size=rows) @ support
         values, reps = np.unique(t_vals, return_counts=True)
         for v, k in zip(values, reps):
@@ -253,11 +239,12 @@ def _run_blocks(split: _CoreTreeSplit, laws: list, table: np.ndarray, c: int, se
 
 
 def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
-                workers: int = 1, budget: int = DEFAULT_MC_BUDGET) -> EmpiricalDist:
+                workers: int = 1) -> EmpiricalDist:
     """Histogram of T over ``samples`` independent uniform colorings.
 
     Per-sample randomness is a fixed function of (seed, sample index), so the
     result is identical for any ``workers`` value; workers only split blocks.
+    A call costing more than ``DEFAULT_MC_BUDGET`` vertex-colorings is refused.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -270,28 +257,22 @@ def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cost = samples * max(g.vertex_count, 1)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"monte_carlo cost {cost} vertex-colorings exceeds budget {budget}",
-            cost=cost,
-            budget=budget,
-        )
-    table = star_table(g, r)
-    rest, laws = _split_off_copies(g, r, c, table)
-    split = _CoreTreeSplit.of(rest)
-    block = split.block_rows(c)
-    nblocks = -(-samples // block)
+    if cost > DEFAULT_MC_BUDGET:
+        raise BudgetExceededError(f"monte_carlo cost {cost} vertex-colorings exceeds budget "
+                                  f"{DEFAULT_MC_BUDGET}", cost=cost, budget=DEFAULT_MC_BUDGET)
+    plan = _Plan.of(g, r, c)
+    nblocks = -(-samples // plan.block)
     if workers == 1 or nblocks == 1:
-        counter = _run_blocks(split, laws, table, c, seed, range(nblocks), block, samples)
+        # not through a pool: a new thread starts on a fresh allocator arena;
+        # figure2:300 at 1,200 samples took 94 ms in the calling thread and
+        # 108 ms in a one-thread pool (medians of 8 processes, 2 vCPUs)
+        counter = _run_blocks(plan, seed, range(nblocks), samples)
     else:
-        spans = [rng for rng in np.array_split(np.arange(nblocks), workers) if rng.size]
+        spans = [span for span in np.array_split(np.arange(nblocks), workers) if span.size]
         counter = Counter()
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [
-                pool.submit(_run_blocks, split, laws, table, c, seed,
-                            [int(b) for b in span], block, samples)
-                for span in spans
-            ]
+            futures = [pool.submit(_run_blocks, plan, seed, [int(b) for b in span], samples)
+                       for span in spans]
             for fut in futures:
                 counter.update(fut.result())
     return EmpiricalDist(counts=dict(counter), total_samples=samples, seed=seed)

@@ -35,6 +35,8 @@ DEFAULT_THETA_THRESHOLD = 0.05
 DEFAULT_TAIL_EPS = 1e-9
 _Z1_SLACK = 1e-9
 _DENSE_LIMIT = 1 << 24  # values in limit_pmf's dense array (128 MiB of float64)
+# largest rate numpy's Poisson sampler accepts: INT64_MAX - 10 * sqrt(INT64_MAX)
+_POISSON_RATE_MAX = float(2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -162,20 +164,28 @@ def _parts(p: LimitLawParams) -> list[tuple[float, int, int]]:
 def sample_limit_batch(p: LimitLawParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws (component-major stream layout).
 
-    The sum is int64 while the parts' largest values so far add up to less
-    than 2^63, a bound on every sum; from the first part past that on, it is
-    Python ints (object dtype), so large draws stay exact.
+    A rate past numpy's Poisson limit is refused before any draw. C(t, s) is
+    computed once per distinct draw t. The sum is int64 while the parts'
+    largest values so far add up to less than 2^63, a bound on every sum;
+    from the first part past that on, it is Python ints (object dtype), so
+    large draws stay exact.
     """
+    parts = _parts(p)
+    rate = max(rate for rate, _, _ in parts)
+    if rate > _POISSON_RATE_MAX:
+        raise BudgetExceededError(f"Poisson rate {rate!r} exceeds numpy's limit "
+                                  f"{_POISSON_RATE_MAX!r} for sampling")
     out = np.zeros(size, dtype=np.int64)
     bound = 0
-    for rate, s, k in _parts(p):
+    for rate, s, k in parts:
         t = rng.poisson(rate, size=size)
         top = int(t.max(initial=0))
         bound += k * comb(top, s)
         if bound >= 1 << 63:
             out = out.astype(object, copy=False)
         if s > 1:
-            t = np.array([comb(m, s) for m in range(top + 1)], dtype=out.dtype)[t]
+            drawn, t = np.unique(t, return_inverse=True)
+            t = np.array([comb(m, s) for m in drawn.tolist()], dtype=out.dtype)[t]
         out += k * t.astype(out.dtype, copy=False)
     return out
 

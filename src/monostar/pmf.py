@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 __all__ = ["Pmf", "pmf_mean", "pmf_moments", "tv_distance"]
@@ -72,10 +73,15 @@ def pmf_moments(p: Pmf, order: int) -> list:
     """Raw moments 1..order of the finite measure (exact when the pmf is exact)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    zero = Fraction(0) if p.is_exact else 0.0
+    if p.is_exact:
+        # one sum of ints over a common denominator, not a gcd per addition
+        probs = [Fraction(q) for q in p.support.values()]
+        den = lcm(*(q.denominator for q in probs))
+        weights = [(q.numerator * (den // q.denominator), v) for q, v in zip(probs, p.support)]
+        return [Fraction(sum(w * v**j for w, v in weights), den) for j in range(1, order + 1)]
     out = []
     for j in range(1, order + 1):
-        acc = zero
+        acc = 0.0
         for v, prob in p.support.items():
             acc += prob * v**j
         out.append(acc)

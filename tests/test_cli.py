@@ -210,6 +210,13 @@ class TestLimit:
         if mean is not None:
             assert all(abs(v / mean - 1) < 1e-6 for v in values)
 
+    def test_sample_rate_past_numpy_limit_budget_exit(self, capsys):
+        # refused as limit pmf refuses it, naming the rate and the limit
+        code, out, err = run_cli(capsys, "limit", "sample", "r=1", "lambda1=1e19", "-n", "3")
+        assert code == BUDGET_EXIT
+        assert out == ""
+        assert "1e+19" in err and "9.223372006484771e+18" in err
+
     @pytest.mark.parametrize("flags", [
         ("-n", "0"), ("-n", "-3"), ("--seed", "-1"), ("--seed", str(2**64)),
     ])

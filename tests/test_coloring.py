@@ -6,15 +6,14 @@ import pytest
 from monostar.coloring import (
     Coloring,
     EmpiricalDist,
-    _CoreTreeSplit,
-    _split_off_copies,
+    _Plan,
     empirical_moments,
     eval_T,
     monte_carlo,
 )
 from monostar.errors import BudgetExceededError
-from monostar.graphs import (build_graph, complete, cycle, generate, parse_generator, star,
-                             two_core)
+from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
+                             parse_generator, path, star, two_core)
 from monostar.oracle import exact_pmf
 from monostar.stars import count_stars, eval_T_block, star_table
 
@@ -252,17 +251,40 @@ class TestCoreTreeSampler:
             assert monte_carlo(g, r, 1 << 40, 300, seed=71).counts == {0: 300}
 
 
-def _split_T(g, r, colors):
+def _forms_group(g):
+    """Whether two components of ``g`` are identical: then the sampler's plan
+    may draw them as a group, and its core/tree arrays leave them out."""
+    return bool(component_groups(g, g.vertex_count))
+
+
+def _ungrouped_graphs(rng, count, draw):
+    """``count`` graphs from ``draw(rng)`` that form no group, so that the
+    plan's core-first numbering covers every vertex of the graph."""
+    graphs = []
+    while len(graphs) < count:
+        g = draw(rng)
+        if not _forms_group(g):
+            graphs.append(g)
+    return graphs
+
+
+def _plan_T(g, r, c, colors):
     """T of each row of ``colors`` (rows, n) through the kernel as the sampler
-    feeds it: core colors vertex-major, and every tree edge whose two colors
-    agree passed as a hit at both of its ends."""
-    split = _CoreTreeSplit.of(g)
+    feeds it from its plan: core colors vertex-major, and every tree edge whose
+    two colors agree passed as a hit at both of its ends."""
+    assert not _forms_group(g)
+    plan = _Plan.of(g, r, c)
     core = two_core(g)
     local = colors[:, np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])].T
-    tree_u, tree_v = split.tree_ends
+    tree_u, tree_v = plan.tree_ends
     row, t = np.nonzero((local[tree_u] == local[tree_v]).T)
-    return eval_T_block(star_table(g, r), np.ascontiguousarray(local[:split.core_count]),
-                        split.core_u, split.core_v, row, split.tree_ends[:, t])
+    return eval_T_block(plan.table, np.ascontiguousarray(local[:plan.core_count]),
+                        plan.core_u, plan.core_v, row, plan.tree_ends[:, t])
+
+
+def _kernel_edges(plan):
+    """Edges the plan leaves to the core/tree kernel."""
+    return plan.core_u.size + plan.tree_ends.shape[1]
 
 
 class TestVertexMajorKernel:
@@ -271,25 +293,27 @@ class TestVertexMajorKernel:
 
     def test_core_first_numbering(self):
         rng = np.random.default_rng(73)
-        for _ in range(20):
-            g = with_pendant_trees(rng, random_graph(rng, 8, p=0.6), int(rng.integers(0, 10)))
-            split = _CoreTreeSplit.of(g)
-            k = split.core_count
+        graphs = _ungrouped_graphs(rng, 20, lambda rng: with_pendant_trees(
+            rng, random_graph(rng, 8, p=0.6), int(rng.integers(0, 10))))
+        for g in graphs:
+            plan = _Plan.of(g, 2, 3)
+            k = plan.core_count
             assert k == len(brute_two_core(g))
-            assert split.core_u.size + split.tree_ends.shape[1] == g.edge_count
-            assert np.all(split.core_u < k) and np.all(split.core_v < k)
+            assert _kernel_edges(plan) == g.edge_count
+            assert np.all(plan.core_u < k) and np.all(plan.core_v < k)
             # a tree edge has at most one core end
-            assert np.all((split.tree_ends < k).sum(axis=0) <= 1)
+            assert np.all((plan.tree_ends < k).sum(axis=0) <= 1)
 
     def test_tree_hits_at_core_vertices_and_forests_vs_brute(self):
         # pendant trees hung on core vertices put tree hits into the dense
         # counts; forests (k = 0) send every hit down the sparse route
         rng = np.random.default_rng(79)
-        graphs = [with_pendant_trees(rng, random_graph(rng, 7, p=0.7), int(rng.integers(1, 9)))
-                  for _ in range(25)]
+        graphs = _ungrouped_graphs(rng, 25, lambda rng: with_pendant_trees(
+            rng, random_graph(rng, 7, p=0.7), int(rng.integers(1, 9))))
         graphs += [with_pendant_trees(rng, complete(4), 6), with_pendant_trees(rng, cycle(5), 8)]
-        forests = [generate(parse_generator(t))
-                   for t in ["path:9", "star:6", "copies:3:star:2", "figure2:1"]]
+        # identical copies (copies:3:star:2) are grouped: TestGroupedSampler
+        forests = [generate(parse_generator(t)) for t in ["path:9", "star:6", "figure2:1"]]
+        forests += [disjoint_union(path(4), star(3), star(2))]
         forests += [with_pendant_trees(rng, build_graph(1, []), 10) for _ in range(5)]
         assert all(two_core(g).sum() == 0 for g in forests)
         assert all(0 < two_core(g).sum() < g.vertex_count for g in graphs[-2:])
@@ -297,7 +321,7 @@ class TestVertexMajorKernel:
             for r, c in [(1, 2), (2, 2), (2, 3), (3, 2)]:
                 colors = rng.integers(0, c, size=(40, g.vertex_count), dtype=np.uint16)
                 expected = [brute_eval_T(g, r, row) for row in colors]
-                assert _split_T(g, r, colors).tolist() == expected
+                assert _plan_T(g, r, c, colors).tolist() == expected
 
     def test_sampler_counts_both_tree_ends_at_one_color(self):
         # c = 1: every edge matches, so T = n_star exactly, with tree hits at
@@ -337,11 +361,6 @@ class TestVertexMajorKernel:
             assert exact_pmf(g, 2, 3).support == {0: Fraction(1)}
 
 
-def _grouped(g, r, c):
-    """The graph left for the core/tree kernel and the group laws."""
-    return _split_off_copies(g, r, c, star_table(g, r))
-
-
 class TestGroupedSampler:
     """Identical small components are drawn as one multinomial per group from
     their exact law; checked against the explicit reference sampler, which
@@ -350,11 +369,11 @@ class TestGroupedSampler:
     @pytest.mark.parametrize("text,r,c", [
         ("copies:40:star:3", 2, 3), ("copies:40:star:3", 3, 2), ("copies:30:path:4", 2, 2),
         ("copies:30:complete:3", 2, 2), ("copies:25:tadpole31", 2, 3),
-        ("copies:25:tadpole31", 3, 2), ("er:150:0.012:seed=5", 1, 3)])
+        ("copies:25:tadpole31", 3, 2), ("er:150:0.012:seed=5", 1, 3), ("copies:3:star:2", 2, 2)])
     def test_grouped_graphs_two_sample_vs_reference(self, text, r, c):
         g = generate(parse_generator(text))
-        rest, laws = _grouped(g, r, c)
-        assert laws and rest.vertex_count < g.vertex_count
+        plan = _Plan.of(g, r, c)
+        assert plan.laws and _kernel_edges(plan) < g.edge_count
         ref = reference_monte_carlo(g, r, c, 3000, seed=107, block=500)
         dist = monte_carlo(g, r, c, 100_000, seed=109)
         assert set(dist.counts) >= {v for v, k in ref.items() if k >= 5}
@@ -365,8 +384,10 @@ class TestGroupedSampler:
         g = disjoint_union(generate(parse_generator("figure2:6")),
                            generate(parse_generator("copies:20:tadpole31")),
                            generate(parse_generator("copies:30:star:2")))
-        rest, laws = _grouped(g, 2, 3)
-        assert len(laws) == 2 and rest.vertex_count == 6 + 1 + 36 + 4
+        plan = _Plan.of(g, 2, 3)
+        figure2 = generate(parse_generator("figure2:6"))
+        assert len(plan.laws) == 2 and _kernel_edges(plan) == figure2.edge_count
+        assert plan.core_count == two_core(figure2).sum()
         ref = reference_monte_carlo(g, 2, 3, 3000, seed=113, block=500)
         dist = monte_carlo(g, 2, 3, 100_000, seed=127)
         assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 3000)) <= 5
@@ -386,14 +407,14 @@ class TestGroupedSampler:
         ("er:400:0.005:seed=3", 1, 4, 20_000)])
     def test_worker_invariance(self, text, r, c, samples):
         g = generate(parse_generator(text))
-        assert _grouped(g, r, c)[1]
+        assert _Plan.of(g, r, c).laws
         dists = [monte_carlo(g, r, c, samples, seed=137, workers=w) for w in (1, 2, 8)]
         assert dists[0].counts == dists[1].counts == dists[2].counts
 
     def test_mixed_union_worker_invariance(self):
         g = disjoint_union(generate(parse_generator("figure2:20")),
                            generate(parse_generator("copies:300:star:3")))
-        assert _grouped(g, 2, 20)[1]
+        assert _Plan.of(g, 2, 20).laws
         dists = [monte_carlo(g, 2, 20, 20_000, seed=139, workers=w) for w in (1, 2, 8)]
         assert dists[0].counts == dists[1].counts == dists[2].counts
 
@@ -405,8 +426,8 @@ class TestGroupedSampler:
     def test_acceptance_graphs_form_no_group(self, text, r, c):
         # the criteria that check the kernel keep checking the kernel
         g = generate(parse_generator(text))
-        rest, laws = _grouped(g, r, c)
-        assert rest is g and laws == []
+        plan = _Plan.of(g, r, c)
+        assert plan.laws == [] and _kernel_edges(plan) == g.edge_count
 
     def test_constant_and_zero_groups(self):
         # c = 1: every copy's T is its star count; r above the degrees: T = 0,
@@ -415,8 +436,8 @@ class TestGroupedSampler:
             g = generate(parse_generator(text))
             assert monte_carlo(g, r, 1, 300, seed=149).counts == {count_stars(g, r): 300}
         g = disjoint_union(generate(parse_generator("copies:50:star:3")), complete(5))
-        rest, laws = _grouped(g, 4, 3)
-        assert laws == [] and rest.vertex_count == 5
+        plan = _Plan.of(g, 4, 3)
+        assert plan.laws == [] and plan.core_count == 5 and _kernel_edges(plan) == 10
         assert (monte_carlo(g, 4, 3, 5000, seed=151).counts
                 == monte_carlo(complete(5), 4, 3, 5000, seed=151).counts)
 
@@ -424,7 +445,7 @@ class TestGroupedSampler:
         # the law's values take the table's object dtype
         g = disjoint_union(complete(65), complete(65))
         assert star_table(g, 32).dtype == object
-        [(copies, support, probs)] = _grouped(g, 32, 1)[1]
+        [(copies, support, probs)] = _Plan.of(g, 32, 1).laws
         assert copies == 2 and support.dtype == object and probs.tolist() == [1.0]
         assert monte_carlo(g, 32, 1, 20, seed=0).counts == {count_stars(g, 32): 20}
 

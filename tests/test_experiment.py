@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -148,6 +149,15 @@ class TestRunExperiment:
         assert "runtime_seconds" in str(report.to_json_dict())
 
 
+def _quick_sizes() -> dict:
+    """``QUICK_SIZES`` of ``scripts/run_builtin_examples.py``."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_builtin_examples.py"
+    module_spec = importlib.util.spec_from_file_location("run_builtin_examples", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    return script.QUICK_SIZES
+
+
 class TestBuiltins:
     def test_names(self):
         assert builtin_names() == (
@@ -184,11 +194,32 @@ class TestBuiltins:
         assert predicted == pytest.approx(exact_mean, rel=self.MEAN_RTOL[name])
 
     def test_quick_sweep_sizes_cover_every_builtin(self):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "run_builtin_examples.py"
-        module_spec = importlib.util.spec_from_file_location("run_builtin_examples", path)
-        script = importlib.util.module_from_spec(module_spec)
-        module_spec.loader.exec_module(script)
-        assert sorted(script.QUICK_SIZES) == sorted(builtin_names())
+        assert sorted(_quick_sizes()) == sorted(builtin_names())
+
+    # sha256 of canonical_json() at the quick sizes, 2,000 samples, seed 20240601
+    CANONICAL_SHA256 = {
+        "star": "14e820c8eb40f5d37c32b8fc02be6a2e89bfd286130a9d0a748e245189b62fab",
+        "star-union": "5ab4e38833b8cf57603ffb828365e555f2d2056cf9541e00e30b792c1920f07c",
+        "star-union-shifted": "6a3eff6768231de5af880abb9a94e056ad4b18b8a83e26c923e6f8e925b6addd",
+        "regular": "1c33c496cb8457157c271f2cf6588b0ff4c2b7bf67a7b9fb2b37db1d16283ea1",
+        "bipartite": "e92ace2e2928ddf7dd1438c71df090188ab3740679028435adb9fb4b9eb0b98c",
+        "complete": "3d705d43f7baa1352112532609101dc111343e73669ed0fe20bcd809b11d6122",
+        "figure2": "3290d3a235be3c74e480ddaa914ba67bf7050fbc44a73156b3e5827dea55578d",
+        "tadpole-remark": "de23765bf41c8401770bcd56b9ba6c593b43928734c6e585127aaa9d9bec0e3d",
+        "er": "8129b54092ef852d655a239b39e821fccc4650bfa513705340f0aaefd5516e68",
+    }
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_canonical_report_digests_pinned(self, name):
+        """Every built-in's canonical report, byte for byte, at workers 1 and 2.
+        Taken with numpy 2.4.6: a numpy whose streams differ changes them too.
+        A change that alters a sample stream on purpose updates these digests
+        and says so in CHANGES.md."""
+        for workers in (1, 2):
+            spec = builtin_example(name, n=_quick_sizes()[name], samples=2000, seed=20240601,
+                                   workers=workers)
+            digest = hashlib.sha256(run_experiment(spec).canonical_json().encode()).hexdigest()
+            assert digest == self.CANONICAL_SHA256[name], workers
 
     def test_star_runs_small(self):
         spec = builtin_example("star", n=200, samples=20_000, seed=7)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import time
+import tracemalloc
 from math import comb, exp, factorial
 
 import numpy as np
@@ -19,6 +21,10 @@ from monostar.limits import (
     params_from_graph,
     sample_limit_batch,
 )
+
+
+# the largest rate numpy's Poisson sampler accepts (numpy 2.4.6)
+POISSON_RATE_MAX = 9.223372006484771e18
 
 
 def make(r, thetas=(), **lam):
@@ -292,6 +298,35 @@ class TestSampling:
             want = [w + k * comb(int(t), s) for w, t in zip(want, rng.poisson(rate, size=50))]
         assert max(want) >= 1 << 63
         assert draws.tolist() == want
+
+    def test_memory_grows_with_samples_not_theta(self):
+        # C(t, r) once per distinct draw, not for every m up to the largest
+        p = make(2, thetas=(2e6,), l1=2e12)
+        tracemalloc.start()
+        try:
+            draws = sample_limit_batch(p, 3, np.random.default_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        rng = np.random.default_rng(9)
+        atoms, linear = rng.poisson(2e6, size=3), rng.poisson(p.z1_rate, size=3)
+        assert draws.tolist() == [comb(int(t), 2) + int(x) for t, x in zip(atoms, linear)]
+
+    @pytest.mark.parametrize("p", [
+        make(1, l1=1e19), make(1, l2=np.nextafter(POISSON_RATE_MAX, np.inf)),
+        make(2, thetas=(1e19,), l1=1e38)], ids=["lambda1", "lambda2", "theta"])
+    def test_rate_past_numpy_poisson_limit_refused_before_drawing(self, p):
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        limit = re.escape(f"exceeds numpy's limit {POISSON_RATE_MAX!r}")
+        with pytest.raises(BudgetExceededError, match=limit):
+            sample_limit_batch(p, 3, rng)
+        assert rng.bit_generator.state == state
+
+    def test_draws_at_largest_accepted_rate(self):
+        draws = sample_limit_batch(make(1, l1=POISSON_RATE_MAX), 3, np.random.default_rng(11))
+        assert all(abs(v / POISSON_RATE_MAX - 1) < 1e-8 for v in draws.tolist())
 
     def test_batch_and_single_agree_in_distribution(self):
         p = make(2, thetas=(0.8,), l1=1.0, l3=0.2)
