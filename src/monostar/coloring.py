@@ -10,8 +10,8 @@ their exact law (``oracle.exact_pmf``), pendant-tree edges as Bernoulli(1/c)
 matches via geometric skips, and explicit colors only for the 2-core of the
 rest. One vertex-major kernel (``stars.eval_T_block``), also behind
 ``eval_T`` and the exact oracle, turns core colors and tree hits into T per
-row: one flat scan finds the matched core edges and one bincount gives m_v
-for every colored vertex.
+row: a scan of the core edges in cache-sized slices finds the matched ones,
+and one bincount gives m_v for every colored vertex.
 
 The samples are split into blocks of the plan's row count, and one Philox
 stream is keyed per (seed, block); each block draws its core colors, then its
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import Graph, build_graph, component_groups, two_core
 from .oracle import exact_pmf
-from .pmf import Pmf, pmf_moments
+from .pmf import Pmf
 from .stars import eval_T_block, star_table
 
 __all__ = [
@@ -117,8 +117,12 @@ class EmpiricalDist:
 
 
 def empirical_moments(d: EmpiricalDist, order: int) -> list[Fraction]:
-    """Exact rational raw moments 1..order of the empirical measure."""
-    return pmf_moments(d.to_pmf(), order)
+    """Exact rational raw moments 1..order of the empirical measure: integer
+    sums over the sample count, with no ``Pmf`` built."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return [Fraction(sum(k * v**j for v, k in d.counts.items()), d.total_samples)
+            for j in range(1, order + 1)]
 
 
 def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.ndarray:
@@ -172,9 +176,12 @@ class _Plan:
     them, so an end below ``core_count`` is a core vertex.
 
     ``block`` rows make about ``_BLOCK_CELL_TARGET`` cells: a core color and
-    both ends of a core edge are one cell each (a color byte and 16 bytes of
-    m_v and ``table[m_v]``), an expected tree hit ``_TREE_HIT_CELLS`` (about
-    100 bytes of int64 row, end, key and sort arrays on the sparse route).
+    both ends of a core edge are one cell each, an expected tree hit
+    ``_TREE_HIT_CELLS``. A core color holds a color byte and 8 bytes of m_v,
+    which ``table[m_v]`` overwrites in place. The core edges are scanned in
+    slices of ``stars._SCAN_CELLS`` cells, so their memory does not grow with
+    the rows. A tree hit holds about 100 bytes of int64 row, end, key and sort
+    arrays on the sparse route.
     """
 
     c: int

@@ -37,11 +37,16 @@ class Pmf:
                 raise ValueError(f"negative probability at {v}")
         if self.deficit < 0:
             raise ValueError("negative truncation deficit")
-        total = sum(self.support.values()) + self.deficit
         if self.is_exact:
-            if total != 1:
-                raise ValueError(f"exact pmf mass is {total}, not 1")
-        elif abs(float(total) - 1.0) > _FLOAT_MASS_TOL:
+            # one sum of ints over a common denominator, not a gcd per addition
+            probs = [*self.support.values(), self.deficit]
+            den = lcm(*(q.denominator for q in probs))
+            mass = sum(q.numerator * (den // q.denominator) for q in probs)
+            if mass != den:
+                raise ValueError(f"exact pmf mass is {Fraction(mass, den)}, not 1")
+            return
+        total = sum(self.support.values()) + self.deficit
+        if abs(float(total) - 1.0) > _FLOAT_MASS_TOL:
             raise ValueError(f"pmf mass {total} deviates from 1 beyond {_FLOAT_MASS_TOL}")
 
     def prob(self, value: int) -> Fraction | float:

@@ -28,6 +28,9 @@ __all__ = ["StarClassCounts", "count_stars", "star_table", "eval_T_block", "clas
 
 DEFAULT_CLASS_BUDGET = 10**9
 
+# (edge, row) cells per slice of eval_T_block's scan
+_SCAN_CELLS = 1 << 17
+
 
 def count_stars(g: Graph, r: int) -> int:
     """Number of r-stars: sum over vertices of C(degree, r). Exact big integer."""
@@ -62,21 +65,35 @@ def eval_T_block(table: np.ndarray, colors: np.ndarray, edge_u: np.ndarray,
     vertex in that row, for an edge known to match without colors; ends k and
     up are vertices without colors.
 
-    One flat scan of the (edge, row) equality array finds the matched edges,
-    and one bincount over the keys ``vertex * rows + row`` gives m_v for every
-    colored vertex; hits at uncolored vertices are counted sparsely. A row's T
-    sums ``table[m_v]`` (see ``star_table``), in the table's dtype.
+    The edges are scanned in slices of at most ``_SCAN_CELLS`` (edge, row)
+    cells, so the gathered colors and their equality array stay cache-sized
+    (128 KiB each for uint8 colors) and are reused from the heap, not mapped
+    afresh per block (Lam, Rothberg & Wolf, ASPLOS 1991).
+    Each slice adds the keys ``vertex * rows + row`` of both ends of its
+    matched edges, and one bincount over all keys gives m_v for every colored
+    vertex; hits at uncolored vertices are counted sparsely. A row's T sums
+    ``table[m_v]`` (see ``star_table``), in the table's dtype; an int64 table
+    is read into m in place.
     """
     k, rows = colors.shape
-    e, row = np.divmod(np.flatnonzero(colors[edge_u] == colors[edge_v]), rows)
-    m = np.bincount(np.concatenate([edge_u[e] * rows + row, edge_v[e] * rows + row]),
-                    minlength=k * rows)
+    step = max(1, _SCAN_CELLS // rows)
+    matched = [np.empty(0, dtype=np.int64)]
+    for start in range(0, edge_u.size, step):
+        u, v = edge_u[start:start + step], edge_v[start:start + step]
+        e, row = np.divmod(np.flatnonzero(colors[u] == colors[v]), rows)
+        matched += [u[e] * rows + row, v[e] * rows + row]
+    m = np.bincount(np.concatenate(matched), minlength=k * rows)
     if hit_ends is not None:
         # sorted, so the keys of colored vertices (below k * rows) come first
         keys, matches = np.unique(hit_ends * rows + hit_rows, return_counts=True)
         colored = np.searchsorted(keys, k * rows)
         m[keys[:colored]] += matches[:colored]
-    out = table[m].reshape(k, rows).sum(axis=0)
+    if table.dtype == m.dtype:
+        # m <= max degree, so nothing is clipped; "raise" would buffer ``out``
+        np.take(table, m, out=m, mode="clip")
+    else:
+        m = table[m]
+    out = m.reshape(k, rows).sum(axis=0)
     if hit_ends is not None:
         np.add.at(out, keys[colored:] % rows, table[matches[colored:]])
     return out

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from monostar.errors import BudgetExceededError
 from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
                              parse_generator, path, star, two_core)
 from monostar.oracle import exact_pmf
-from monostar.stars import count_stars, eval_T_block, star_table
+from monostar.stars import _SCAN_CELLS, count_stars, eval_T_block, star_table
 
 from oracles import (brute_eval_T, brute_two_core, disjoint_union, own_core_block_rows,
                      random_graph, reference_monte_carlo, with_pendant_trees)
@@ -359,6 +361,90 @@ class TestVertexMajorKernel:
             for workers in (1, 2):
                 assert monte_carlo(g, 2, 3, 500, seed=89, workers=workers).counts == {0: 500}
             assert exact_pmf(g, 2, 3).support == {0: Fraction(1)}
+
+
+def _brute_rows(g, r, colors):
+    """brute_eval_T of each row of ``colors`` (rows, n), scored once per
+    distinct row."""
+    distinct, index = np.unique(colors, axis=0, return_inverse=True)
+    t = [brute_eval_T(g, r, row) for row in distinct]
+    return [t[i] for i in index.reshape(-1)]
+
+
+def _rows_for_step(step):
+    """Row count at which eval_T_block scans ``step`` edges per slice."""
+    rows = _SCAN_CELLS // step
+    assert max(1, _SCAN_CELLS // rows) == step
+    return rows
+
+
+_K34 = [(u, v) for u in range(3) for v in range(3, 7)]
+
+
+class TestSlicedScan:
+    """eval_T_block scans the core edges ``_SCAN_CELLS`` (edge, row) cells at
+    a time; T must not depend on where the slices end. K(3,4) has 12 edges:
+    slices of 1 edge, of 4 (dividing 12), of 5 (a partial last slice) and of
+    20 (one slice, longer than the edge list)."""
+
+    @pytest.mark.parametrize("step", [1, 4, 5, 20])
+    def test_slice_boundaries_vs_brute(self, step):
+        g = build_graph(7, _K34)
+        colors = np.random.default_rng(step).integers(
+            0, 2, size=(g.vertex_count, _rows_for_step(step)), dtype=np.uint8)
+        got = eval_T_block(star_table(g, 2), colors, g.edge_u, g.edge_v)
+        assert got.tolist() == _brute_rows(g, 2, colors.T)
+
+    @pytest.mark.parametrize("step", [1, 4, 5, 20])
+    def test_slice_boundaries_with_tree_hits_vs_brute(self, step):
+        # hits at core vertices go into the dense counts, hits at tree
+        # vertices (no colors) down the sparse route
+        g = build_graph(10, _K34 + [(0, 7), (7, 8), (3, 9)])
+        plan = _Plan.of(g, 2, 2)
+        k = plan.core_count
+        assert (k, plan.core_u.size) == (7, 12)
+        assert np.any(plan.tree_ends < k) and np.all((plan.tree_ends >= k).any(axis=0))
+        colors = np.random.default_rng(step).integers(
+            0, 2, size=(_rows_for_step(step), g.vertex_count), dtype=np.uint8)
+        assert _plan_T(g, 2, 2, colors).tolist() == _brute_rows(g, 2, colors)
+
+    def test_slice_boundaries_object_table(self):
+        # two K65 at r = 32: row sums pass 2**63, so the table is Python ints;
+        # 4160 edges make four slices of 1000 and a partial one of 160
+        g = disjoint_union(complete(65), complete(65))
+        r, rows = 32, _rows_for_step(1000)
+        table = star_table(g, r)
+        assert table.dtype == object
+        rng = np.random.default_rng(167)
+        colors = np.zeros((g.vertex_count, rows), dtype=np.uint8)
+        colors[rng.integers(0, g.vertex_count, size=(3, rows)), np.arange(rows)] = 1
+        got = eval_T_block(table, colors, g.edge_u, g.edge_v)
+        # m_v is the number of v's clique mates that share its color
+        expected = []
+        for row in colors.T:
+            same = [np.bincount(row[i:i + 65], minlength=2)[row[i:i + 65]] - 1 for i in (0, 65)]
+            expected.append(sum(comb(int(m), r) for m in np.concatenate(same)))
+        assert got.tolist() == expected
+        assert max(expected) >= 1 << 63
+
+    @pytest.mark.parametrize("text,c,rows", [("complete:60", 185, 555),
+                                             ("bipartite:40", 125, 609)])
+    def test_block_peak_memory(self, text, c, rows):
+        # the sampler's block on the dense acceptance graphs: temporaries of
+        # one slice, not of the whole (edge, row) array (2.8 MiB)
+        g = generate(parse_generator(text))
+        plan = _Plan.of(g, 2, c)
+        assert plan.block == rows and plan.core_count == g.vertex_count
+        colors = np.random.default_rng(c).integers(
+            0, c, size=(plan.core_count, rows), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t_vals.shape == (rows,)
+        assert peak < 1 << 20
 
 
 class TestGroupedSampler:
