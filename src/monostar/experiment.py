@@ -160,10 +160,6 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                 params = params_from_graph(g, c, spec.r, theta_cut=spec.theta_cut,
                                            stats=stats)
             report.params_used = params.to_json_dict()
-            if params.theta_dropped_tail > 0:
-                report.warnings.append(
-                    f"theta tail dropped: star mass {params.theta_dropped_tail!r}"
-                )
             report.warnings.extend(params.flags)
             references["limit-law"] = limit_pmf(params)
             # exact, where the moments of the truncated pmf are not

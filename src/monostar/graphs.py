@@ -432,21 +432,15 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Tagged generator choice; only the fields relevant to ``kind`` are set."""
+    """A generator: the canonical name of its ``_KINDS`` row and the row
+    builder's positional arguments, the fields in CLI order and then every
+    option, with its default where the string leaves it out."""
 
-    kind: str
-    n: int | None = None
-    d: int | None = None
-    p: float | None = None
-    seed: int | None = None
-    weights: tuple[float, ...] | None = None
-    shift_exponent: float | None = None
-    count: int | None = None
-    inner: "GeneratorSpec | None" = None
+    name: str
+    args: tuple
 
 
-# A field is (GeneratorSpec attribute, read): read parses its part of the CLI
-# string.
+# A field is (argument name, read): read parses its part of the CLI string.
 _N = ("n", int)
 _WEIGHTS = ("weights", lambda text: tuple(float(w) for w in text.split(",") if w))
 _INNER = ("inner", lambda text: parse_generator(text))
@@ -458,15 +452,19 @@ class _Kind:
 
     ``fields`` come in CLI order; ``options`` maps an option name to a field
     plus its default. The builder takes the fields and then the options,
-    positionally. ``scale`` is the attribute a color rule calls ``n``.
+    positionally. ``scale`` names the argument a color rule calls ``n``.
     """
 
-    kind: str
     names: tuple[str, ...]
     fields: tuple[tuple, ...]
     build: Callable[..., Graph]
     options: dict = field(default_factory=dict)
     scale: str = "n"
+
+    @property
+    def params(self) -> list[str]:
+        """The builder's argument names: the fields, then the options."""
+        return [arg for arg, *_ in (*self.fields, *self.options.values())]
 
     @property
     def form(self) -> str:
@@ -475,67 +473,64 @@ class _Kind:
 
 
 _KINDS = (
-    _Kind("star", ("star",), (_N,), star),
-    _Kind("star-union", ("union", "star-union"), (_WEIGHTS, _N), star_union,
+    _Kind(("star",), (_N,), star),
+    _Kind(("union", "star-union"), (_WEIGHTS, _N), star_union,
           {"shift": ("shift_exponent", float, None)}),
-    _Kind("complete", ("complete",), (_N,), complete),
-    _Kind("complete-bipartite", ("bipartite", "complete-bipartite"), (_N,), complete_bipartite),
-    _Kind("cycle", ("cycle",), (_N,), cycle),
-    _Kind("path", ("path",), (_N,), path),
-    _Kind("circulant", ("circulant",), (_N, ("d", int)), circulant),
-    _Kind("tadpole31", ("tadpole31",), (), tadpole31),
-    _Kind("disjoint-copies", ("copies",), (("count", int), _INNER),
+    _Kind(("complete",), (_N,), complete),
+    _Kind(("bipartite", "complete-bipartite"), (_N,), complete_bipartite),
+    _Kind(("cycle",), (_N,), cycle),
+    _Kind(("path",), (_N,), path),
+    _Kind(("circulant",), (_N, ("d", int)), circulant),
+    _Kind(("tadpole31",), (), tadpole31),
+    _Kind(("copies",), (("count", int), _INNER),
           lambda count, inner: disjoint_copies(generate(inner), count), scale="count"),
-    _Kind("figure2", ("figure2",), (_N,), figure2_composite),
-    _Kind("erdos-renyi", ("er", "erdos-renyi"), (_N, ("p", float)), erdos_renyi,
+    _Kind(("figure2",), (_N,), figure2_composite),
+    _Kind(("er", "erdos-renyi"), (_N, ("p", float)), erdos_renyi,
           {"seed": ("seed", int, 0)}),
 )
-_BY_KIND = {row.kind: row for row in _KINDS}
 _BY_NAME = {name: row for row in _KINDS for name in row.names}
 
 
-def _row(kind: str) -> _Kind:
+def _row(name: str) -> _Kind:
     try:
-        return _BY_KIND[kind]
+        return _BY_NAME[name]
     except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}") from None
+        raise ValueError(f"unknown generator kind {name!r}") from None
 
 
 def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec; deterministic given the spec (incl. seed)."""
-    row = _row(spec.kind)
-    options = [default if getattr(spec, attr) is None else getattr(spec, attr)
-               for attr, _, default in row.options.values()]
-    return row.build(*(getattr(spec, attr) for attr, *_ in row.fields), *options)
+    return _row(spec.name).build(*spec.args)
 
 
 def generator_scale(spec: GeneratorSpec) -> int:
-    """The size parameter that the color rule ``"n"`` stands for."""
-    scale = getattr(spec, _row(spec.kind).scale)
-    return scale if scale is not None else 1
+    """The size parameter that the color rule ``"n"`` stands for: the
+    argument its row's ``scale`` names, or 1 when there is none."""
+    row = _row(spec.name)
+    return dict(zip(row.params, spec.args)).get(row.scale, 1)
 
 
 def parse_generator(text: str) -> GeneratorSpec:
     """Parse CLI generator strings, e.g. "star:4", "figure2:10", "er:100:0.05:seed=7".
 
-    The name is case-insensitive. Every field of the kind must be given, and
-    anything after them must be one of its ``option=value`` parts.
+    The name is case-insensitive, and an alias gives its row's first name.
+    Every field of the kind must be given, and anything after them must be
+    one of its ``option=value`` parts; options left out take their defaults.
     """
     name, *args = text.strip().split(":")
     row = _BY_NAME.get(name.lower())
     if row is None:
         raise ValueError(f"unknown generator {text!r}")
-    if row.kind == "disjoint-copies" and len(args) > 2:
+    if row.names[0] == "copies" and len(args) > 2:
         args = [args[0], ":".join(args[1:])]  # the inner spec keeps its colons
     options = [part.split("=", 1) for part in args[len(row.fields):]]
     if len(args) < len(row.fields) or any(len(kv) != 2 or kv[0] not in row.options
                                           for kv in options):
         raise ValueError(f"generator {text.strip()!r} does not match {row.form}")
     parts = [*zip(row.fields, args), *((row.options[key], part) for key, part in options)]
-    values = {attr: default for attr, _, default in row.options.values()}
+    values = {arg: default for arg, _, default in row.options.values()}
     try:
-        values.update((attr, read(part)) for (attr, read, *_), part in parts)
+        values.update((arg, read(part)) for (arg, read, *_), part in parts)
     except ValueError as exc:
         raise ValueError(f"generator {text.strip()!r} does not match {row.form}: {exc}") from None
-    return GeneratorSpec(row.kind, **values)
-
+    return GeneratorSpec(row.names[0], tuple(values[arg] for arg in row.params))

@@ -46,7 +46,6 @@ class LimitLawParams:
     thetas: non-increasing degree atoms (top degrees over the color count).
     lambdas: class-count densities lambda_1..lambda_{r+1}.
     z1_rate: the coefficient-1 rate lambda_1 - sum(theta^r) / r!, derived.
-    theta_dropped_tail: star mass of atoms dropped at extraction (report only).
     flags: provenance notes surfaced as report warnings; not serialized.
 
     A lambda_1 short of the atoms' star mass by more than a small slack is
@@ -61,7 +60,6 @@ class LimitLawParams:
     r: int
     thetas: tuple[float, ...]
     lambdas: tuple[float, ...]
-    theta_dropped_tail: float = 0.0
     flags: tuple[str, ...] = ()
     clamp_z1: InitVar[bool] = False
     z1_rate: float = field(init=False)
@@ -114,8 +112,8 @@ def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_C
 
     Candidate atoms below ``DEFAULT_THETA_THRESHOLD`` are dropped (finite
     graphs have all degrees positive, but only Theta(c)-degree vertices act as
-    atoms); the star mass of dropped candidates is recorded in
-    theta_dropped_tail. ``stats``, when given, is ``class_counts(g, r)``
+    atoms); the star mass of dropped candidates, when positive, is the first
+    of the flags. ``stats``, when given, is ``class_counts(g, r)``
     already computed; else it is computed here.
     """
     if theta_cut < 0:
@@ -130,8 +128,8 @@ def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_C
     candidates = [d / c for d in degree_sequence(g)[:theta_cut]] if r > 1 else []
     thetas = tuple(x for x in candidates if x >= DEFAULT_THETA_THRESHOLD)
     dropped = sum(x**r for x in candidates if x < DEFAULT_THETA_THRESHOLD) / factorial(r)
-    return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, theta_dropped_tail=dropped,
-                          clamp_z1=True)
+    flags = (f"theta tail dropped: star mass {dropped!r}",) if dropped > 0 else ()
+    return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, flags=flags, clamp_z1=True)
 
 
 def figure2_params(kappa: float) -> LimitLawParams:

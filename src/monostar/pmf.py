@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import fsum, lcm
 from numbers import Rational
 
 __all__ = ["Pmf", "pmf_mean", "pmf_moments", "tv_distance"]
@@ -45,7 +45,8 @@ class Pmf:
             if mass != den:
                 raise ValueError(f"exact pmf mass is {Fraction(mass, den)}, not 1")
             return
-        total = sum(self.support.values()) + self.deficit
+        # exactly rounded, so the check does not depend on summation order
+        total = fsum([*self.support.values(), self.deficit])
         if abs(float(total) - 1.0) > _FLOAT_MASS_TOL:
             raise ValueError(f"pmf mass {total} deviates from 1 beyond {_FLOAT_MASS_TOL}")
 

@@ -252,6 +252,31 @@ class TestCoreTreeSampler:
             assert monte_carlo(g, r, 1, 300, seed=67).counts == {count_stars(g, r): 300}
             assert monte_carlo(g, r, 1 << 40, 300, seed=71).counts == {0: 300}
 
+    def test_small_graph_sweep_vs_exact(self):
+        # random graphs of at most 8 vertices at random (r, c), c = 1 and r
+        # past the maximum degree among them; c goes up to where exact_pmf
+        # enumerates 2^17 colorings. The exact law stands in as the second
+        # sample, at its expected counts
+        rng = np.random.default_rng(8128)
+        samples, edge_cases = 50_000, set()
+        for case in range(80):
+            g = random_graph(rng, 8)
+            c_max = int(2 ** (17 / max(g.vertex_count - 1, 1)))
+            c = 1 if rng.random() < 0.2 else int(np.exp(rng.uniform(0, np.log(c_max + 1))))
+            c = min(max(c, 1), c_max)
+            r = int(rng.integers(1, g.max_degree() + 3))
+            if c == 1:
+                edge_cases.add("c = 1")
+            if r > g.max_degree():
+                edge_cases.add("r > max degree")
+            law = exact_pmf(g, r, c).support
+            dist = monte_carlo(g, r, c, samples, seed=case)
+            assert set(dist.counts) <= set(law), (case, r, c)
+            expected = {v: float(p) * samples for v, p in law.items()}
+            z = _tail_pooled_z_scores(dist.counts, samples, expected, samples)
+            assert max(z, default=0.0) <= 5, (case, r, c)
+        assert edge_cases == {"c = 1", "r > max degree"}
+
 
 def _forms_group(g):
     """Whether two components of ``g`` are identical: then the sampler's plan

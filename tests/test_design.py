@@ -2,7 +2,8 @@
 module reaching into another module's private names, no package import hidden
 below module top level, no exception type that nothing raises, no r-subset
 enumeration beside the clique-sum classifier, one graph representation, an
-experiment spec holding only what callers set, and no exported name that the
+experiment spec holding only what callers set, a generator spec that is a
+table row's name plus its builder's arguments, and no exported name that the
 package itself never uses."""
 import ast
 import dataclasses
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from monostar import graphs
 from monostar.experiment import ExperimentSpec
-from monostar.graphs import Graph
+from monostar.graphs import GeneratorSpec, Graph
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "monostar").glob("*.py"))
 
@@ -97,6 +99,14 @@ def test_experiment_spec_keeps_what_callers_set():
     assert [f.name for f in dataclasses.fields(ExperimentSpec)] == [
         "generator", "r", "colors", "samples", "seed", "comparison", "workers", "theta_cut",
         "predicted_params", "tv_tolerance", "name", "notes"]
+
+
+def test_generator_spec_is_a_name_and_its_arguments():
+    # a generator kind is declared once, in its table row: the spec holds the
+    # row's first name and the builder's arguments, no field per kind
+    assert [f.name for f in dataclasses.fields(GeneratorSpec)] == ["name", "args"]
+    names = [name for row in graphs._KINDS for name in row.names]
+    assert len(names) == len(set(names))
 
 
 # exported for the acceptance battery, which checks results through them

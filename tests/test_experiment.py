@@ -87,6 +87,17 @@ class TestRunExperiment:
         payloads = {run_experiment(s).canonical_json() for s in specs}
         assert len(payloads) == 1
 
+    def test_plugin_warnings_in_order(self):
+        # the spec's notes, then the dropped theta tail, then the clamp: the
+        # leaves of star:100 at c = 100 are candidate atoms below threshold
+        spec = ExperimentSpec(generator="star:100", r=2, colors=100, samples=1000, seed=7,
+                              comparison="limit-law", theta_cut=5, notes=("given note",))
+        report = run_experiment(spec)
+        assert not report.failed
+        tail = 4 * 0.01**2 / 2
+        assert report.warnings[:2] == ["given note", f"theta tail dropped: star mass {tail!r}"]
+        assert len(report.warnings) == 3 and "clamped to 0" in report.warnings[2]
+
     def test_failure_recorded_not_raised(self):
         # 4^29 colorings, past the oracle's default budget of 10^8
         spec = ExperimentSpec(generator="complete:30", r=2, colors=4,

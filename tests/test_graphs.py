@@ -212,7 +212,7 @@ class TestGenerators:
         ]:
             assert parse_generator(text) == parse_generator(canonical)
         assert parse_generator("copies:10000:star:3") == GeneratorSpec(
-            "disjoint-copies", count=10000, inner=GeneratorSpec("star", n=3))
+            "copies", (10000, GeneratorSpec("star", (3,))))
 
     def test_generator_scale(self):
         assert generator_scale(parse_generator("star:123")) == 123
@@ -252,9 +252,8 @@ class TestGenerators:
 # a new field needs an entry here before the table tests below can run.
 _SAMPLE = {"n": "6", "d": "2", "p": "0.25", "weights": "0.6,0.3,0.1", "count": "3",
            "inner": "copies:2:star:3", "seed": "7", "shift_exponent": "0.5"}
-_SCALE = {"star": 6, "star-union": 6, "complete": 6, "complete-bipartite": 6, "cycle": 6,
-          "path": 6, "circulant": 6, "tadpole31": 1, "disjoint-copies": 3, "figure2": 6,
-          "erdos-renyi": 6}
+_SCALE = {"star": 6, "union": 6, "complete": 6, "bipartite": 6, "cycle": 6, "path": 6,
+          "circulant": 6, "tadpole31": 1, "copies": 3, "figure2": 6, "er": 6}
 
 
 def _table_strings():
@@ -270,15 +269,17 @@ def _table_strings():
 @pytest.mark.parametrize("text", list(_table_strings()))
 def test_table_round_trip_and_scale(text):
     spec = parse_generator(text)
-    row = graphs._BY_KIND[spec.kind]
+    row = graphs._BY_NAME[spec.name]
+    assert spec.name == row.names[0]
     # first name, then every option that is set, defaults included
-    options = [f"{option}={getattr(spec, attr)}" for option, (attr, *_) in row.options.items()
-               if getattr(spec, attr) is not None]
+    options = [f"{option}={value}"
+               for option, value in zip(row.options, spec.args[len(row.fields):])
+               if value is not None]
     canonical = ":".join([row.names[0], *(_SAMPLE[attr] for attr, *_ in row.fields), *options])
     assert parse_generator(canonical) == spec
     name, sep, rest = text.partition(":")
     assert parse_generator(f" {name.upper()}{sep}{rest} ") == spec
-    assert generator_scale(spec) == _SCALE[spec.kind]
+    assert generator_scale(spec) == _SCALE[spec.name]
     assert_well_formed(generate(spec))
 
 
@@ -323,7 +324,7 @@ def test_vertex_count_addressing_guard():
 
 
 def test_generate_spec_dataclass_direct():
-    g = generate(GeneratorSpec("star", n=2))
+    g = generate(GeneratorSpec("star", (2,)))
     assert g.vertex_count == 3
 
 

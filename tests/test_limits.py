@@ -7,13 +7,14 @@ from math import comb, exp, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import brute_limit_moments
 
 from monostar.errors import BudgetExceededError, InvalidParamsError
 from monostar.graphs import complete, complete_bipartite, figure2_composite, star, star_union
 from monostar.limits import (
+    DEFAULT_TAIL_EPS,
     LimitLawParams,
     figure2_params,
     limit_moments,
@@ -191,6 +192,52 @@ class TestLimitPmf:
         with pytest.raises(BudgetExceededError):
             limit_pmf(make(r, thetas=thetas, l1=l1))
         assert time.perf_counter() - started < 1.0
+
+
+# 1e-6 .. 1e7, each decade alike: the rates ``monostar limit`` accepts
+_RATE = st.floats(-6, 7).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _accepted_laws(draw):
+    """r = 1..8, up to four atoms, lambda_1 above the atoms' star mass by a
+    rate, and every other lambda 0 or a rate."""
+    r = draw(st.integers(1, 8))
+    thetas = tuple(sorted(draw(st.lists(_RATE, max_size=4)), reverse=True))
+    star_mass = sum(t**r for t in thetas) / factorial(r)
+    rates = draw(st.lists(st.one_of(st.just(0.0), _RATE), min_size=r, max_size=r))
+    return LimitLawParams(r=r, thetas=thetas, lambdas=(star_mass + draw(_RATE), *rates))
+
+
+class TestAcceptedRange:
+    def test_float_mass_checked_exactly_rounded(self):
+        # 1,199,266 values, whose plain left-to-right sum falls 1.1e-12 short
+        # of their exactly rounded sum: the mass check must not refuse it
+        p = make(4, thetas=(30.4882934091001, 9.902731766292645, 8.297183046246337,
+                            7.779262316621872),
+                 l1=36753.925444850465, l2=0.29712459025147975, l3=0.7849707865344508,
+                 l4=0.5062336004408544, l5=0.5233401604657013)
+        pmf = limit_pmf(p)
+        assert math.fsum(pmf.support.values()) + pmf.deficit == pytest.approx(1.0, abs=1e-12)
+        assert 0 < pmf.deficit < DEFAULT_TAIL_EPS
+
+    @seed(16)
+    @given(_accepted_laws())
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_sweep(self, p):
+        # every law is refused by a budget or comes back whole: mass 1 with
+        # the deficit, and the closed-form mean up to the truncated share,
+        # which sits at or below about the largest value kept
+        try:
+            pmf = limit_pmf(p, DEFAULT_TAIL_EPS)
+        except BudgetExceededError:
+            return
+        assert math.fsum(pmf.support.values()) + pmf.deficit == pytest.approx(1.0, abs=1e-12)
+        assert 0 <= pmf.deficit < DEFAULT_TAIL_EPS
+        mean = math.fsum(v * prob for v, prob in pmf.support.items())
+        assert abs(mean - limit_moments(p, 1)[0]) <= DEFAULT_TAIL_EPS * max(1, max(pmf.support))
+        draws = sample_limit_batch(p, 64, np.random.default_rng(16))
+        assert draws.shape == (64,) and (draws >= 0).all()
 
 
 class TestLimitMoments:
@@ -382,7 +429,10 @@ class TestParamsFromGraph:
         p = params_from_graph(g, c=100, r=2, theta_cut=5)
         # leaves have degree 1 -> 0.01 < 0.05 threshold
         assert p.thetas == (1.0,)
-        assert p.theta_dropped_tail == pytest.approx(4 * (0.01) ** 2 / 2)
+        # the tail note comes first, before the clamp note
+        prefix, mass = p.flags[0].split("star mass ")
+        assert prefix == "theta tail dropped: "
+        assert float(mass) == pytest.approx(4 * (0.01) ** 2 / 2)
 
     @pytest.mark.parametrize("g", [star(100), star_union((0.6, 0.3, 0.1), 100)],
                              ids=["star", "star-union"])
@@ -391,7 +441,8 @@ class TestParamsFromGraph:
         # is a class-2 subset and no degree atom may count its stars again
         c = 100
         p = params_from_graph(g, c=c, r=1)
-        assert p.thetas == () and p.flags == () and p.theta_dropped_tail == 0.0
+        # no tail flag: no candidate atom was dropped
+        assert p.thetas == () and p.flags == ()
         assert p.lambdas == (0.0, g.edge_count / c)
         assert limit_moments(p, 1)[0] == pytest.approx(2 * g.edge_count / c)
 

@@ -23,6 +23,15 @@ class TestPmfType:
         with pytest.raises(ValueError):
             Pmf({0: 0.5, 1: 0.4}, 0.0)
 
+    def test_float_mass_is_exactly_rounded(self):
+        # each tiny atom is under half a unit in the last place of a running
+        # sum near 1, so a left-to-right sum drops all 40,000 of them: 1.7e-12
+        # of mass, though the exactly rounded sum is 1
+        tiny, k = 1.5 * 2.0**-55, 40_000
+        support = {0: 0.5, 1: 0.5 - k * tiny, **dict.fromkeys(range(2, k + 2), tiny)}
+        assert 1.0 - sum(support.values()) > 1e-12
+        assert Pmf(support, 0.0).deficit == 0.0
+
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             Pmf({0: Fraction(3, 2), 1: Fraction(-1, 2)}, Fraction(0))
