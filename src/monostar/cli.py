@@ -205,11 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("exact", help="exact pmf of T by enumeration")
+    p = sub.add_parser("exact", help="exact pmf of T over set partitions, per component")
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-c", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+                   help="most evaluations to spend: the set partitions of each distinct "
+                        "component, or of the whole graph when they fit one chunk, plus "
+                        "the word-weighted cells of each convolution step "
+                        "(default: %(default)s)")
     p.add_argument("--csv", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_exact)

@@ -147,8 +147,14 @@ def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.
 
 
 def _max_group_vertices(c: int, n: int) -> int:
-    """Largest k with c^(k-1) <= ``_GROUP_COLORINGS``: the vertex count up to
-    which a component's exact law is cheap (all n at c = 1)."""
+    """Largest k with c^(k-1) <= ``_GROUP_COLORINGS`` (all n at c = 1): the
+    vertex count up to which identical components are grouped.
+
+    It is not the cost of a law, which is at most B(k) set partitions (see
+    ``oracle``), so larger components would be cheap too. It stays fixed
+    because the groups decide which draws a block makes: a larger bound
+    would change histograms.
+    """
     if c == 1:
         return n
     k = 1
@@ -162,11 +168,12 @@ class _Plan:
     """What one ``monte_carlo`` call draws from, built once by ``_Plan.of``.
 
     Each component with an identical copy and at most
-    ``_max_group_vertices(c, n)`` vertices is grouped with its copies. A
-    group's law is ``(copies, support, probs)``: each copy's T takes the
-    ``support`` values (in the table's dtype) with ``probs``, so per row the
-    numbers of copies at each value are one Multinomial(copies, probs) draw.
-    A group whose T is always 0 gets no law.
+    ``_max_group_vertices(c, n)`` vertices is grouped with its copies, and
+    the group's law is ``exact_pmf`` of one copy: one evaluation per set
+    partition of its vertices. A group's law is ``(copies, support, probs)``:
+    each copy's T takes the ``support`` values (in the table's dtype) with
+    ``probs``, so per row the numbers of copies at each value are one
+    Multinomial(copies, probs) draw. A group whose T is always 0 gets no law.
 
     The rest is split at its 2-core. Core edges close cycles, so their
     matches are dependent and core vertices get explicit colors. A tree edge

@@ -170,12 +170,14 @@ def components(g: Graph) -> np.ndarray:
             label = up
 
 
-def component_groups(g: Graph, max_vertices: int) -> list[tuple[Graph, np.ndarray]]:
-    """The components of at most ``max_vertices`` vertices that have an
-    identical copy, grouped: one ``(copy, vertices)`` pair per group. ``copy``
-    is one of the components, each vertex numbered by its rank in it, and row
-    i of ``vertices`` (copies, copy.vertex_count) lists the i-th component's
-    vertices in rank order.
+def component_groups(g: Graph, max_vertices: int,
+                     min_copies: int = 2) -> list[tuple[Graph, np.ndarray]]:
+    """The components of at most ``max_vertices`` vertices that have at least
+    ``min_copies`` identical copies (themselves included), grouped: one
+    ``(copy, vertices)`` pair per group. ``copy`` is one of the components,
+    each vertex numbered by its rank in it, and row i of ``vertices``
+    (copies, copy.vertex_count) lists the i-th component's vertices in rank
+    order. With ``min_copies=1`` every component of the graph is in a group.
 
     Two components are identical when they have the same vertex count and
     the same edge list after each vertex is relabelled by its rank in its
@@ -187,14 +189,14 @@ def component_groups(g: Graph, max_vertices: int) -> list[tuple[Graph, np.ndarra
     labels = components(g)
     sizes = np.bincount(labels, minlength=n)  # non-zero only at the roots
     roots = np.flatnonzero((sizes >= 1) & (sizes <= max_vertices))
-    if roots.size < 2:
+    if roots.size < min_copies:
         return []
     edge_comp = labels[g.edge_u]
     edge_counts = np.bincount(edge_comp, minlength=n)
     shapes, shape_of, repeats = np.unique(
         np.stack([sizes[roots], edge_counts[roots]], axis=1), axis=0,
         return_inverse=True, return_counts=True)
-    if not (repeats >= 2).any():
+    if not (repeats >= min_copies).any():
         return []
     order = np.argsort(labels, kind="stable")
     pos = np.empty(n, dtype=np.int64)
@@ -207,13 +209,13 @@ def component_groups(g: Graph, max_vertices: int) -> list[tuple[Graph, np.ndarra
     groups = []
     for (k, e), shape_roots in zip(shapes.tolist(), np.split(
             roots[np.argsort(shape_of.ravel(), kind="stable")], np.cumsum(repeats)[:-1])):
-        if shape_roots.size < 2:
+        if shape_roots.size < min_copies:
             continue
         edges = edge_order[edge_start[shape_roots][:, None] + np.arange(e)]
         relabelled = np.stack([rank[g.edge_u[edges]], rank[g.edge_v[edges]]], axis=2)
         keys, key_of, copies = np.unique(relabelled.reshape(len(edges), 2 * e), axis=0,
                                          return_inverse=True, return_counts=True)
-        for j in np.flatnonzero(copies >= 2):
+        for j in np.flatnonzero(copies >= min_copies):
             members = shape_roots[key_of.ravel() == j]
             groups.append((build_graph(k, keys[j].reshape(e, 2)),
                            order[pos[members][:, None] + np.arange(k)]))

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations for the test suite.
 
 Everything here enumerates explicitly (subsets, colorings) and never shares
-code paths with the package kernels it checks.
+code paths with the package kernels it checks. ``coloring_exact_pmf`` checks
+the oracle's partitions and components, not its kernel: it scores colorings
+with ``eval_T_block``, which is checked against ``brute_eval_T`` on its own.
 """
 import math
 from fractions import Fraction
@@ -10,7 +12,11 @@ from itertools import combinations, product
 import numpy as np
 
 from monostar.graphs import Graph, build_graph
-from monostar.stars import StarClassCounts, _triangle_vertices, count_stars
+from monostar.pmf import Pmf
+from monostar.stars import (StarClassCounts, _triangle_vertices, count_stars, eval_T_block,
+                            star_table)
+
+_COLORING_CHUNK = 1 << 16
 
 
 def brute_adjacency(g: Graph) -> list[set[int]]:
@@ -266,3 +272,38 @@ def brute_limit_moments(r: int, thetas, rates, order: int, terms: int = 400) -> 
         total = [math.fsum(math.comb(n, i) * total[i] * moments[n - i] for i in range(n + 1))
                  for n in range(order + 1)]
     return total[1:]
+
+
+
+def _decode_colorings(codes: np.ndarray, n: int, c: int) -> np.ndarray:
+    """Mixed-radix decode into vertex-major colors: ``colors[j, i]`` is digit
+    j-1 of ``codes[i]`` in base c for j >= 1, and vertex 0 keeps color 0."""
+    colors = np.zeros((n, codes.size), dtype=np.min_scalar_type(c - 1))
+    q = codes.copy()
+    for j in range(1, n):
+        colors[j] = q % c
+        q //= c
+    return colors
+
+
+def coloring_exact_pmf(g: Graph, r: int, c: int) -> Pmf:
+    """Exact rational pmf of T by complete enumeration of colorings.
+
+    The law is invariant under global color permutation, so vertex 0's color
+    is pinned and only the c^(n-1) completions are enumerated; each carries
+    probability exactly c^-(n-1). ``_COLORING_CHUNK`` completions at a time
+    are decoded and scored by ``eval_T_block``. The reference for the set
+    partitions and components of ``oracle.exact_pmf``.
+    """
+    n = g.vertex_count
+    total = c ** max(n - 1, 0)
+    table = star_table(g, r)
+    counts: dict[int, int] = {}
+    for start in range(0, total, _COLORING_CHUNK):
+        stop = min(start + _COLORING_CHUNK, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        t_vals = eval_T_block(table, _decode_colorings(idx, n, c), g.edge_u, g.edge_v)
+        values, reps = np.unique(t_vals, return_counts=True)
+        for v, k in zip(values.tolist(), reps.tolist()):
+            counts[v] = counts.get(v, 0) + k
+    return Pmf({v: Fraction(k, total) for v, k in counts.items()}, Fraction(0))

@@ -254,8 +254,8 @@ class TestCoreTreeSampler:
 
     def test_small_graph_sweep_vs_exact(self):
         # random graphs of at most 8 vertices at random (r, c), c = 1 and r
-        # past the maximum degree among them; c goes up to where exact_pmf
-        # enumerates 2^17 colorings. The exact law stands in as the second
+        # past the maximum degree among them; c goes up to where the graph
+        # has 2^17 colorings. The exact law stands in as the second
         # sample, at its expected counts
         rng = np.random.default_rng(8128)
         samples, edge_cases = 50_000, set()

@@ -1,7 +1,8 @@
 """Design rules checked on the package source: no dynamic code execution, no
 module reaching into another module's private names, no package import hidden
 below module top level, no exception type that nothing raises, no r-subset
-enumeration beside the clique-sum classifier, one graph representation, an
+enumeration beside the clique-sum classifier, an exact oracle on the one T
+kernel with no enumeration of colorings, one graph representation, an
 experiment spec holding only what callers set, a generator spec that is a
 table row's name plus its builder's arguments, and no exported name that the
 package itself never uses."""
@@ -80,6 +81,17 @@ def test_class_counts_has_no_subset_enumeration():
                  for alias in node.names}
     assert ("itertools", "combinations") not in imported
     assert ("itertools", None) not in imported
+
+
+def test_oracle_scores_partitions_with_the_one_kernel():
+    # the exact oracle scores set partitions through stars.eval_T_block: no
+    # mixed-radix decode of colorings and no count of c^(n-1) of them
+    source = next(p for p in SOURCES if p.name == "oracle.py").read_text()
+    calls = {node.func.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "eval_T_block" in calls
+    assert "_decode_colorings" not in source
+    assert "c ** (n - 1)" not in source and "c ** max(n - 1" not in source
 
 
 def test_graph_is_its_edge_list_and_degrees():

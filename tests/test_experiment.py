@@ -99,7 +99,8 @@ class TestRunExperiment:
         assert len(report.warnings) == 3 and "clamped to 0" in report.warnings[2]
 
     def test_failure_recorded_not_raised(self):
-        # 4^29 colorings, past the oracle's default budget of 10^8
+        # about 4.8e16 partitions into at most 4 blocks, past the oracle's
+        # default budget of 10^8
         spec = ExperimentSpec(generator="complete:30", r=2, colors=4,
                               samples=1000, seed=0, comparison="exact-oracle")
         report = run_experiment(spec)
@@ -276,6 +277,14 @@ class TestBirthday:
 
     def test_triangle(self):
         assert birthday_probability(complete(3), 2, 2, "oracle") == Fraction(1, 4)
+
+    def test_nine_people_365_days(self):
+        # the birthday problem: r = 1 on K9 counts the pairs sharing a day.
+        # 365^8 colorings, but only B(9) = 21,147 partitions
+        no_match = Fraction(1)
+        for k in range(9):
+            no_match *= Fraction(365 - k, 365)
+        assert birthday_probability(complete(9), 1, 365, "oracle") == 1 - no_match
 
     def test_certain_with_one_color(self):
         g = complete(4)

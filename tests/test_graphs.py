@@ -574,3 +574,21 @@ class TestComponents:
                     g.edge_u.tolist(), g.edge_v.tolist()) if u in ranks)))
                 keys.setdefault(key, []).append(root)
             assert seen == {root for roots in keys.values() if len(roots) >= 2 for root in roots}
+
+    def test_min_copies_one_covers_every_component(self):
+        # the exact oracle's grouping: every component, with or without a copy
+        for seed in range(3):
+            g = generate(parse_generator(f"er:300:0.005:seed={seed}"))
+            groups = component_groups(g, g.vertex_count, min_copies=1)
+            rows = [row for _, vertices in groups for row in vertices.tolist()]
+            assert sorted(v for row in rows for v in row) == list(range(g.vertex_count))
+            assert sorted(row[0] for row in rows) == sorted(set(brute_components(g)))
+            repeated = [(copy, vertices) for copy, vertices in groups if vertices.shape[0] >= 2]
+            default = component_groups(g, g.vertex_count)
+            assert len(repeated) == len(default)
+            for (a, rows_a), (b, rows_b) in zip(repeated, default):
+                assert same_edges(a, b) and np.array_equal(rows_a, rows_b)
+        # a connected graph is its own copy, whatever its numbering
+        g = build_graph(5, [(3, 1), (1, 4), (4, 0), (0, 2)])
+        [(copy, vertices)] = component_groups(g, 5, min_copies=1)
+        assert same_edges(copy, g) and vertices.tolist() == [[0, 1, 2, 3, 4]]
