@@ -278,8 +278,8 @@ def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
     nblocks = -(-samples // plan.block)
     if workers == 1 or nblocks == 1:
         # not through a pool: a new thread starts on a fresh allocator arena;
-        # figure2:300 at 1,200 samples took 94 ms in the calling thread and
-        # 108 ms in a one-thread pool (medians of 8 processes, 2 vCPUs)
+        # figure2:300 at 1,200 samples took 53 ms in the calling thread and
+        # 58 ms in a one-thread pool (medians of 8 processes, 2 vCPUs)
         counter = _run_blocks(plan, seed, range(nblocks), samples)
     else:
         spans = [span for span in np.array_split(np.arange(nblocks), workers) if span.size]

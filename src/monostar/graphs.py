@@ -118,33 +118,42 @@ def two_core(g: Graph) -> np.ndarray:
     """Boolean mask of the 2-core: what is left after repeatedly deleting
     vertices of degree <= 1.
 
-    One stack pass in O(n + E) (Batagelj & Zaversnik). The deleted vertices
-    form pendant trees, each hanging off at most one core vertex.
+    Whole-array rounds of rake and compress (Miller & Reif). Each round
+    takes the degrees over the edges still alive and deletes every vertex of
+    degree <= 1 (rake), together with every run of degree-2 vertices next to
+    one (compress): such a run is a path hanging off that vertex, so peeling
+    it one vertex at a time would delete it whole. The runs are the
+    components of the degree-2 subgraph, labelled as in ``components``; a
+    lone cycle is a run with no such neighbor and stays. Peel order does not
+    change the 2-core. A round deletes every pendant path, which lowers the
+    Strahler number of each pendant tree by one, so at most log2(n) + 1
+    rounds delete and one more finds nothing left to delete. The deleted
+    vertices form pendant trees, each hanging off at most one core vertex.
     """
-    # other[v] is the XOR of v's remaining neighbors, so a vertex of degree 1
-    # names its last neighbor without a search of the edge list
-    other = np.zeros(g.vertex_count, dtype=np.int64)
-    # int64 values, matching ``other``, keep ufunc.at on its fast loop
-    np.bitwise_xor.at(other, g.edge_u, g.edge_v.astype(np.int64))
-    np.bitwise_xor.at(other, g.edge_v, g.edge_u.astype(np.int64))
-    other = other.tolist()
-    degree = g.degrees.tolist()
-    stack = np.flatnonzero(g.degrees == 1).tolist()
-    while stack:
-        v = stack.pop()
-        if degree[v] == 1:  # else its last neighbor went first
-            degree[v] = 0
-            u = other[v]
-            other[u] ^= v
-            degree[u] -= 1
-            if degree[u] == 1:
-                stack.append(u)
-    return np.array(degree, dtype=np.int64) >= 2
+    n = g.vertex_count
+    core = np.ones(n, dtype=bool)
+    u, v = g.edge_u, g.edge_v
+    while True:
+        degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        low = core & (degree <= 1)
+        if not low.any():
+            return core
+        chain = degree == 2
+        in_run = chain[u] & chain[v]
+        run = _labels(n, u[in_run], v[in_run])
+        hanging = np.zeros(n, dtype=bool)
+        hanging[run[v[low[u] & chain[v]]]] = True
+        hanging[run[u[low[v] & chain[u]]]] = True
+        # a run is labelled by one of its own vertices, so hanging[run] marks
+        # no vertex outside the runs
+        core &= ~low & ~hanging[run]
+        alive = core[u] & core[v]
+        u, v = u[alive], v[alive]
 
 
-def components(g: Graph) -> np.ndarray:
-    """Connected-component label of every vertex: the smallest vertex of its
-    component (int32, as the edge arrays).
+def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n vertices under the edges
+    (u, v): the smallest vertex of its component (int32).
 
     Min-label hooking with pointer jumping. Each round hooks every root to
     the smallest root across an edge that still joins two trees, then jumps
@@ -154,20 +163,44 @@ def components(g: Graph) -> np.ndarray:
     no larger than its own), so each tree merges within two rounds and
     O(log n) rounds suffice.
     """
-    label = np.arange(g.vertex_count, dtype=np.int32)
-    u, v = g.edge_u, g.edge_v
+    label = np.arange(n, dtype=np.int32)
     while True:
-        lu, lv = label[u], label[v]
+        # np.take gathers about twice as fast as label[...] here
+        lu, lv = np.take(label, u), np.take(label, v)
         cross = lu != lv
         if not cross.any():
             return label
         u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
-            up = label[label]
+            up = np.take(label, label)
             if np.array_equal(up, label):
                 break
             label = up
+
+
+def components(g: Graph) -> np.ndarray:
+    """Connected-component label of every vertex: the smallest vertex of its
+    component (int32, as the edge arrays). See ``_labels``."""
+    return _labels(g.vertex_count, g.edge_u, g.edge_v)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in lexicographic order, each row's
+    index among them, and their counts: ``np.unique(rows, axis=0,
+    return_inverse=True, return_counts=True)`` with a 1-D inverse, by one
+    ``lexsort`` and a compare of adjacent rows in place of a sort of rows as
+    a structured dtype."""
+    count, width = rows.shape
+    # lexsort's last key is the primary one; rows of width 0 are all equal
+    order = np.lexsort(rows.T[::-1]) if width else np.arange(count)
+    ranked = rows[order]
+    first = np.ones(count, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[starts], inverse, np.diff(starts, append=count)
 
 
 def component_groups(g: Graph, max_vertices: int,
@@ -193,9 +226,8 @@ def component_groups(g: Graph, max_vertices: int,
         return []
     edge_comp = labels[g.edge_u]
     edge_counts = np.bincount(edge_comp, minlength=n)
-    shapes, shape_of, repeats = np.unique(
-        np.stack([sizes[roots], edge_counts[roots]], axis=1), axis=0,
-        return_inverse=True, return_counts=True)
+    shapes, shape_of, repeats = _unique_rows(
+        np.stack([sizes[roots], edge_counts[roots]], axis=1))
     if not (repeats >= min_copies).any():
         return []
     order = np.argsort(labels, kind="stable")
@@ -208,15 +240,14 @@ def component_groups(g: Graph, max_vertices: int,
     edge_start = np.cumsum(edge_counts) - edge_counts
     groups = []
     for (k, e), shape_roots in zip(shapes.tolist(), np.split(
-            roots[np.argsort(shape_of.ravel(), kind="stable")], np.cumsum(repeats)[:-1])):
+            roots[np.argsort(shape_of, kind="stable")], np.cumsum(repeats)[:-1])):
         if shape_roots.size < min_copies:
             continue
         edges = edge_order[edge_start[shape_roots][:, None] + np.arange(e)]
         relabelled = np.stack([rank[g.edge_u[edges]], rank[g.edge_v[edges]]], axis=2)
-        keys, key_of, copies = np.unique(relabelled.reshape(len(edges), 2 * e), axis=0,
-                                         return_inverse=True, return_counts=True)
+        keys, key_of, copies = _unique_rows(relabelled.reshape(len(edges), 2 * e))
         for j in np.flatnonzero(copies >= min_copies):
-            members = shape_roots[key_of.ravel() == j]
+            members = shape_roots[key_of == j]
             groups.append((build_graph(k, keys[j].reshape(e, 2)),
                            order[pos[members][:, None] + np.arange(k)]))
     return groups

@@ -173,19 +173,18 @@ def with_pendant_trees(rng: np.random.Generator, core: Graph, extra: int) -> Gra
 
 
 def brute_two_core(g: Graph) -> set[int]:
-    """Vertices left after deleting a minimum-degree vertex while that degree is <= 1."""
+    """Vertices left after deleting vertices of degree <= 1 one at a time,
+    from a worklist of adjacency sets, until none is left."""
     adj = brute_adjacency(g)
-    alive = set(range(g.vertex_count))
-    degree = {v: len(adj[v]) for v in alive}
-    while alive:
-        v = min(alive, key=degree.__getitem__)
-        if degree[v] > 1:
-            break
-        alive.remove(v)
+    pending = [v for v in range(g.vertex_count) if len(adj[v]) <= 1]
+    while pending:
+        v = pending.pop()
         for u in adj[v]:
-            if u in alive:
-                degree[u] -= 1
-    return alive
+            adj[u].discard(v)
+            if len(adj[u]) == 1:
+                pending.append(u)
+        adj[v] = None
+    return {v for v in range(g.vertex_count) if adj[v] is not None}
 
 
 def brute_components(g: Graph) -> list[int]:

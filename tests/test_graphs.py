@@ -32,7 +32,8 @@ from monostar.graphs import (
     tadpole31,
 )
 
-from oracles import brute_components, disjoint_union, random_graph, reference_erdos_renyi_edges
+from oracles import (brute_components, brute_two_core, disjoint_union, random_graph,
+                     reference_erdos_renyi_edges)
 
 
 def rows(g):
@@ -592,3 +593,168 @@ class TestComponents:
         g = build_graph(5, [(3, 1), (1, 4), (4, 0), (0, 2)])
         [(copy, vertices)] = component_groups(g, 5, min_copies=1)
         assert same_edges(copy, g) and vertices.tolist() == [[0, 1, 2, 3, 4]]
+
+
+def _random_tree(rng, n):
+    """A random recursive tree on n vertices, numbered in a random order."""
+    label = rng.permutation(n)
+    parent = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    return build_graph(n, np.stack([label[parent], label[1:]], axis=1))
+
+
+def _with_extra_edges(rng, g, count):
+    ends = rng.integers(0, g.vertex_count, size=(count, 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    return build_graph(g.vertex_count, np.concatenate([np.stack([g.edge_u, g.edge_v], 1), ends]))
+
+
+def _binary_tree(n):
+    """The binary heap on n vertices: vertex i is the parent of 2i+1, 2i+2."""
+    child = np.arange(1, n)
+    return build_graph(n, np.stack([(child - 1) // 2, child], axis=1))
+
+
+def _peel_rounds(monkeypatch, g):
+    """``two_core(g)`` and its number of rounds: each round takes two
+    ``np.bincount`` calls, for the degrees."""
+    calls = 0
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    core = graphs.two_core(g)
+    monkeypatch.undo()
+    return core, calls // 2
+
+
+class TestTwoCore:
+    """The rake-and-compress peel against the one-at-a-time worklist peel."""
+
+    @staticmethod
+    def assert_brute(g):
+        core = graphs.two_core(g)
+        assert core.dtype == bool and core.shape == (g.vertex_count,)
+        assert set(np.flatnonzero(core).tolist()) == brute_two_core(g)
+        return core
+
+    def test_empty_isolated_and_k2(self):
+        for g in (build_graph(0, []), build_graph(6, []), path(2), path(1)):
+            assert not self.assert_brute(g).any()
+
+    def test_lone_cycle_is_one_run_and_stays(self):
+        # every vertex has degree 2 and none is next to a leaf
+        for n in (3, 4, 1000):
+            assert self.assert_brute(cycle(n)).all()
+        # paths beside it go, the cycle stays
+        g = disjoint_union(cycle(50), path(30), path(2))
+        assert self.assert_brute(g).tolist() == [True] * 50 + [False] * 32
+
+    def test_two_cycles_joined_by_a_long_path_stay(self):
+        # cycles 0..9 and 10..19, joined 9 - 20 - ... - 2019 - 10; a tail
+        # hangs off the joining path's middle
+        joint = 20 + np.arange(2000)
+        g = disjoint_union(cycle(10), cycle(10), path(2000), path(700))
+        extra = [(9, 20), (2019, 10), (1020, 2020)]
+        g = build_graph(g.vertex_count, np.concatenate(
+            [np.stack([g.edge_u, g.edge_v], 1), extra]))
+        core = self.assert_brute(g)
+        assert core[:20].all() and core[joint].all() and not core[2020:].any()
+
+    def test_triangle_with_long_tails(self):
+        tails = disjoint_union(complete(3), path(500), path(1), path(3000))
+        g = build_graph(tails.vertex_count, np.concatenate(
+            [np.stack([tails.edge_u, tails.edge_v], 1), [(0, 3), (1, 503), (2, 504)]]))
+        assert np.flatnonzero(self.assert_brute(g)).tolist() == [0, 1, 2]
+
+    def test_caterpillar_with_a_long_spine(self):
+        spine = 10_000
+        legs = np.arange(spine, 3 * spine)
+        g = build_graph(3 * spine, np.concatenate([
+            np.stack([np.arange(spine - 1), np.arange(1, spine)], 1),
+            np.stack([legs % spine, legs], 1)]))
+        assert not self.assert_brute(g).any()
+        # one chord closing the spine leaves the spine as the core
+        closed = build_graph(g.vertex_count, np.concatenate(
+            [np.stack([g.edge_u, g.edge_v], 1), [(0, spine - 1)]]))
+        assert np.flatnonzero(self.assert_brute(closed)).tolist() == list(range(spine))
+
+    def test_complete_binary_tree(self):
+        for height in range(1, 13):
+            assert not self.assert_brute(_binary_tree(2 ** (height + 1) - 1)).any()
+
+    def test_random_trees_with_and_without_extra_edges(self):
+        rng = np.random.default_rng(1811)
+        for _ in range(60):
+            tree = _random_tree(rng, int(rng.integers(2, 400)))
+            assert not self.assert_brute(tree).any()
+            for extra in (1, 2, 5, 40):
+                self.assert_brute(_with_extra_edges(rng, tree, extra))
+
+    def test_random_graphs_and_generators(self):
+        rng = np.random.default_rng(1813)
+        for _ in range(300):
+            self.assert_brute(random_graph(rng, 40, p=float(rng.uniform(0.0, 0.12))))
+        for text in ["figure2:1", "figure2:30", "union:0.6,0.3,0.1:50", "copies:9:tadpole31",
+                     "circulant:30:4", "er:2000:0.001:seed=5", "complete:6", "bipartite:4"]:
+            self.assert_brute(generate(parse_generator(text)))
+
+    def test_rounds_stay_within_log2_n_plus_2(self, monkeypatch):
+        rng = np.random.default_rng(1817)
+        n = 100_000
+        for g in (_binary_tree(2**15 - 1), _binary_tree(n), _random_tree(rng, n)):
+            core, rounds = _peel_rounds(monkeypatch, g)
+            assert not core.any()
+            assert rounds <= int(np.log2(g.vertex_count)) + 2
+        # a path is one run next to its two ends: one round deletes it all
+        assert _peel_rounds(monkeypatch, path(n))[1] == 2
+        # figure2's path and star leaves go in one round, the hub and its
+        # bridging leaf in the next
+        core, rounds = _peel_rounds(monkeypatch, figure2_composite(300))
+        assert rounds == 3 and core.sum() == 45
+
+
+class TestUniqueRows:
+    """The lexsort row dedup against ``np.unique(axis=0)``."""
+
+    @staticmethod
+    def assert_matches_unique(rows):
+        keys, inverse, counts = graphs._unique_rows(rows)
+        expected = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(keys, expected[0]) and keys.dtype == rows.dtype
+        assert np.array_equal(inverse, expected[1].ravel()) and inverse.ndim == 1
+        assert np.array_equal(counts, expected[2])
+
+    def test_random_rows_with_heavy_ties(self):
+        rng = np.random.default_rng(1821)
+        for _ in range(200):
+            count, width = int(rng.integers(1, 300)), int(rng.integers(1, 9))
+            high = int(rng.choice([2, 3, 50, 1 << 40]))
+            rows = rng.integers(-high, high, size=(count, width))
+            self.assert_matches_unique(rows)
+            self.assert_matches_unique(rows[rng.integers(0, 3, size=count)])
+
+    def test_one_row_and_width_zero(self):
+        self.assert_matches_unique(np.array([[3, -1, 2]]))
+        self.assert_matches_unique(np.zeros((1, 0), dtype=np.int64))
+        self.assert_matches_unique(np.zeros((7, 0), dtype=np.int64))
+        self.assert_matches_unique(np.zeros((0, 4), dtype=np.int64))
+
+    def test_groups_in_lexicographic_order(self):
+        # er graphs hold isolated vertices, edges and short trees; the
+        # renumbered copies of path:4 add a second group of that shape
+        renumbered = build_graph(4, [(0, 2), (1, 2), (1, 3)])
+        for seed in range(4):
+            g = disjoint_union(generate(parse_generator(f"er:300:0.006:seed={seed}")),
+                               renumbered, path(4), renumbered, path(4))
+            groups = component_groups(g, 5)
+            keys = [(copy.vertex_count, copy.edge_count,
+                     list(zip(copy.edge_u.tolist(), copy.edge_v.tolist())))
+                    for copy, _ in groups]
+            assert keys == sorted(keys) and len(set(map(str, keys))) == len(keys)
+            assert (1, 0, []) in keys and (4, 3, [(0, 2), (1, 2), (1, 3)]) in keys
+            for _, vertices in groups:
+                assert np.all(np.diff(vertices[:, 0]) > 0)
