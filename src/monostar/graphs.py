@@ -393,9 +393,7 @@ def disjoint_copies(inner: Graph, count: int) -> Graph:
 
 
 def _ceil_pow23(n: int) -> int:
-    """Smallest k with k**3 >= n**2 (exact integer ceil of n^(2/3))."""
-    if n <= 0:
-        return 0
+    """Smallest k with k**3 >= n**2 (exact integer ceil of n^(2/3)), n >= 1."""
     k = max(1, round(n ** (2.0 / 3.0)))
     while k**3 < n * n:
         k += 1

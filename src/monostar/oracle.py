@@ -9,20 +9,18 @@ partition of the vertices. A partition into k blocks arises from the
 where N(t, k) counts the partitions with k blocks and value t. T is also a
 sum over connected components, so its law is the convolution of the
 component laws, and identical components (``graphs.component_groups``) need
-one law and a convolution power. A component without an r-star adds 0. A
-graph whose partitions fit in one chunk is scored whole: one kernel call
-costs less than finding its components.
+one law and a convolution power. A component without an r-star adds 0.
 
 Each distinct component's partitions are restricted growth strings (Knuth,
 TAOCP 7.2.1.5) with at most min(c, n) blocks, built in numpy by prefix,
 about ``_CHUNK`` at a time, and scored by ``stars.eval_T_block``. The laws
 are kept as integer counts of colorings and divided by c^n once.
 
-The budget counts evaluations: sum_{k <= min(c, n)} S(n, k) partitions per
-distinct component (or of the whole graph), by the Stirling recurrence, plus
-the cells of every convolution step. A cell is one product of two counts of
-colorings, which grow to c^n, so it is charged the product of their sizes in
-64-bit words.
+The budget counts evaluations: the set partitions of each distinct
+component, sum_{k <= min(c, n)} S(n, k) by the Stirling recurrence, plus the
+word-weighted cells of each convolution step. A cell is one product of two
+counts of colorings, which grow to c^n, so it is charged the product of their
+sizes in 64-bit words.
 """
 from __future__ import annotations
 
@@ -75,9 +73,6 @@ def _growth_strings(n: int, blocks: int):
     part is taken in turn, so memory stays flat at any n.
     """
     dtype = np.min_scalar_type(blocks - 1)
-    if blocks == 1:
-        yield np.zeros((n, 1), dtype=dtype), np.ones(1, dtype=np.int64)
-        return
     ways = [[0] * (blocks + 2) for _ in range(n + 1)]
     ways[n][1:blocks + 1] = [1] * blocks
     for j in range(n - 1, 0, -1):
@@ -137,13 +132,10 @@ def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET) -> 
         raise ValueError("r must be >= 1")
     if c < 1:
         raise ValueError("c must be >= 1")
-    n = g.vertex_count
     cap = max(budget, 1 << 64)  # past the budget a count is only reported; a bound will do
-    shapes = [(g, 1)]
-    if _partition_count(n, min(c, n), _CHUNK) > _CHUNK:  # else one chunk scores g whole
-        shapes = [(shape, vertices.shape[0])
-                  for shape, vertices in component_groups(g, n, min_copies=1)]
-    shapes = [(shape, copies) for shape, copies in shapes if shape.max_degree() >= r]
+    shapes = [(shape, vertices.shape[0])
+              for shape, vertices in component_groups(g, g.vertex_count, min_copies=1)
+              if shape.max_degree() >= r]
     cost = 0
     for shape, _ in shapes:
         cost += _partition_count(shape.vertex_count, min(c, shape.vertex_count), cap)

@@ -71,27 +71,24 @@ class Pmf:
         return "\n".join(lines) + "\n"
 
 
-def pmf_mean(p: Pmf) -> Fraction | float:
+def pmf_mean(p: Pmf) -> Fraction:
     return pmf_moments(p, 1)[0]
 
 
 def pmf_moments(p: Pmf, order: int) -> list:
-    """Raw moments 1..order of the finite measure (exact when the pmf is exact)."""
+    """Raw moments 1..order of the finite measure, as exact Fractions.
+
+    A float probability counts as the binary fraction it stores, which
+    ``Fraction`` converts exactly, so a float pmf gets the exact moments of
+    its stored values.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if p.is_exact:
-        # one sum of ints over a common denominator, not a gcd per addition
-        probs = [Fraction(q) for q in p.support.values()]
-        den = lcm(*(q.denominator for q in probs))
-        weights = [(q.numerator * (den // q.denominator), v) for q, v in zip(probs, p.support)]
-        return [Fraction(sum(w * v**j for w, v in weights), den) for j in range(1, order + 1)]
-    out = []
-    for j in range(1, order + 1):
-        acc = 0.0
-        for v, prob in p.support.items():
-            acc += prob * v**j
-        out.append(acc)
-    return out
+    # one sum of ints over a common denominator, not a gcd per addition
+    probs = [Fraction(q) for q in p.support.values()]
+    den = lcm(*(q.denominator for q in probs))
+    weights = [(q.numerator * (den // q.denominator), v) for q, v in zip(probs, p.support)]
+    return [Fraction(sum(w * v**j for w, v in weights), den) for j in range(1, order + 1)]
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:

@@ -36,8 +36,6 @@ def count_stars(g: Graph, r: int) -> int:
     """Number of r-stars: sum over vertices of C(degree, r). Exact big integer."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if g.vertex_count == 0:
-        return 0
     values, counts = np.unique(g.degrees, return_counts=True)
     return sum(comb(int(d), r) * int(c) for d, c in zip(values, counts))
 

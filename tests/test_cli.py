@@ -108,6 +108,14 @@ class TestExact:
                              "--budget", "100")
         assert code == 3
 
+    def test_budget_charged_per_distinct_component(self, capsys):
+        # 4 partitions of one 2-star plus 10 convolution cells: cost 14
+        code, out, _ = run_cli(capsys, "exact", "copies:3:star:2", "-r", "2", "-c", "2",
+                               "--budget", "100")
+        assert code == 0
+        assert json.loads(out)["support"] == {"0": "27/64", "1": "27/64", "2": "9/64",
+                                              "3": "1/64"}
+
 
 class TestLimit:
     def test_params_echo(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from monostar.coloring import (
     Coloring,
     EmpiricalDist,
+    _bernoulli_positions,
     _Plan,
     empirical_moments,
     eval_T,
@@ -251,6 +252,25 @@ class TestCoreTreeSampler:
             g = generate(parse_generator(text))
             assert monte_carlo(g, r, 1, 300, seed=67).counts == {count_stars(g, r): 300}
             assert monte_carlo(g, r, 1 << 40, 300, seed=71).counts == {0: 300}
+
+    @pytest.mark.parametrize("gap", [1, 3])
+    def test_bernoulli_positions_continue_past_first_draw(self, gap):
+        # a constant exponential draw makes every gap `gap` long: more
+        # successes than one draw is sized for, so each later draw goes on
+        # from the last position of the draw before
+        p = 0.01
+
+        class ConstantExponential:
+            calls = 0
+
+            def standard_exponential(self, size):
+                self.calls += 1
+                return np.full(size, (gap - 0.5) * -np.log1p(-p))
+
+        rng = ConstantExponential()
+        positions = _bernoulli_positions(rng, 1000, p)
+        assert np.array_equal(positions, np.arange(gap - 1, 1000, gap))
+        assert rng.calls > 1
 
     def test_small_graph_sweep_vs_exact(self):
         # random graphs of at most 8 vertices at random (r, c), c = 1 and r

@@ -248,6 +248,9 @@ class TestBuiltins:
     def test_er_regime_note_present(self):
         spec = builtin_example("er", samples=1)
         assert any("er-regime" in note for note in spec.notes)
+        # n^(3/2) p <= 10 at p = 0.001 up to n = 464
+        assert any("er-regime (a)" in note for note in builtin_example("er", n=464).notes)
+        assert any("er-regime (b)" in note for note in builtin_example("er", n=465).notes)
 
     def test_er_conditional_comparison_runs(self):
         report = run_experiment(builtin_example("er", samples=30_000, seed=5))

@@ -59,15 +59,15 @@ class TestExactPmf:
 
     @pytest.mark.parametrize("c", [255, 256, 257])
     def test_triangle_at_color_dtype_boundaries(self, c):
-        # digits decode into uint8 up to c = 256 and uint16 above; c**2
-        # colorings span two chunks past c = 256
+        # the (c)_k weights at large c: the partitions into 3, 2 and 1
+        # blocks stand for (c)_3, (c)_2 and c of the c**3 colorings
         pmf = exact_pmf(complete(3), 1, c)
         assert pmf.support == {0: Fraction((c - 1) * (c - 2), c**2),
                                2: Fraction(3 * (c - 1), c**2), 6: Fraction(1, c**2)}
 
     @pytest.mark.parametrize("c", [65536, 65537])
     def test_edge_at_color_dtype_boundaries(self, c):
-        # uint16 digits at c = 2**16, uint32 one past it
+        # the (c)_k weights at large c: (c)_2 and c**2 are about 2**32 here
         pmf = exact_pmf(build_graph(2, [(0, 1)]), 1, c)
         assert pmf.support == {0: Fraction(c - 1, c), 2: Fraction(1, c)}
 
@@ -79,6 +79,18 @@ class TestExactPmf:
         # the partitions of 12 vertices into at most 10 blocks: B(12) less
         # S(12, 11) = 66 and S(12, 12) = 1
         assert err.value.cost == 4_213_530
+
+    def test_budget_charges_each_distinct_component(self):
+        # three copies of a 2-star: the 4 partitions of one copy with at most
+        # 2 blocks, plus 10 convolution cells, not the 256 partitions of the
+        # whole graph
+        g = generate(parse_generator("copies:3:star:2"))
+        pmf = exact_pmf(g, 2, 2, budget=100)
+        assert pmf.support == {0: Fraction(27, 64), 1: Fraction(27, 64),
+                               2: Fraction(9, 64), 3: Fraction(1, 64)}
+        with pytest.raises(BudgetExceededError) as err:
+            exact_pmf(g, 2, 2, budget=10)
+        assert err.value.cost == 14
 
     def test_complete_10_at_185_colors(self):
         # B(10) = 115,975 partitions stand in for 185^9 colorings
@@ -166,9 +178,10 @@ def _sweep_graph(rng):
     return build_graph(g.vertex_count, np.stack([perm[g.edge_u], perm[g.edge_v]], axis=1))
 
 
-# at the default chunk every graph here is scored whole; at 16 strings a
-# chunk, a graph of more than 16 partitions is split into its components
-CHUNKS = pytest.mark.parametrize("chunk", [1 << 16, 16], ids=["whole", "split"])
+# every graph is split into its components at either size; at the default
+# a component's partitions fit one chunk, at 16 strings a chunk a component
+# of more than 16 partitions takes several
+CHUNKS = pytest.mark.parametrize("chunk", [1 << 16, 16], ids=["one-chunk", "multi-chunk"])
 
 
 class TestAgainstColorings:

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monostar.limits import figure2_params, limit_pmf
 from monostar.pmf import Pmf, pmf_mean, pmf_moments, tv_distance
 
 
@@ -55,6 +57,14 @@ class TestPmfType:
         p = exact({0: Fraction(3, 4), 3: Fraction(1, 4)})
         assert pmf_mean(p) == Fraction(3, 4)
         assert pmf_moments(p, 2) == [Fraction(3, 4), Fraction(9, 4)]
+
+    def test_moments_of_float_pmf_are_exact(self):
+        # a float probability counts as the binary fraction it stores
+        assert pmf_moments(Pmf({0: 0.25, 1: 0.75}), 2) == [Fraction(3, 4), Fraction(3, 4)]
+        p = limit_pmf(figure2_params(1.0))
+        for j, moment in enumerate(pmf_moments(p, 4), start=1):
+            want = math.fsum(prob * v**j for v, prob in p.support.items())
+            assert float(moment) == pytest.approx(want, rel=1e-12)
 
 
 class TestTvDistance:
