@@ -6,36 +6,40 @@ so a sample only needs to know which edges match, and T is a sum of
 independent terms over the connected components. ``monte_carlo`` builds one
 ``_Plan`` per call, which draws each kind of term its cheapest exact way:
 identical copies of a small component as one multinomial per group from
-their exact law (``oracle.exact_pmf``), pendant-tree edges as Bernoulli(1/c)
-matches via geometric skips, and explicit colors only for the 2-core of the
-rest. One vertex-major kernel (``stars.eval_T_block``), also behind
-``eval_T`` and the exact oracle, turns core colors and tree hits into T per
-row: a scan of the core edges in cache-sized slices finds the matched ones,
-and one bincount gives m_v for every colored vertex.
+their exact law (``oracle.exact_pmf``), each tree outside the 2-core as one
+draw from its exact law of (a, S) (``_TreeLaws``), and explicit colors only
+for the 2-core. A tree's edges match with probability 1/c each, whatever the
+core's colors, so its whole effect on T is a, whether its edge to the core
+matches, and S, the sum of C(h_v, r) over its own vertices; trees of one
+shape share one law. One vertex-major kernel (``stars.eval_T_block``), also
+behind ``eval_T`` and the exact oracle, turns core colors into T per row: a
+scan of the core edges in cache-sized slices finds the matched ones, and one
+bincount over their ends and the trees' a hits gives m_v for every colored
+vertex. The trees' S are then added per row.
 
 The samples are split into blocks of the plan's row count, and one Philox
-stream is keyed per (seed, block); each block draws its core colors, then its
-tree hits, then one multinomial per group. The block size depends on the
-graph and c alone, so the sample-i draws depend only on (seed, i) and the
-merged histogram is identical for any worker count. A graph with no group
-that is its own 2-core draws exactly the colors an explicit n-vertex sampler
-would.
+stream is keyed per (seed, block); each block draws its core colors, then
+per tree law the positions of its non-trivial outcomes over rows x trees and
+those outcomes by inverse CDF, then one multinomial per group. The block
+size depends on the graph and c alone, so the sample-i draws depend only on
+(seed, i) and the merged histogram is identical for any worker count. A
+graph with no group that is its own 2-core draws exactly the colors an
+explicit n-vertex sampler would.
 """
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log1p
+from math import ceil, log1p
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import Graph, build_graph, component_groups, two_core
+from .graphs import Graph, build_graph, component_groups, pendant_trees
 from .oracle import exact_pmf
 from .pmf import Pmf
-from .stars import eval_T_block, star_table
+from .stars import count_stars, eval_T_block, star_table
 
 __all__ = [
     "Coloring",
@@ -50,7 +54,7 @@ DEFAULT_MC_BUDGET = 10**11
 
 _BLOCK_CELL_TARGET = 2_000_000
 _MAX_BLOCK_ROWS = 4096
-_TREE_HIT_CELLS = 64
+_OUTCOME_CELLS = 12
 _GROUP_COLORINGS = 1 << 16
 
 
@@ -163,6 +167,156 @@ def _max_group_vertices(c: int, n: int) -> int:
     return k
 
 
+_CUT = 2.0**-60
+_OUTER_CELLS = 1 << 20
+
+
+def _merge(values: np.ndarray, probs: np.ndarray, deficit: float) -> tuple:
+    """The law ``(values, probs, deficit)`` of outcomes drawn with ``probs``:
+    equal values summed, then every outcome lighter than ``_CUT`` over their
+    number cut, so that at most ``_CUT`` is cut, and that mass added to the
+    deficit."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    values, probs = values[first], np.add.reduceat(probs[order], first)
+    light = probs <= _CUT / probs.size
+    return values[~light], probs[~light], deficit + float(probs[light].sum())
+
+
+def _sums(pairs: list, deficit: float) -> tuple:
+    """The law of x + y, for x and y drawn independently from one of the
+    ``pairs`` of laws (each law's mass being that pair's share). The outer
+    sums are merged every ``_OUTER_CELLS`` or so, so memory stays bounded."""
+    values, probs, size = [], [], 0
+    for a, b in pairs:
+        step = max(1, _OUTER_CELLS // max(b[0].size, 1))
+        for i in range(0, a[0].size, step):
+            values.append(np.add.outer(a[0][i:i + step], b[0]).ravel())
+            probs.append(np.multiply.outer(a[1][i:i + step], b[1]).ravel())
+            size += values[-1].size
+            if size > _OUTER_CELLS:
+                merged = _merge(np.concatenate(values), np.concatenate(probs), deficit)
+                values, probs, deficit = [merged[0]], [merged[1]], merged[2]
+                size = merged[0].size
+    return _merge(np.concatenate(values), np.concatenate(probs), deficit)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """Law of the sum of independent draws from laws a and b."""
+    return _sums([(a, b)], a[2] + b[2])
+
+
+def _power(base, count: int, times):
+    """``base`` times itself ``count`` >= 1 times under ``times``, by squaring."""
+    out = None
+    while count:
+        if count & 1:
+            out = base if out is None else times(out, base)
+        count >>= 1
+        if count:
+            base = times(base, base)
+    return out
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """Product of two transfer matrices ``(offset, matrix, deficit)``, whose
+    ``matrix[i, j, s]`` is the chance of top edge j and S = offset + s given
+    bottom edge i; the S columns at either end are cut while their total
+    mass stays at most ``_CUT``."""
+    (oa, ma, da), (ob, mb, db) = a, b
+    out = np.zeros((2, 2, ma.shape[2] + mb.shape[2] - 1))
+    for i in (0, 1):
+        for j in (0, 1):
+            for k in (0, 1):
+                out[i, j] += np.convolve(ma[i, k], mb[k, j])
+    mass = out.sum(axis=(0, 1))
+    low = int(np.searchsorted(np.cumsum(mass), _CUT / 2, side="right"))
+    high = mass.size - int(np.searchsorted(np.cumsum(mass[::-1]), _CUT / 2, side="right"))
+    cut = float(mass[:low].sum() + mass[high:].sum())
+    return oa + ob + low, out[:, :, low:high], da + db + cut
+
+
+class _TreeLaws:
+    """Exact laws of the trees of ``graphs.pendant_trees``, one per shape.
+
+    Every tree edge matches with probability 1/c, independently of every
+    other edge and of the core's colors, so a tree adds to T only through
+    the pair (a, S): a whether the edge to its anchor matches, which adds
+    one to the anchor's match count, and S the sum of C(h_v, r) over its own
+    vertices. A law is ``(values, probs, deficit)`` with value ``S * keys +
+    key``: the key is a match count M or an edge's match e, and ``keys`` is
+    a power of two above the maximum degree, so summing two values sums the
+    keys and the S parts apart. A node's children are independent, so the
+    law of (M, S) below it is the sum of its children's laws of (e, S), and
+    identical children are one law raised to their count by squaring.
+    ``close`` then adds C(M + e, r) for the node itself. A run of L
+    degree-2 vertices is ``close`` applied L times: a power of the 2x2
+    transfer matrix of one such vertex, taken by squaring with each entry a
+    dense array over S (Flajolet & Sedgewick, *Analytic Combinatorics*,
+    2009). Each step cuts at most ``_CUT`` of its lightest mass and adds the
+    deficits it uses, so a law's deficit bounds the mass it lost.
+    """
+
+    def __init__(self, table: np.ndarray, c: int, n_star: int):
+        self.table = table
+        self.keys = 1 << (table.size - 1).bit_length()
+        # every value is at most n_star * keys + 1
+        self.dtype = np.int64 if (n_star + 1) * self.keys <= 1 << 63 else object
+        self.steps = table.astype(self.dtype) * self.keys
+        self.hit = 1.0 / c
+
+    def point(self) -> tuple:
+        return np.zeros(1, dtype=self.dtype), np.ones(1), 0.0
+
+    def close(self, law: tuple, keyed: bool = True) -> tuple:
+        """Law of (e, S + C(M + e, r)) with e a fresh parent-edge match, from
+        the law of (M, S); without ``keyed``, of S + C(M, r) alone."""
+        m = (law[0] % self.keys).astype(np.intp)
+        s = law[0] - m
+        if not keyed:
+            return _merge(s + self.steps[m], law[1], law[2])
+        return _merge(np.concatenate([s + self.steps[m], s + self.steps[m + 1] + 1]),
+                      np.concatenate([law[1] * (1 - self.hit), law[1] * self.hit]), law[2])
+
+    def chain(self, law: tuple, length: int) -> tuple:
+        """``close`` applied ``length`` times to a law of (e, S)."""
+        if not length:
+            return law
+        step = np.zeros((2, 2, 3))
+        for i in (0, 1):
+            for j in (0, 1):
+                step[i, j, int(self.table[i + j])] = self.hit if j else 1 - self.hit
+        offset, matrix, deficit = _power((0, step, 0.0), length, _times)
+        key = law[0] % self.keys
+        rows = []
+        for i in (0, 1):
+            j, s = np.nonzero(matrix[i])
+            rows.append(((law[0][key == i] - i, law[1][key == i]),
+                         ((offset + s).astype(self.dtype) * self.keys + j, matrix[i, j, s])))
+        return _sums(rows, law[2] + deficit)
+
+    def of(self, shapes: list, trees: list) -> list:
+        """``(anchors, law)`` per tree kind: pendant trees by their top
+        node's shape and run length, whole components by their root's shape
+        (their a is always 0)."""
+        below, above = [], {}  # per shape: law of (M, S), and of (e, S) if it has a parent
+
+        def up(shape: int, length: int) -> tuple:
+            if shape not in above:
+                above[shape] = self.close(below[shape])
+            return self.chain(above[shape], length)
+
+        for children in shapes:
+            law = self.point()
+            for child, length, count in children:
+                law = _add(law, _power(up(child, length), count, _add))
+            below.append(law)
+        return [(anchors, up(shape, length) if length >= 0
+                 else self.close(below[shape], keyed=False))
+                for shape, length, anchors in trees]
+
+
 @dataclass(frozen=True)
 class _Plan:
     """What one ``monte_carlo`` call draws from, built once by ``_Plan.of``.
@@ -176,19 +330,29 @@ class _Plan:
     Multinomial(copies, probs) draw. A group whose T is always 0 gets no law.
 
     The rest is split at its 2-core. Core edges close cycles, so their
-    matches are dependent and core vertices get explicit colors. A tree edge
-    matches with probability 1/c independently of every other edge and of the
-    core's colors (color each tree from its root outwards). Core vertices are
-    numbered 0 .. core_count - 1 in their original order, tree vertices after
-    them, so an end below ``core_count`` is a core vertex.
+    matches are dependent and core vertices get explicit colors, numbered
+    0 .. core_count - 1 in their original order. The trees outside the core
+    (``graphs.pendant_trees``) add to T only through their (a, S) pairs (see
+    ``_TreeLaws``), one exact law per tree shape. A tree law is ``(ends, p,
+    cdf, a, s, deficit)``: ``ends`` holds the core end of each tree of that
+    kind (-1 for a whole component), p = 1 - P(a = 0, S = 0) is the chance
+    that a tree draws a non-trivial outcome, and ``cdf``, ``a`` and ``s``
+    list those outcomes with their cumulative probabilities given that one
+    is drawn. ``deficit`` bounds the mass the law's support cut off. A tree
+    law that is always trivial is dropped. Per block, ``_bernoulli_positions``
+    draws where the non-trivial outcomes fall over rows x trees, a uniform
+    each picks its outcome, an outcome with a = 1 passes the key of its core
+    end and row to the kernel's bincount, and S is added to its row with
+    ``np.add.at``, exact in the table's dtype. A single pendant edge is the
+    tree whose one non-trivial outcome has a = 1, at p = 1/c.
 
     ``block`` rows make about ``_BLOCK_CELL_TARGET`` cells: a core color and
-    both ends of a core edge are one cell each, an expected tree hit
-    ``_TREE_HIT_CELLS``. A core color holds a color byte and 8 bytes of m_v,
-    which ``table[m_v]`` overwrites in place. The core edges are scanned in
-    slices of ``stars._SCAN_CELLS`` cells, so their memory does not grow with
-    the rows. A tree hit holds about 100 bytes of int64 row, end, key and sort
-    arrays on the sparse route.
+    both ends of a core edge are one cell each, an expected non-trivial tree
+    outcome ``_OUTCOME_CELLS``. A core color holds a color byte and 8 bytes
+    of m_v, which ``table[m_v]`` overwrites in place. The core edges are
+    scanned in slices of ``stars._SCAN_CELLS`` cells, so their memory does
+    not grow with the rows. An outcome holds about 100 bytes of int64
+    position, row, tree, uniform, index and key arrays.
     """
 
     c: int
@@ -197,12 +361,12 @@ class _Plan:
     core_count: int
     core_u: np.ndarray  # endpoints of the core edges
     core_v: np.ndarray
-    tree_ends: np.ndarray  # (2, tree edges): endpoints of the tree edges
+    trees: list  # (ends, p, cdf, a, s, deficit) per tree law
     block: int
 
     @classmethod
     def of(cls, g: Graph, r: int, c: int) -> "_Plan":
-        table = star_table(g, r)
+        table, n_star = star_table(g, r), count_stars(g, r)
         groups = component_groups(g, _max_group_vertices(c, g.vertex_count))
         laws = []
         if groups:
@@ -217,33 +381,46 @@ class _Plan:
             inside = keep[g.edge_u]
             g = build_graph(int(keep.sum()),
                             np.stack([local[g.edge_u[inside]], local[g.edge_v[inside]]], axis=1))
-        core = two_core(g)
+        core, shapes, kinds = pendant_trees(g)
         core_count = int(core.sum())
-        local = np.where(core, np.cumsum(core), core_count + np.cumsum(~core)) - 1
-        u, v = local[g.edge_u], local[g.edge_v]
+        local = np.cumsum(core) - 1
         in_core = core[g.edge_u] & core[g.edge_v]
-        core_u, tree_ends = u[in_core], np.stack([u[~in_core], v[~in_core]])
-        cells = core_count + 2 * core_u.size - (-_TREE_HIT_CELLS * tree_ends.shape[1] // c)
-        return cls(c=c, table=table, laws=laws, core_count=core_count, core_u=core_u,
-                   core_v=v[in_core], tree_ends=tree_ends,
+        tree_laws = _TreeLaws(table, c, n_star)
+        trees, cells = [], core_count + 2 * int(in_core.sum())
+        for anchors, (values, probs, deficit) in tree_laws.of(shapes, kinds):
+            values, cdf = values[values != 0], np.cumsum(probs[values != 0])
+            if cdf.size:
+                p = min(float(cdf[-1]), 1.0)
+                trees.append((np.where(anchors >= 0, local[anchors], -1), p, cdf / cdf[-1],
+                              (values % tree_laws.keys).astype(bool),
+                              (values // tree_laws.keys).astype(table.dtype), deficit))
+                cells += ceil(_OUTCOME_CELLS * anchors.size * p)
+        return cls(c=c, table=table, laws=laws, core_count=core_count,
+                   core_u=local[g.edge_u[in_core]], core_v=local[g.edge_v[in_core]],
+                   trees=trees,
                    block=max(1, min(_MAX_BLOCK_ROWS, _BLOCK_CELL_TARGET // max(cells, 1))))
 
 
 def _run_blocks(plan: _Plan, seed: int, blocks, samples: int) -> Counter:
     counter: Counter = Counter()
     c, dtype = plan.c, _color_dtype(plan.c)
-    tree_count = plan.tree_ends.shape[1]
     for b in blocks:
         rows = min(plan.block, samples - b * plan.block)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         drawn = rng.integers(0, c, size=(rows, plan.core_count), dtype=dtype)
         colors = np.ascontiguousarray(drawn.T, dtype=np.min_scalar_type(c - 1))
-        hit_rows = hit_ends = None
-        if tree_count:
-            hit_rows, t = np.divmod(_bernoulli_positions(rng, rows * tree_count, 1.0 / c),
-                                    tree_count)
-            hit_ends = np.take(plan.tree_ends, t, axis=1)
-        t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v, hit_rows, hit_ends)
+        hits, tree_rows, tree_s = [np.empty(0, dtype=np.int64)], [], []
+        for ends, p, cdf, a, s, _ in plan.trees:
+            row, t = np.divmod(_bernoulli_positions(rng, rows * ends.size, p), ends.size)
+            k = np.searchsorted(cdf, rng.random(row.size), side="right")
+            hit = a[k]
+            hits.append(ends[t[hit]] * rows + row[hit])
+            tree_rows.append(row)
+            tree_s.append(s[k])
+        t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v,
+                              np.concatenate(hits))
+        if tree_rows:
+            np.add.at(t_vals, np.concatenate(tree_rows), np.concatenate(tree_s))
         for copies, support, probs in plan.laws:
             t_vals = t_vals + rng.multinomial(copies, probs, size=rows) @ support
         values, reps = np.unique(t_vals, return_counts=True)
@@ -282,6 +459,9 @@ def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
         # 58 ms in a one-thread pool (medians of 8 processes, 2 vCPUs)
         counter = _run_blocks(plan, seed, range(nblocks), samples)
     else:
+        # not at the top: importing monostar should not load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         spans = [span for span in np.array_split(np.arange(nblocks), workers) if span.size]
         counter = Counter()
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:

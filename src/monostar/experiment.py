@@ -6,7 +6,6 @@ sorted order and the canonical JSON form excludes wall-clock runtime.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -115,6 +114,8 @@ class Report:
     def canonical_json(self) -> str:
         """Deterministic byte form: identical across reruns and worker counts
         (wall-clock runtime excluded)."""
+        import json  # not at the top: importing monostar should not load it
+
         return json.dumps(self.to_json_dict(include_runtime=False),
                           sort_keys=True, separators=(",", ":"))
 
@@ -207,8 +208,6 @@ def _icbrt(n: int) -> int:
 
 
 def _er_regime(n: int, p: float, r: int) -> str:
-    if p >= 0.05:
-        return "(c) dense: fixed p, linear combination of Poissons"
     if n ** ((r + 1) / r) * p <= 10.0:
         return "(a) sub-critical: T -> 0 in probability"
     return "(b) sparse: Poisson limit"

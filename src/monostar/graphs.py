@@ -23,7 +23,7 @@ __all__ = [
     "parse_generator",
     "generator_scale",
     "degree_sequence",
-    "two_core",
+    "pendant_trees",
     "components",
     "component_groups",
     "parse_edge_list",
@@ -116,7 +116,13 @@ def degree_sequence(g: Graph) -> list[int]:
 
 def two_core(g: Graph) -> np.ndarray:
     """Boolean mask of the 2-core: what is left after repeatedly deleting
-    vertices of degree <= 1.
+    vertices of degree <= 1. See ``_peel``."""
+    return _peel(g)[0]
+
+
+def _peel(g: Graph) -> tuple[np.ndarray, np.ndarray | None]:
+    """The 2-core mask, and the first round's run label of every vertex
+    (None when nothing is deleted).
 
     Whole-array rounds of rake and compress (Miller & Reif). Each round
     takes the degrees over the edges still alive and deletes every vertex of
@@ -133,14 +139,16 @@ def two_core(g: Graph) -> np.ndarray:
     n = g.vertex_count
     core = np.ones(n, dtype=bool)
     u, v = g.edge_u, g.edge_v
+    first = None
     while True:
         degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         low = core & (degree <= 1)
         if not low.any():
-            return core
+            return core, first
         chain = degree == 2
         in_run = chain[u] & chain[v]
         run = _labels(n, u[in_run], v[in_run])
+        first = run if first is None else first
         hanging = np.zeros(n, dtype=bool)
         hanging[run[v[low[u] & chain[v]]]] = True
         hanging[run[u[low[v] & chain[u]]]] = True
@@ -149,6 +157,118 @@ def two_core(g: Graph) -> np.ndarray:
         core &= ~low & ~hanging[run]
         alive = core[u] & core[v]
         u, v = u[alive], v[alive]
+
+
+def pendant_trees(g: Graph) -> tuple[np.ndarray, list[tuple], list[tuple]]:
+    """The 2-core mask of g and the trees outside it, contracted and grouped
+    by shape: ``(core, shapes, trees)``.
+
+    Each tree either hangs off one core vertex, its anchor, by one edge, or
+    is a whole component. Every run of tree vertices of degree 2 is
+    contracted into one edge that keeps the run's length; the runs are the
+    peel's first-round runs, so they are not labelled again. What is left
+    are the tree vertices of degree 1 or at least 3 (nodes) and the anchors.
+    Rounds of raking then take every node with at most one edge left: that
+    edge goes to its parent, a node with none is the root of a whole
+    component, and of two nodes joined only to each other the larger goes
+    first. A node's shape is the multiset of its children's (shape, run
+    length) pairs, the AHU canonical form of its subtree (Aho, Hopcroft &
+    Ullman, 1974). A node is raked one round after its last child, so equal
+    shapes are raked in one round, and each round numbers its new shapes
+    after all earlier ones, by ``_unique_rows`` over the sorted child rows.
+    A round costs what it rakes, not the whole forest: each node keeps its
+    degree and the XOR of its edges' numbers, which is its one edge once
+    the others are gone.
+
+    ``shapes[s]`` lists the ``(child shape, run length, count)`` of shape s,
+    so children come first. ``trees`` holds one ``(shape, length, anchors)``
+    per kind of tree: a pendant tree's top node has that shape and hangs off
+    its anchor by a run of ``length`` vertices; a whole component has its
+    root's shape, length -1 and anchor -1. Isolated vertices are in no tree.
+    """
+    n = g.vertex_count
+    core, runs = _peel(g)
+    if runs is None:
+        return core, [], []
+    tree = ~(core[g.edge_u] & core[g.edge_v])
+    u, v = g.edge_u[tree], g.edge_v[tree]
+    chain = ~core & (g.degrees == 2)
+    # every edge with a node end, that end first; each run has two of them
+    across = ~(chain[u] & chain[v])
+    flip = chain[u[across]]
+    x = np.where(flip, v[across], u[across])
+    y = np.where(flip, u[across], v[across])
+    into_run = chain[y]
+    run_of = runs[y[into_run]]
+    order = np.argsort(run_of, kind="stable")
+    run_ends = x[into_run][order].reshape(-1, 2)
+    # a vertex outside every run is a run of its own, labelled by itself
+    run_length = np.bincount(runs, minlength=n)[run_of[order][::2]]
+    ids, ends = np.unique(np.concatenate([x[~into_run], run_ends[:, 0], y[~into_run],
+                                          run_ends[:, 1]]), return_inverse=True)
+    ends = ends.reshape(2, -1)
+    length = np.concatenate([np.zeros(int((~into_run).sum()), dtype=np.int64), run_length])
+    anchor = core[ids]
+    count = ids.size
+    edge = np.arange(length.size)
+    degree = np.bincount(ends[0], minlength=count) + np.bincount(ends[1], minlength=count)
+    last = np.zeros(count, dtype=np.int64)
+    np.bitwise_xor.at(last, ends[0], edge)
+    np.bitwise_xor.at(last, ends[1], edge)
+    shape = np.full(count, -1, dtype=np.int64)
+    marked = np.zeros(count, dtype=bool)
+    shapes: list[tuple] = []
+    child_parent = child_code = np.empty(0, dtype=np.int64)
+    rows = []  # (shape, length, anchor) of every tree
+    low = np.flatnonzero(~anchor & (degree <= 1))
+    while low.size:
+        # of two low nodes joined only to each other, the smaller waits a round
+        single = degree[low] == 1
+        other = np.where(single, ends[0, last[low]] ^ ends[1, last[low]] ^ low, low)
+        marked[low] = True
+        raked = low[~(single & marked[other] & (low < other))]
+        marked[low] = False
+        # the raked nodes' shapes, from their children's sorted codes
+        marked[raked] = True
+        mine = marked[child_parent]
+        marked[raked] = False
+        parent, code = child_parent[mine], child_code[mine]
+        child_parent, child_code = child_parent[~mine], child_code[~mine]
+        by = np.lexsort((code, parent))
+        parent, code = parent[by], code[by]
+        heads, counts = np.unique(parent, return_counts=True)
+        children = np.zeros(raked.size, dtype=np.int64)
+        children[np.searchsorted(raked, heads)] = counts
+        per_code = np.repeat(counts, counts)
+        for k in np.unique(children).tolist():
+            nodes = raked[children == k]
+            keys, inverse, _ = _unique_rows(code[per_code == k].reshape(nodes.size, k))
+            shape[nodes] = len(shapes) + inverse
+            for key in keys:
+                pairs, repeats = np.unique(key, return_counts=True)
+                shapes.append(tuple(zip((pairs // (n + 1)).tolist(), (pairs % (n + 1)).tolist(),
+                                        repeats.tolist())))
+        # each raked node's last edge goes to its parent: a node, or an anchor
+        node = raked[degree[raked] == 1]
+        e = last[node]
+        by = np.argsort(e)
+        node, e = node[by], e[by]
+        above = ends[0, e] ^ ends[1, e] ^ node
+        hung = anchor[above]
+        rows.append(np.stack([shape[node[hung]], length[e[hung]], ids[above[hung]]]))
+        child_parent = np.concatenate([child_parent, above[~hung]])
+        child_code = np.concatenate([child_code, shape[node[~hung]] * (n + 1) + length[e[~hung]]])
+        roots = raked[degree[raked] == 0]
+        rows.append(np.stack([shape[roots], np.full(roots.size, -1), np.full(roots.size, -1)]))
+        np.subtract.at(degree, above, 1)
+        np.bitwise_xor.at(last, above, e)
+        low = np.unique(above[~anchor[above] & (degree[above] <= 1)])
+    if not rows:
+        return core, shapes, []
+    rows = np.concatenate(rows, axis=1)
+    kinds, kind_of, counts = _unique_rows(rows[:2].T)
+    groups = np.split(rows[2][np.argsort(kind_of, kind="stable")], np.cumsum(counts)[:-1])
+    return core, shapes, [(s, k, group) for (s, k), group in zip(kinds.tolist(), groups)]
 
 
 def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -179,10 +299,14 @@ def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = up
 
 
-def components(g: Graph) -> np.ndarray:
+def components(g: Graph, within: np.ndarray | None = None) -> np.ndarray:
     """Connected-component label of every vertex: the smallest vertex of its
-    component (int32, as the edge arrays). See ``_labels``."""
-    return _labels(g.vertex_count, g.edge_u, g.edge_v)
+    component (int32, as the edge arrays). See ``_labels``. With a vertex
+    mask ``within``, only the edges with both ends in it count."""
+    if within is None:
+        return _labels(g.vertex_count, g.edge_u, g.edge_v)
+    inside = within[g.edge_u] & within[g.edge_v]
+    return _labels(g.vertex_count, g.edge_u[inside], g.edge_v[inside])
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,10 +341,20 @@ def component_groups(g: Graph, max_vertices: int,
     component. So disjoint copies of one graph form one group, and isomorphic
     components numbered differently stay apart. Groups come ordered by vertex
     count, edge count and relabelled edge list; rows by smallest vertex.
+
+    Only the vertices of degree below ``max_vertices`` are labelled, as no
+    vertex of a small enough component has more neighbors; a component of
+    theirs with an edge to any other vertex is not a whole component.
     """
     n = g.vertex_count
-    labels = components(g)
+    small = g.degrees < max_vertices
+    labels = components(g, small)
+    inside = small[g.edge_u] & small[g.edge_v]
+    inner = np.bincount(g.edge_u[inside], minlength=n) + np.bincount(g.edge_v[inside], minlength=n)
     sizes = np.bincount(labels, minlength=n)  # non-zero only at the roots
+    # a vertex outside ``small`` is a component of its own here
+    sizes[~small] = 0
+    sizes[labels[small & (inner < g.degrees)]] = 0
     roots = np.flatnonzero((sizes >= 1) & (sizes <= max_vertices))
     if roots.size < min_copies:
         return []

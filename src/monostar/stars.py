@@ -53,48 +53,38 @@ def star_table(g: Graph, r: int) -> np.ndarray:
 
 
 def eval_T_block(table: np.ndarray, colors: np.ndarray, edge_u: np.ndarray,
-                 edge_v: np.ndarray, hit_rows: np.ndarray | None = None,
-                 hit_ends: np.ndarray | None = None) -> np.ndarray:
+                 edge_v: np.ndarray, hits: np.ndarray | None = None) -> np.ndarray:
     """T of each of ``rows`` colorings, from vertex-major colors.
 
     ``colors[j, i]`` is vertex j's color in row i, for k colored vertices, and
-    the edges ``(edge_u[i], edge_v[i])`` join colored vertices. Each pair of
-    ``hit_ends`` and ``hit_rows`` (broadcast together) adds one match at that
-    vertex in that row, for an edge known to match without colors; ends k and
-    up are vertices without colors.
+    the edges ``(edge_u[i], edge_v[i])`` join colored vertices. Each key
+    ``vertex * rows + row`` in ``hits`` adds one match at that colored vertex
+    in that row, for an edge known to match without colors (a pendant tree's
+    edge to the core).
 
     The edges are scanned in slices of at most ``_SCAN_CELLS`` (edge, row)
     cells, so the gathered colors and their equality array stay cache-sized
     (128 KiB each for uint8 colors) and are reused from the heap, not mapped
     afresh per block (Lam, Rothberg & Wolf, ASPLOS 1991).
     Each slice adds the keys ``vertex * rows + row`` of both ends of its
-    matched edges, and one bincount over all keys gives m_v for every colored
-    vertex; hits at uncolored vertices are counted sparsely. A row's T sums
-    ``table[m_v]`` (see ``star_table``), in the table's dtype; an int64 table
-    is read into m in place.
+    matched edges, and one bincount over all keys and hits gives m_v for
+    every colored vertex. A row's T sums ``table[m_v]`` (see ``star_table``),
+    in the table's dtype; an int64 table is read into m in place.
     """
     k, rows = colors.shape
     step = max(1, _SCAN_CELLS // rows)
-    matched = [np.empty(0, dtype=np.int64)]
+    matched = [np.empty(0, dtype=np.int64) if hits is None else hits]
     for start in range(0, edge_u.size, step):
         u, v = edge_u[start:start + step], edge_v[start:start + step]
         e, row = np.divmod(np.flatnonzero(colors[u] == colors[v]), rows)
         matched += [u[e] * rows + row, v[e] * rows + row]
     m = np.bincount(np.concatenate(matched), minlength=k * rows)
-    if hit_ends is not None:
-        # sorted, so the keys of colored vertices (below k * rows) come first
-        keys, matches = np.unique(hit_ends * rows + hit_rows, return_counts=True)
-        colored = np.searchsorted(keys, k * rows)
-        m[keys[:colored]] += matches[:colored]
     if table.dtype == m.dtype:
         # m <= max degree, so nothing is clipped; "raise" would buffer ``out``
         np.take(table, m, out=m, mode="clip")
     else:
         m = table[m]
-    out = m.reshape(k, rows).sum(axis=0)
-    if hit_ends is not None:
-        np.add.at(out, keys[colored:] % rows, table[matches[colored:]])
-    return out
+    return m.reshape(k, rows).sum(axis=0)
 
 
 @dataclass(frozen=True)

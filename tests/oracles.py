@@ -152,6 +152,25 @@ def brute_exact_pmf(g: Graph, r: int, c: int) -> dict[int, Fraction]:
     return {t: Fraction(k, total) for t, k in sorted(counts.items())}
 
 
+def brute_pendant_pmf(tree: Graph, r: int, c: int) -> dict[tuple[int, int], Fraction]:
+    """Joint law of (a, S) for ``tree`` hung by its vertex 0 off one more
+    vertex, the anchor: a is 1 when the edge to the anchor matches, and S sums
+    C(h_v, r) over the tree's vertices, h_0 counting that edge. The anchor's
+    color is pinned to 0, as the law is invariant under color permutations,
+    and all c^n colorings of the tree are enumerated."""
+    adj = brute_adjacency(tree)
+    counts: dict[tuple[int, int], int] = {}
+    for coloring in product(range(c), repeat=tree.vertex_count):
+        a = int(coloring[0] == 0)
+        s = 0
+        for v, nb in enumerate(adj):
+            h = sum(coloring[u] == coloring[v] for u in nb) + (a if v == 0 else 0)
+            s += math.comb(h, r)
+        counts[(a, s)] = counts.get((a, s), 0) + 1
+    total = c**tree.vertex_count
+    return {key: Fraction(k, total) for key, k in sorted(counts.items())}
+
+
 def random_graph(rng: np.random.Generator, max_vertices: int, p: float | None = None) -> Graph:
     """Small Erdos-Renyi-style graph for randomized batteries."""
     n = int(rng.integers(0, max_vertices + 1))

@@ -196,6 +196,16 @@ class TestLimit:
         assert out == ""
         assert "outside lambda1..lambda" in err
 
+    @pytest.mark.parametrize("token, message", [
+        ("foo", "expected key=value, got 'foo'"),
+        ("mu=1", "unknown parameter 'mu'"),
+    ])
+    def test_malformed_token_usage_exit(self, capsys, token, message):
+        code, out, err = run_cli(capsys, "limit", "params", "r=2", token)
+        assert code == USAGE_EXIT == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("action", ["params", "pmf", "sample"])
     def test_missing_r_usage_exit(self, capsys, action):
         # inferring r from the top lambda index would always put that lambda

@@ -5,10 +5,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from monostar import coloring
 from monostar.coloring import (
     Coloring,
     EmpiricalDist,
     _bernoulli_positions,
+    _max_group_vertices,
     _Plan,
     empirical_moments,
     eval_T,
@@ -20,8 +22,9 @@ from monostar.graphs import (build_graph, complete, component_groups, cycle, gen
 from monostar.oracle import exact_pmf
 from monostar.stars import _SCAN_CELLS, count_stars, eval_T_block, star_table
 
-from oracles import (brute_eval_T, brute_two_core, disjoint_union, own_core_block_rows,
-                     random_graph, reference_monte_carlo, with_pendant_trees)
+from oracles import (brute_eval_T, brute_exact_pmf, brute_pendant_pmf, brute_two_core,
+                     disjoint_union, own_core_block_rows, random_graph, reference_monte_carlo,
+                     with_pendant_trees)
 
 
 def _coloring(g, values):
@@ -298,6 +301,152 @@ class TestCoreTreeSampler:
         assert edge_cases == {"c = 1", "r > max degree"}
 
 
+def _tree_law(law):
+    """A plan's tree law as ``{(a, S): probability}``, its trivial outcome
+    (0, 0) included."""
+    _, p, cdf, a, s, _ = law
+    out = {(0, 0): 1 - p}
+    for hit, value, q in zip(a.tolist(), s.tolist(), np.diff(cdf, prepend=0.0) * p):
+        out[(int(hit), int(value))] = out.get((int(hit), int(value)), 0.0) + float(q)
+    return out
+
+
+def _hung_off_triangle(tree):
+    """Triangle 0-1-2 with ``tree`` (numbered from 3) hung by its vertex 0 off
+    vertex 0: one pendant tree, anchored at core vertex 0."""
+    edges = [(0, 1), (1, 2), (0, 2), (0, 3)]
+    edges += [(u + 3, v + 3) for u, v in zip(tree.edge_u.tolist(), tree.edge_v.tolist())]
+    return build_graph(tree.vertex_count + 3, edges)
+
+
+def _random_trees(rng, count, max_vertices):
+    return [with_pendant_trees(rng, build_graph(1, []), int(rng.integers(1, max_vertices)))
+            for _ in range(count)]
+
+
+class TestTreeLaws:
+    """Each pendant tree and each whole tree component is drawn from its exact
+    law of (a, S), one law per shape; the laws are checked against brute
+    enumeration of colorings and against closed forms."""
+
+    CASES = [(1, 2), (2, 2), (2, 3), (3, 2), (1, 3)]
+
+    def test_whole_tree_laws_vs_brute_exact_pmf(self):
+        # a tree component has no edge to a core: its law is that of S = T
+        rng = np.random.default_rng(191)
+        trees = _random_trees(rng, 12, 8) + [path(2), path(7), star(5)]
+        for tree in trees:
+            for r, c in self.CASES:
+                exact = {(0, t): float(q) for t, q in brute_exact_pmf(tree, r, c).items()}
+                plan = _Plan.of(tree, r, c)
+                assert plan.core_count == 0
+                if exact == {(0, 0): 1.0}:
+                    assert plan.trees == []
+                    continue
+                [law] = plan.trees
+                assert law[0].tolist() == [-1] and 0 <= law[5] <= 1e-15
+                got = _tree_law(law)
+                assert set(got) <= set(exact)
+                assert all(abs(got.get(key, 0.0) - q) <= 1e-12 for key, q in exact.items())
+
+    def test_pendant_tree_laws_vs_brute(self):
+        # the joint law of (a, S), and the law of S + C(a, r), which is T of
+        # the tree and its anchor alone, against brute_exact_pmf
+        rng = np.random.default_rng(193)
+        for tree in _random_trees(rng, 12, 7) + [path(1), path(6), star(4)]:
+            anchored = build_graph(tree.vertex_count + 1, [(0, tree.vertex_count)] + list(
+                zip(tree.edge_u.tolist(), tree.edge_v.tolist())))
+            for r, c in self.CASES:
+                [law] = _Plan.of(_hung_off_triangle(tree), r, c).trees
+                assert law[0].tolist() == [0] and 0 <= law[5] <= 1e-15
+                got = _tree_law(law)
+                exact = brute_pendant_pmf(tree, r, c)
+                assert set(got) <= set(exact)
+                assert all(abs(got.get(key, 0.0) - float(q)) <= 1e-12
+                           for key, q in exact.items())
+                t_law = {}
+                for (a, value), q in got.items():
+                    t_law[value + comb(a, r)] = t_law.get(value + comb(a, r), 0.0) + q
+                t_exact = brute_exact_pmf(anchored, r, c)
+                assert all(abs(t_law.get(t, 0.0) - float(q)) <= 1e-12 for t, q in t_exact.items())
+
+    def test_identical_trees_share_one_law(self):
+        # K4 with a 2-star hung off each vertex and three whole 2-stars: one
+        # pendant law with four core ends, and one forest law for the three
+        # (at c = 300 the stars are too large to group)
+        g = disjoint_union(complete(4), star(2), star(2), star(2))
+        edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+        n = g.vertex_count
+        for v in range(4):
+            edges += [(v, n), (n, n + 1), (n, n + 2)]
+            n += 3
+        g = build_graph(n, edges)
+        plan = _Plan.of(g, 2, 300)
+        assert plan.laws == [] and plan.core_count == 4
+        assert sorted(law[0].tolist() for law in plan.trees) == [[-1, -1, -1], [0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("length,c", [(90_000, 300), (3000, 3), (40, 2)])
+    def test_path_law_closed_form_mean_and_variance(self, length, c):
+        # a path of n vertices is n - 1 independent Bernoulli(p) edges, p =
+        # 1/c; S counts, at r = 2, the adjacent matched pairs, and at r = 1
+        # twice the matched edges
+        p = 1 / c
+        for r in (1, 2):
+            for hung in (False, True):
+                g = _hung_off_triangle(path(length)) if hung else path(length)
+                [law] = _Plan.of(g, r, c).trees
+                got = _tree_law(law)
+                mass = sum(got.values())
+                a_mean = sum(q * a for (a, _), q in got.items())
+                mean = sum(q * value for (_, value), q in got.items())
+                var = sum(q * value**2 for (_, value), q in got.items()) - mean**2
+                cov = sum(q * a * value for (a, value), q in got.items()) - a_mean * mean
+                edges = length if hung else length - 1
+                if r == 1:
+                    # S = 2 * (tree edges matched) + a
+                    want = (2 * edges * p - hung * p,
+                            4 * edges * p * (1 - p) - 3 * hung * p * (1 - p), hung * p * (1 - p))
+                else:
+                    pairs = edges - 1
+                    want = (pairs * p**2, pairs * (p**2 - p**4) + 2 * (pairs - 1) * (p**3 - p**4),
+                            hung * (p**2 - p**3))
+                assert abs(mass - 1) <= 1e-9 and 0 <= law[5] <= 1e-12
+                assert abs(a_mean - hung * p) <= 1e-12
+                assert mean == pytest.approx(want[0], rel=1e-9)
+                assert var == pytest.approx(want[1], rel=1e-8)
+                assert cov == pytest.approx(want[2], rel=1e-7, abs=1e-15)
+
+    def test_merging_in_chunks_keeps_each_law(self, monkeypatch):
+        # the outer sums of two laws are merged every _OUTER_CELLS cells; a
+        # bound of 64 cells merges many times on the way, to the same laws
+        rng = np.random.default_rng(223)
+        g = disjoint_union(with_pendant_trees(rng, cycle(3), 40), star(9), path(30))
+        for r, c in [(1, 2), (2, 3)]:
+            whole = _Plan.of(g, r, c).trees
+            monkeypatch.setattr(coloring, "_OUTER_CELLS", 64)
+            chunked = _Plan.of(g, r, c).trees
+            monkeypatch.undo()
+            assert len(whole) == len(chunked) > 3
+            for mine, its in zip(whole, chunked):
+                assert np.array_equal(mine[0], its[0]) and np.array_equal(mine[3], its[3])
+                assert np.array_equal(mine[4], its[4]) and mine[1] == pytest.approx(its[1])
+                assert np.allclose(mine[2], its[2], rtol=0, atol=1e-14)
+
+    def test_sampler_vs_reference_on_pendant_tree_graphs(self):
+        # random trees hung off small cores and forests beside them: the
+        # sampler against the explicit reference, by the tail-pooled test
+        rng = np.random.default_rng(197)
+        cases = [(with_pendant_trees(rng, random_graph(rng, 6, p=0.8), 30), 2, 3),
+                 (with_pendant_trees(rng, cycle(4), 40), 1, 4),
+                 (disjoint_union(with_pendant_trees(rng, complete(5), 25),
+                                 *_random_trees(rng, 3, 9)), 2, 2)]
+        for g, r, c in cases:
+            assert 0 < two_core(g).sum() < g.vertex_count
+            ref = reference_monte_carlo(g, r, c, 3000, seed=199, block=500)
+            dist = monte_carlo(g, r, c, 100_000, seed=211)
+            assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 3000)) <= 5
+
+
 def _forms_group(g):
     """Whether two components of ``g`` are identical: then the sampler's plan
     may draw them as a group, and its core/tree arrays leave them out."""
@@ -316,22 +465,38 @@ def _ungrouped_graphs(rng, count, draw):
 
 
 def _plan_T(g, r, c, colors):
-    """T of each row of ``colors`` (rows, n) through the kernel as the sampler
-    feeds it from its plan: core colors vertex-major, and every tree edge whose
-    two colors agree passed as a hit at both of its ends."""
+    """T of each row of ``colors`` (rows, n) split as the sampler splits it:
+    the kernel scores the plan's core colors, vertex-major, with a hit at the
+    core end of every edge into a tree whose two colors agree, and the tree
+    vertices add their own C(h_v, r), counted here by brute force."""
     assert not _forms_group(g)
     plan = _Plan.of(g, r, c)
     core = two_core(g)
-    local = colors[:, np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])].T
-    tree_u, tree_v = plan.tree_ends
-    row, t = np.nonzero((local[tree_u] == local[tree_v]).T)
-    return eval_T_block(plan.table, np.ascontiguousarray(local[:plan.core_count]),
-                        plan.core_u, plan.core_v, row, plan.tree_ends[:, t])
+    assert plan.core_count == core.sum()
+    rows = colors.shape[0]
+    local = np.cumsum(core) - 1
+    matched = colors[:, g.edge_u] == colors[:, g.edge_v]  # (rows, edges)
+    attach = core[g.edge_u] != core[g.edge_v]
+    row, e = np.nonzero(matched[:, attach])
+    ends = np.where(core[g.edge_u], g.edge_u, g.edge_v)[attach][e]
+    t = eval_T_block(plan.table, np.ascontiguousarray(colors[:, core].T), plan.core_u,
+                     plan.core_v, local[ends] * rows + row)
+    h = np.zeros((rows, g.vertex_count), dtype=np.int64)
+    np.add.at(h, (slice(None), g.edge_u), matched)
+    np.add.at(h, (slice(None), g.edge_v), matched)
+    return t + np.array([sum(comb(int(m), r) for m in hv[~core]) for hv in h])
 
 
-def _kernel_edges(plan):
-    """Edges the plan leaves to the core/tree kernel."""
-    return plan.core_u.size + plan.tree_ends.shape[1]
+def _grouped(g, c):
+    """The groups of identical components that the sampler's plan draws from
+    their exact laws, leaving them out of its core and trees."""
+    return component_groups(g, _max_group_vertices(c, g.vertex_count))
+
+
+def _core_edges(g):
+    """Number of edges with both ends in the 2-core, by brute force."""
+    core = brute_two_core(g)
+    return sum(u in core and v in core for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
 
 
 class TestVertexMajorKernel:
@@ -346,10 +511,11 @@ class TestVertexMajorKernel:
             plan = _Plan.of(g, 2, 3)
             k = plan.core_count
             assert k == len(brute_two_core(g))
-            assert _kernel_edges(plan) == g.edge_count
+            assert plan.core_u.size == _core_edges(g)
             assert np.all(plan.core_u < k) and np.all(plan.core_v < k)
-            # a tree edge has at most one core end
-            assert np.all((plan.tree_ends < k).sum(axis=0) <= 1)
+            # a tree hangs off one core vertex, or is a whole component (-1)
+            for ends, *_ in plan.trees:
+                assert np.all((ends >= -1) & (ends < k))
 
     def test_tree_hits_at_core_vertices_and_forests_vs_brute(self):
         # pendant trees hung on core vertices put tree hits into the dense
@@ -442,13 +608,12 @@ class TestSlicedScan:
 
     @pytest.mark.parametrize("step", [1, 4, 5, 20])
     def test_slice_boundaries_with_tree_hits_vs_brute(self, step):
-        # hits at core vertices go into the dense counts, hits at tree
-        # vertices (no colors) down the sparse route
+        # hits at the core ends of the tree edges 0-7 and 3-9 go into the
+        # same bincount as the matched core edges
         g = build_graph(10, _K34 + [(0, 7), (7, 8), (3, 9)])
         plan = _Plan.of(g, 2, 2)
-        k = plan.core_count
-        assert (k, plan.core_u.size) == (7, 12)
-        assert np.any(plan.tree_ends < k) and np.all((plan.tree_ends >= k).any(axis=0))
+        assert (plan.core_count, plan.core_u.size) == (7, 12)
+        assert sorted(int(end) for ends, *_ in plan.trees for end in ends) == [0, 3]
         colors = np.random.default_rng(step).integers(
             0, 2, size=(_rows_for_step(step), g.vertex_count), dtype=np.uint8)
         assert _plan_T(g, 2, 2, colors).tolist() == _brute_rows(g, 2, colors)
@@ -504,7 +669,7 @@ class TestGroupedSampler:
     def test_grouped_graphs_two_sample_vs_reference(self, text, r, c):
         g = generate(parse_generator(text))
         plan = _Plan.of(g, r, c)
-        assert plan.laws and _kernel_edges(plan) < g.edge_count
+        assert plan.laws and _grouped(g, c)
         ref = reference_monte_carlo(g, r, c, 3000, seed=107, block=500)
         dist = monte_carlo(g, r, c, 100_000, seed=109)
         assert set(dist.counts) >= {v for v, k in ref.items() if k >= 5}
@@ -517,8 +682,11 @@ class TestGroupedSampler:
                            generate(parse_generator("copies:30:star:2")))
         plan = _Plan.of(g, 2, 3)
         figure2 = generate(parse_generator("figure2:6"))
-        assert len(plan.laws) == 2 and _kernel_edges(plan) == figure2.edge_count
-        assert plan.core_count == two_core(figure2).sum()
+        alone = _Plan.of(figure2, 2, 3)
+        assert len(plan.laws) == 2 and plan.core_count == alone.core_count
+        assert np.array_equal(plan.core_u, alone.core_u) and len(plan.trees) == len(alone.trees)
+        for mine, its in zip(plan.trees, alone.trees):
+            assert all(np.array_equal(x, y) for x, y in zip(mine, its))
         ref = reference_monte_carlo(g, 2, 3, 3000, seed=113, block=500)
         dist = monte_carlo(g, 2, 3, 100_000, seed=127)
         assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 3000)) <= 5
@@ -558,7 +726,7 @@ class TestGroupedSampler:
         # the criteria that check the kernel keep checking the kernel
         g = generate(parse_generator(text))
         plan = _Plan.of(g, r, c)
-        assert plan.laws == [] and _kernel_edges(plan) == g.edge_count
+        assert plan.laws == [] and not _grouped(g, c)
 
     def test_constant_and_zero_groups(self):
         # c = 1: every copy's T is its star count; r above the degrees: T = 0,
@@ -568,7 +736,8 @@ class TestGroupedSampler:
             assert monte_carlo(g, r, 1, 300, seed=149).counts == {count_stars(g, r): 300}
         g = disjoint_union(generate(parse_generator("copies:50:star:3")), complete(5))
         plan = _Plan.of(g, 4, 3)
-        assert plan.laws == [] and plan.core_count == 5 and _kernel_edges(plan) == 10
+        assert plan.laws == [] and plan.core_count == 5 and plan.core_u.size == 10
+        assert plan.trees == []
         assert (monte_carlo(g, 4, 3, 5000, seed=151).counts
                 == monte_carlo(complete(5), 4, 3, 5000, seed=151).counts)
 

@@ -4,11 +4,14 @@ below module top level, no exception type that nothing raises, no r-subset
 enumeration beside the clique-sum classifier, an exact oracle on the one T
 kernel with no enumeration of colorings, one graph representation, an
 experiment spec holding only what callers set, a generator spec that is a
-table row's name plus its builder's arguments, and no exported name that the
-package itself never uses."""
+table row's name plus its builder's arguments, no exported name that the
+package itself never uses, and no json or thread pool loaded by the import."""
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,16 @@ def test_every_export_is_used_in_the_package():
     unused = sorted(f"{module}:{name}" for name, module in exported.items()
                     if name not in used | UNUSED_EXPORTS_ALLOWED)
     assert unused == []
+
+
+def test_import_loads_neither_json_nor_concurrent_futures():
+    # every module imported at the top is loaded by each ``import monostar``;
+    # json serves only canonical reports and the thread pool only workers > 1
+    src = str(SOURCES[0].parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, monostar; "
+            "print(sorted({'json', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"

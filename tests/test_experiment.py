@@ -210,15 +210,15 @@ class TestBuiltins:
 
     # sha256 of canonical_json() at the quick sizes, 2,000 samples, seed 20240601
     CANONICAL_SHA256 = {
-        "star": "14e820c8eb40f5d37c32b8fc02be6a2e89bfd286130a9d0a748e245189b62fab",
-        "star-union": "5ab4e38833b8cf57603ffb828365e555f2d2056cf9541e00e30b792c1920f07c",
-        "star-union-shifted": "6a3eff6768231de5af880abb9a94e056ad4b18b8a83e26c923e6f8e925b6addd",
+        "star": "a8ab15adbd897eb11fd2803aa66db2a71f3c32b3c79bb6a4e8bddb881e4dddcd",
+        "star-union": "4cc7d98b4efa79a09f22269130f7b5a8acb9a377fd5cecee1f59a6ae582ec2b9",
+        "star-union-shifted": "9a64eba22107a48ab836a5c64e201337f3817c85c4987f6c77a4d0a93a45f346",
         "regular": "1c33c496cb8457157c271f2cf6588b0ff4c2b7bf67a7b9fb2b37db1d16283ea1",
         "bipartite": "e92ace2e2928ddf7dd1438c71df090188ab3740679028435adb9fb4b9eb0b98c",
         "complete": "3d705d43f7baa1352112532609101dc111343e73669ed0fe20bcd809b11d6122",
-        "figure2": "3290d3a235be3c74e480ddaa914ba67bf7050fbc44a73156b3e5827dea55578d",
+        "figure2": "3d425fa34862bff76df550dd3fb9b7ddc61e3c47a32175d3554409f2194ac7d0",
         "tadpole-remark": "de23765bf41c8401770bcd56b9ba6c593b43928734c6e585127aaa9d9bec0e3d",
-        "er": "8129b54092ef852d655a239b39e821fccc4650bfa513705340f0aaefd5516e68",
+        "er": "7c75b6001b2eb09acb40b8c40722e369c5824e7a4950c77865428e53d3d12d1b",
     }
 
     @pytest.mark.parametrize("name", builtin_names())

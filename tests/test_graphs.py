@@ -27,6 +27,7 @@ from monostar.graphs import (
     parse_edge_list,
     parse_generator,
     path,
+    pendant_trees,
     star,
     star_union,
     tadpole31,
@@ -576,6 +577,16 @@ class TestComponents:
                 keys.setdefault(key, []).append(root)
             assert seen == {root for roots in keys.values() if len(roots) >= 2 for root in roots}
 
+    def test_small_vertices_next_to_a_large_one_form_no_group(self):
+        # the leaves of two 5-stars have degree 1, but their components have
+        # 6 vertices; the hubs are not labelled below max_vertices 5
+        g = disjoint_union(star(5), star(5), path(2), path(2))
+        [(copy, vertices)] = component_groups(g, 5)
+        assert same_edges(copy, path(2)) and vertices.tolist() == [[12, 13], [14, 15]]
+        assert len(component_groups(g, 6)) == 2
+        within = g.degrees < 5
+        assert components(g, within).tolist() == list(range(12)) + [12, 12, 14, 14]
+
     def test_min_copies_one_covers_every_component(self):
         # the exact oracle's grouping: every component, with or without a copy
         for seed in range(3):
@@ -715,6 +726,64 @@ class TestTwoCore:
         # bridging leaf in the next
         core, rounds = _peel_rounds(monkeypatch, figure2_composite(300))
         assert rounds == 3 and core.sum() == 45
+
+
+def _shape_sizes(shapes):
+    """Vertex count of each shape's subtree, its runs included."""
+    sizes = []
+    for children in shapes:
+        sizes.append(1 + sum((sizes[child] + length) * count for child, length, count in children))
+    return sizes
+
+
+class TestPendantTrees:
+    """The trees outside the 2-core, contracted and grouped by shape."""
+
+    def test_trees_cover_every_tree_vertex(self):
+        rng = np.random.default_rng(1831)
+        graphs = [_with_extra_edges(rng, _random_tree(rng, int(rng.integers(2, 300))), k)
+                  for k in (0, 1, 3, 20) for _ in range(10)]
+        graphs += [random_graph(rng, 40, p=float(rng.uniform(0.0, 0.12))) for _ in range(60)]
+        graphs += [generate(parse_generator(t)) for t in
+                   ["figure2:1", "figure2:30", "union:0.6,0.3,0.1:50", "copies:9:tadpole31",
+                    "er:2000:0.001:seed=5", "path:2", "star:0", "cycle:5", "complete:4"]]
+        for g in graphs:
+            core, shapes, trees = pendant_trees(g)
+            assert set(np.flatnonzero(core).tolist()) == brute_two_core(g)
+            sizes = _shape_sizes(shapes)
+            labels = np.array(brute_components(g))
+            whole = {root for root in set(labels.tolist())
+                     if not core[labels == root].any() and (labels == root).sum() > 1}
+            assert sum(anchors.size * (sizes[shape] + max(length, 0))
+                       for shape, length, anchors in trees) == int((~core & (g.degrees > 0)).sum())
+            assert sum(anchors.size for _, length, anchors in trees if length < 0) == len(whole)
+            for shape, length, anchors in trees:
+                assert np.all(anchors == -1) if length < 0 else core[anchors].all()
+            assert len({(shape, length) for shape, length, _ in trees}) == len(trees)
+
+    def test_figure2(self):
+        # hub 0 with 299 leaves hangs off the clique by leaf 1, a run of one;
+        # the path's end hangs off it by a run of 89,999
+        core, shapes, trees = pendant_trees(figure2_composite(300))
+        assert core.sum() == 45 and shapes == [(), ((0, 0, 299),)]
+        assert [(s, k, a.tolist()) for s, k, a in trees] == [(0, 89_999, [302]), (1, 1, [301])]
+
+    def test_isomorphic_trees_share_a_kind(self):
+        # one random tree, numbered three ways, hung off three core vertices
+        # by its vertex 0; a fourth copy is a whole component
+        rng = np.random.default_rng(1837)
+        tree = _random_tree(rng, 12)
+        edges, n = [(0, 1), (1, 2), (2, 3), (3, 0)], 4
+        for anchor in (0, 1, 2, None):
+            label = np.concatenate([[0], 1 + rng.permutation(11)])  # vertex 0 stays first
+            edges += [(n + label[u], n + label[v]) for u, v in zip(tree.edge_u.tolist(),
+                                                                   tree.edge_v.tolist())]
+            if anchor is not None:
+                edges.append((anchor, n))
+            n += 12
+        core, shapes, trees = pendant_trees(build_graph(n, edges))
+        assert core.sum() == 4 and len(trees) == 2
+        assert sorted(a.tolist() for _, _, a in trees) == [[-1], [0, 1, 2]]
 
 
 class TestUniqueRows:
