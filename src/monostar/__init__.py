@@ -45,7 +45,7 @@ from .limits import (
     sample_limit_batch,
 )
 from .oracle import exact_pmf
-from .pmf import Pmf, pmf_mean, pmf_moments, tv_distance
+from .pmf import Pmf, pmf_moments, tv_distance
 from .stars import StarClassCounts, class_counts, count_stars
 
 __version__ = "0.1.0"

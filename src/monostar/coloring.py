@@ -4,27 +4,26 @@ reproducible Monte-Carlo engine.
 T = sum over vertices of C(m_v, r), m_v = number of v's monochromatic edges,
 so a sample only needs to know which edges match, and T is a sum of
 independent terms over the connected components. ``monte_carlo`` builds one
-``_Plan`` per call, which draws each kind of term its cheapest exact way:
-identical copies of a small component as one multinomial per group from
-their exact law (``oracle.exact_pmf``), each tree outside the 2-core as one
-draw from its exact law of (a, S) (``_TreeLaws``), and explicit colors only
-for the 2-core. A tree's edges match with probability 1/c each, whatever the
-core's colors, so its whole effect on T is a, whether its edge to the core
-matches, and S, the sum of C(h_v, r) over its own vertices; trees of one
-shape share one law. One vertex-major kernel (``stars.eval_T_block``), also
-behind ``eval_T`` and the exact oracle, turns core colors into T per row: a
-scan of the core edges in cache-sized slices finds the matched ones, and one
-bincount over their ends and the trees' a hits gives m_v for every colored
-vertex. The trees' S are then added per row.
+``_Plan`` per call: explicit colors only for the 2-core, and one draw from
+an exact law of (a, S) for every other part, each tree outside the 2-core
+(``_TreeLaws``) and each copy of a small component with identical copies
+(``oracle.exact_pmf``). A tree's edges match with probability 1/c each,
+whatever the core's colors, so its whole effect on T is a, whether its edge
+to the core matches, and S, the sum of C(h_v, r) over its own vertices; a
+copy has a = 0 and S its T. Parts of one shape share one law. One
+vertex-major kernel (``stars.eval_T_block``), also behind ``eval_T`` and
+the exact oracle, turns core colors into T per row: a scan of the core
+edges in cache-sized slices finds the matched ones, and one bincount over
+their ends and the parts' a hits gives m_v for every colored vertex. The
+parts' S are then added per row.
 
 The samples are split into blocks of the plan's row count, and one Philox
 stream is keyed per (seed, block); each block draws its core colors, then
-per tree law the positions of its non-trivial outcomes over rows x trees and
-those outcomes by inverse CDF, then one multinomial per group. The block
-size depends on the graph and c alone, so the sample-i draws depend only on
-(seed, i) and the merged histogram is identical for any worker count. A
-graph with no group that is its own 2-core draws exactly the colors an
-explicit n-vertex sampler would.
+per part law the positions of its non-trivial outcomes over rows x parts
+and those outcomes by inverse CDF. The block size depends on the graph and
+c alone, so the sample-i draws depend only on (seed, i) and the merged
+histogram is identical for any worker count. A graph with no group that is
+its own 2-core draws exactly the colors an explicit n-vertex sampler would.
 """
 from __future__ import annotations
 
@@ -151,18 +150,17 @@ def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.
 
 
 def _max_group_vertices(c: int, n: int) -> int:
-    """Largest k with c^(k-1) <= ``_GROUP_COLORINGS`` (all n at c = 1): the
-    vertex count up to which identical components are grouped.
+    """Largest k with c^(k-1) <= ``_GROUP_COLORINGS``, but at most n, as no
+    component is larger: the vertex count up to which identical components
+    are grouped.
 
     It is not the cost of a law, which is at most B(k) set partitions (see
     ``oracle``), so larger components would be cheap too. It stays fixed
     because the groups decide which draws a block makes: a larger bound
     would change histograms.
     """
-    if c == 1:
-        return n
     k = 1
-    while c**k <= _GROUP_COLORINGS:
+    while k < n and c**k <= _GROUP_COLORINGS:
         k += 1
     return k
 
@@ -321,62 +319,57 @@ class _TreeLaws:
 class _Plan:
     """What one ``monte_carlo`` call draws from, built once by ``_Plan.of``.
 
-    Each component with an identical copy and at most
-    ``_max_group_vertices(c, n)`` vertices is grouped with its copies, and
-    the group's law is ``exact_pmf`` of one copy: one evaluation per set
-    partition of its vertices. A group's law is ``(copies, support, probs)``:
-    each copy's T takes the ``support`` values (in the table's dtype) with
-    ``probs``, so per row the numbers of copies at each value are one
-    Multinomial(copies, probs) draw. A group whose T is always 0 gets no law.
-
-    The rest is split at its 2-core. Core edges close cycles, so their
-    matches are dependent and core vertices get explicit colors, numbered
-    0 .. core_count - 1 in their original order. The trees outside the core
-    (``graphs.pendant_trees``) add to T only through their (a, S) pairs (see
-    ``_TreeLaws``), one exact law per tree shape. A tree law is ``(ends, p,
-    cdf, a, s, deficit)``: ``ends`` holds the core end of each tree of that
-    kind (-1 for a whole component), p = 1 - P(a = 0, S = 0) is the chance
-    that a tree draws a non-trivial outcome, and ``cdf``, ``a`` and ``s``
-    list those outcomes with their cumulative probabilities given that one
-    is drawn. ``deficit`` bounds the mass the law's support cut off. A tree
-    law that is always trivial is dropped. Per block, ``_bernoulli_positions``
-    draws where the non-trivial outcomes fall over rows x trees, a uniform
-    each picks its outcome, an outcome with a = 1 passes the key of its core
-    end and row to the kernel's bincount, and S is added to its row with
-    ``np.add.at``, exact in the table's dtype. A single pendant edge is the
-    tree whose one non-trivial outcome has a = 1, at p = 1/c.
+    Core edges close cycles, so their matches are dependent and core
+    vertices get explicit colors, numbered 0 .. core_count - 1 in their
+    original order. The rest is parts, each adding to T only through its
+    (a, S) pair: each copy of a component with identical copies and at most
+    ``_max_group_vertices(c, n)`` vertices, with a = 0 and S its T from
+    ``exact_pmf`` of one copy, and each tree outside the core
+    (``graphs.pendant_trees``), from its shape's law (see ``_TreeLaws``).
+    Parts of one law are one entry ``(ends, p, cdf, a, s, deficit)``:
+    ``ends`` holds each one's core end (-1 for a whole component), p = 1 -
+    P(a = 0, S = 0) is the chance that a part draws a non-trivial outcome,
+    and ``cdf``, ``a`` and ``s`` list those outcomes with their cumulative
+    probabilities given that one is drawn. ``deficit`` bounds the mass the
+    law's support cut off. A law that is always trivial is dropped. Per
+    block, ``_bernoulli_positions`` draws where the non-trivial outcomes fall
+    over rows x parts, a uniform each picks its outcome, an outcome with
+    a = 1 passes the key of its core end and row to the kernel's bincount,
+    and S is added to its row with ``np.add.at``, exact in the table's
+    dtype. A single pendant edge is the part whose one non-trivial outcome
+    has a = 1, at p = 1/c.
 
     ``block`` rows make about ``_BLOCK_CELL_TARGET`` cells: a core color and
-    both ends of a core edge are one cell each, an expected non-trivial tree
+    both ends of a core edge are one cell each, an expected non-trivial
     outcome ``_OUTCOME_CELLS``. A core color holds a color byte and 8 bytes
     of m_v, which ``table[m_v]`` overwrites in place. The core edges are
     scanned in slices of ``stars._SCAN_CELLS`` cells, so their memory does
     not grow with the rows. An outcome holds about 100 bytes of int64
-    position, row, tree, uniform, index and key arrays.
+    position, row, part, uniform, index and key arrays.
     """
 
     c: int
     table: np.ndarray  # star_table: C(m, r) by match count m
-    laws: list  # (copies, support, probs) per group
     core_count: int
     core_u: np.ndarray  # endpoints of the core edges
     core_v: np.ndarray
-    trees: list  # (ends, p, cdf, a, s, deficit) per tree law
+    parts: list  # (ends, p, cdf, a, s, deficit) per part
     block: int
 
     @classmethod
     def of(cls, g: Graph, r: int, c: int) -> "_Plan":
-        table, n_star = star_table(g, r), count_stars(g, r)
+        table = star_table(g, r)
+        tree_laws = _TreeLaws(table, c, count_stars(g, r))
         groups = component_groups(g, _max_group_vertices(c, g.vertex_count))
-        laws = []
+        laws = []  # (ends, law) per part law, as in ``parts``
         if groups:
             keep = np.ones(g.vertex_count, dtype=bool)
             for copy, vertices in groups:
                 keep[vertices] = False
                 law = exact_pmf(copy, r, c).support
-                if list(law) != [0]:
-                    laws.append((vertices.shape[0], np.array(list(law), dtype=table.dtype),
-                                 np.array([float(p) for p in law.values()])))
+                laws.append((np.full(vertices.shape[0], -1),
+                             (np.array(list(law), dtype=tree_laws.dtype) * tree_laws.keys,
+                              np.array([float(p) for p in law.values()]), 0.0)))
             local = np.cumsum(keep) - 1
             inside = keep[g.edge_u]
             g = build_graph(int(keep.sum()),
@@ -385,19 +378,19 @@ class _Plan:
         core_count = int(core.sum())
         local = np.cumsum(core) - 1
         in_core = core[g.edge_u] & core[g.edge_v]
-        tree_laws = _TreeLaws(table, c, n_star)
-        trees, cells = [], core_count + 2 * int(in_core.sum())
-        for anchors, (values, probs, deficit) in tree_laws.of(shapes, kinds):
+        laws += [(np.where(anchors >= 0, local[anchors], -1), law)
+                 for anchors, law in tree_laws.of(shapes, kinds)]
+        parts, cells = [], core_count + 2 * int(in_core.sum())
+        for ends, (values, probs, deficit) in laws:
             values, cdf = values[values != 0], np.cumsum(probs[values != 0])
             if cdf.size:
                 p = min(float(cdf[-1]), 1.0)
-                trees.append((np.where(anchors >= 0, local[anchors], -1), p, cdf / cdf[-1],
-                              (values % tree_laws.keys).astype(bool),
+                parts.append((ends, p, cdf / cdf[-1], (values % tree_laws.keys).astype(bool),
                               (values // tree_laws.keys).astype(table.dtype), deficit))
-                cells += ceil(_OUTCOME_CELLS * anchors.size * p)
-        return cls(c=c, table=table, laws=laws, core_count=core_count,
+                cells += ceil(_OUTCOME_CELLS * ends.size * p)
+        return cls(c=c, table=table, core_count=core_count,
                    core_u=local[g.edge_u[in_core]], core_v=local[g.edge_v[in_core]],
-                   trees=trees,
+                   parts=parts,
                    block=max(1, min(_MAX_BLOCK_ROWS, _BLOCK_CELL_TARGET // max(cells, 1))))
 
 
@@ -409,20 +402,18 @@ def _run_blocks(plan: _Plan, seed: int, blocks, samples: int) -> Counter:
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         drawn = rng.integers(0, c, size=(rows, plan.core_count), dtype=dtype)
         colors = np.ascontiguousarray(drawn.T, dtype=np.min_scalar_type(c - 1))
-        hits, tree_rows, tree_s = [np.empty(0, dtype=np.int64)], [], []
-        for ends, p, cdf, a, s, _ in plan.trees:
+        hits, part_rows, part_s = [np.empty(0, dtype=np.int64)], [], []
+        for ends, p, cdf, a, s, _ in plan.parts:
             row, t = np.divmod(_bernoulli_positions(rng, rows * ends.size, p), ends.size)
             k = np.searchsorted(cdf, rng.random(row.size), side="right")
             hit = a[k]
             hits.append(ends[t[hit]] * rows + row[hit])
-            tree_rows.append(row)
-            tree_s.append(s[k])
+            part_rows.append(row)
+            part_s.append(s[k])
         t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v,
                               np.concatenate(hits))
-        if tree_rows:
-            np.add.at(t_vals, np.concatenate(tree_rows), np.concatenate(tree_s))
-        for copies, support, probs in plan.laws:
-            t_vals = t_vals + rng.multinomial(copies, probs, size=rows) @ support
+        if part_rows:
+            np.add.at(t_vals, np.concatenate(part_rows), np.concatenate(part_s))
         values, reps = np.unique(t_vals, return_counts=True)
         for v, k in zip(values, reps):
             counter[int(v)] += int(k)

@@ -114,15 +114,10 @@ def degree_sequence(g: Graph) -> list[int]:
     return np.sort(g.degrees)[::-1].tolist()
 
 
-def two_core(g: Graph) -> np.ndarray:
-    """Boolean mask of the 2-core: what is left after repeatedly deleting
-    vertices of degree <= 1. See ``_peel``."""
-    return _peel(g)[0]
-
-
 def _peel(g: Graph) -> tuple[np.ndarray, np.ndarray | None]:
-    """The 2-core mask, and the first round's run label of every vertex
-    (None when nothing is deleted).
+    """The 2-core mask (what is left after repeatedly deleting vertices of
+    degree <= 1), and the first round's run label of every vertex (None
+    when nothing is deleted).
 
     Whole-array rounds of rake and compress (Miller & Reif). Each round
     takes the degrees over the edges still alive and deletes every vertex of

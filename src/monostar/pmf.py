@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import fsum, lcm
 from numbers import Rational
 
-__all__ = ["Pmf", "pmf_mean", "pmf_moments", "tv_distance"]
+__all__ = ["Pmf", "pmf_moments", "tv_distance"]
 
 _FLOAT_MASS_TOL = 1e-12
 
@@ -69,10 +69,6 @@ class Pmf:
         for v, p in self.support.items():
             lines.append(f"{v},{p}" if self.is_exact else f"{v},{float(p)!r}")
         return "\n".join(lines) + "\n"
-
-
-def pmf_mean(p: Pmf) -> Fraction:
-    return pmf_moments(p, 1)[0]
 
 
 def pmf_moments(p: Pmf, order: int) -> list:

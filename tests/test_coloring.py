@@ -18,7 +18,7 @@ from monostar.coloring import (
 )
 from monostar.errors import BudgetExceededError
 from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
-                             parse_generator, path, star, two_core)
+                             parse_generator, path, pendant_trees, star)
 from monostar.oracle import exact_pmf
 from monostar.stars import _SCAN_CELLS, count_stars, eval_T_block, star_table
 
@@ -187,7 +187,7 @@ class TestCoreTreeSampler:
             graphs.append(with_pendant_trees(rng, random_graph(rng, 8),
                                              int(rng.integers(0, 8))))
         for g in graphs:
-            assert set(np.flatnonzero(two_core(g)).tolist()) == brute_two_core(g)
+            assert set(np.flatnonzero(pendant_trees(g)[0]).tolist()) == brute_two_core(g)
 
     def test_own_core_graph_matches_reference_sampler_exactly(self):
         # nothing to peel: the same colors as the explicit reference, sample
@@ -195,7 +195,7 @@ class TestCoreTreeSampler:
         for text, r, c in [("complete:3", 2, 2), ("complete:5", 2, 3), ("cycle:6", 1, 2),
                            ("bipartite:3", 2, 2)]:
             g = generate(parse_generator(text))
-            assert two_core(g).all()
+            assert pendant_trees(g)[0].all()
             block = own_core_block_rows(g)
             samples = block + 900
             dist = monte_carlo(g, r, c, samples, seed=41, workers=2)
@@ -235,7 +235,7 @@ class TestCoreTreeSampler:
         cases = [(generate(parse_generator("figure2:12")), 2, 12),
                  (with_pendant_trees(rng, complete(7), 60), 2, 6)]
         for g, r, c in cases:
-            assert 0 < two_core(g).sum() < g.vertex_count
+            assert 0 < pendant_trees(g)[0].sum() < g.vertex_count
             ref = reference_monte_carlo(g, r, c, 6000, seed=53, block=500)
             dist = monte_carlo(g, r, c, 100_000, seed=59)
             assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 6000)) <= 5
@@ -341,9 +341,9 @@ class TestTreeLaws:
                 plan = _Plan.of(tree, r, c)
                 assert plan.core_count == 0
                 if exact == {(0, 0): 1.0}:
-                    assert plan.trees == []
+                    assert plan.parts == []
                     continue
-                [law] = plan.trees
+                [law] = plan.parts
                 assert law[0].tolist() == [-1] and 0 <= law[5] <= 1e-15
                 got = _tree_law(law)
                 assert set(got) <= set(exact)
@@ -357,7 +357,7 @@ class TestTreeLaws:
             anchored = build_graph(tree.vertex_count + 1, [(0, tree.vertex_count)] + list(
                 zip(tree.edge_u.tolist(), tree.edge_v.tolist())))
             for r, c in self.CASES:
-                [law] = _Plan.of(_hung_off_triangle(tree), r, c).trees
+                [law] = _Plan.of(_hung_off_triangle(tree), r, c).parts
                 assert law[0].tolist() == [0] and 0 <= law[5] <= 1e-15
                 got = _tree_law(law)
                 exact = brute_pendant_pmf(tree, r, c)
@@ -382,8 +382,8 @@ class TestTreeLaws:
             n += 3
         g = build_graph(n, edges)
         plan = _Plan.of(g, 2, 300)
-        assert plan.laws == [] and plan.core_count == 4
-        assert sorted(law[0].tolist() for law in plan.trees) == [[-1, -1, -1], [0, 1, 2, 3]]
+        assert not _grouped(g, 300) and plan.core_count == 4
+        assert sorted(law[0].tolist() for law in plan.parts) == [[-1, -1, -1], [0, 1, 2, 3]]
 
     @pytest.mark.parametrize("length,c", [(90_000, 300), (3000, 3), (40, 2)])
     def test_path_law_closed_form_mean_and_variance(self, length, c):
@@ -394,7 +394,7 @@ class TestTreeLaws:
         for r in (1, 2):
             for hung in (False, True):
                 g = _hung_off_triangle(path(length)) if hung else path(length)
-                [law] = _Plan.of(g, r, c).trees
+                [law] = _Plan.of(g, r, c).parts
                 got = _tree_law(law)
                 mass = sum(got.values())
                 a_mean = sum(q * a for (a, _), q in got.items())
@@ -422,9 +422,9 @@ class TestTreeLaws:
         rng = np.random.default_rng(223)
         g = disjoint_union(with_pendant_trees(rng, cycle(3), 40), star(9), path(30))
         for r, c in [(1, 2), (2, 3)]:
-            whole = _Plan.of(g, r, c).trees
+            whole = _Plan.of(g, r, c).parts
             monkeypatch.setattr(coloring, "_OUTER_CELLS", 64)
-            chunked = _Plan.of(g, r, c).trees
+            chunked = _Plan.of(g, r, c).parts
             monkeypatch.undo()
             assert len(whole) == len(chunked) > 3
             for mine, its in zip(whole, chunked):
@@ -441,7 +441,7 @@ class TestTreeLaws:
                  (disjoint_union(with_pendant_trees(rng, complete(5), 25),
                                  *_random_trees(rng, 3, 9)), 2, 2)]
         for g, r, c in cases:
-            assert 0 < two_core(g).sum() < g.vertex_count
+            assert 0 < pendant_trees(g)[0].sum() < g.vertex_count
             ref = reference_monte_carlo(g, r, c, 3000, seed=199, block=500)
             dist = monte_carlo(g, r, c, 100_000, seed=211)
             assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 3000)) <= 5
@@ -471,7 +471,7 @@ def _plan_T(g, r, c, colors):
     vertices add their own C(h_v, r), counted here by brute force."""
     assert not _forms_group(g)
     plan = _Plan.of(g, r, c)
-    core = two_core(g)
+    core = pendant_trees(g)[0]
     assert plan.core_count == core.sum()
     rows = colors.shape[0]
     local = np.cumsum(core) - 1
@@ -491,6 +491,27 @@ def _grouped(g, c):
     """The groups of identical components that the sampler's plan draws from
     their exact laws, leaving them out of its core and trees."""
     return component_groups(g, _max_group_vertices(c, g.vertex_count))
+
+
+def _group_parts(g, r, c):
+    """The parts that draw the groups of ``g``'s plan, checked against
+    ``exact_pmf`` of each group's copy: they come first, one per group whose
+    T is not always 0, each with every core end -1, a always 0, and ``s``
+    and ``cdf`` the copy's non-zero support and its cumulative probabilities
+    given T > 0."""
+    laws = [(vertices.shape[0], exact_pmf(copy, r, c).support)
+            for copy, vertices in _grouped(g, c)]
+    laws = [(copies, law) for copies, law in laws if list(law) != [0]]
+    parts = _Plan.of(g, r, c).parts[:len(laws)]
+    assert len(parts) == len(laws)
+    for (copies, law), (ends, p, cdf, a, s, deficit) in zip(laws, parts):
+        support = [v for v in law if v != 0]
+        probs = np.cumsum([float(law[v]) for v in support])
+        assert ends.tolist() == [-1] * copies and not a.any() and deficit == 0
+        assert s.tolist() == support and s.dtype == star_table(g, r).dtype
+        assert p == pytest.approx(1 - float(law.get(0, 0)), rel=0, abs=1e-15)
+        assert np.allclose(cdf, probs / probs[-1], rtol=0, atol=1e-15) and cdf[-1] == 1
+    return parts
 
 
 def _core_edges(g):
@@ -514,7 +535,7 @@ class TestVertexMajorKernel:
             assert plan.core_u.size == _core_edges(g)
             assert np.all(plan.core_u < k) and np.all(plan.core_v < k)
             # a tree hangs off one core vertex, or is a whole component (-1)
-            for ends, *_ in plan.trees:
+            for ends, *_ in plan.parts:
                 assert np.all((ends >= -1) & (ends < k))
 
     def test_tree_hits_at_core_vertices_and_forests_vs_brute(self):
@@ -528,8 +549,8 @@ class TestVertexMajorKernel:
         forests = [generate(parse_generator(t)) for t in ["path:9", "star:6", "figure2:1"]]
         forests += [disjoint_union(path(4), star(3), star(2))]
         forests += [with_pendant_trees(rng, build_graph(1, []), 10) for _ in range(5)]
-        assert all(two_core(g).sum() == 0 for g in forests)
-        assert all(0 < two_core(g).sum() < g.vertex_count for g in graphs[-2:])
+        assert all(pendant_trees(g)[0].sum() == 0 for g in forests)
+        assert all(0 < pendant_trees(g)[0].sum() < g.vertex_count for g in graphs[-2:])
         for g in graphs + forests:
             for r, c in [(1, 2), (2, 2), (2, 3), (3, 2)]:
                 colors = rng.integers(0, c, size=(40, g.vertex_count), dtype=np.uint16)
@@ -613,7 +634,7 @@ class TestSlicedScan:
         g = build_graph(10, _K34 + [(0, 7), (7, 8), (3, 9)])
         plan = _Plan.of(g, 2, 2)
         assert (plan.core_count, plan.core_u.size) == (7, 12)
-        assert sorted(int(end) for ends, *_ in plan.trees for end in ends) == [0, 3]
+        assert sorted(int(end) for ends, *_ in plan.parts for end in ends) == [0, 3]
         colors = np.random.default_rng(step).integers(
             0, 2, size=(_rows_for_step(step), g.vertex_count), dtype=np.uint8)
         assert _plan_T(g, 2, 2, colors).tolist() == _brute_rows(g, 2, colors)
@@ -658,9 +679,18 @@ class TestSlicedScan:
 
 
 class TestGroupedSampler:
-    """Identical small components are drawn as one multinomial per group from
-    their exact law; checked against the explicit reference sampler, which
-    colors every vertex."""
+    """Each copy of an identical small component is a part drawn from its
+    exact law, by the same route as the trees; checked against the explicit
+    reference sampler, which colors every vertex."""
+
+    @pytest.mark.parametrize("text,r,c", [("copies:30:complete:3", 2, 2),
+                                          ("copies:25:tadpole31", 2, 3)])
+    def test_group_is_one_part_of_its_exact_law(self, text, r, c):
+        # the whole graph is one group: no core, no tree, one part
+        g = generate(parse_generator(text))
+        plan = _Plan.of(g, r, c)
+        assert plan.core_count == 0 and plan.core_u.size == 0
+        assert len(plan.parts) == len(_group_parts(g, r, c)) == 1
 
     @pytest.mark.parametrize("text,r,c", [
         ("copies:40:star:3", 2, 3), ("copies:40:star:3", 3, 2), ("copies:30:path:4", 2, 2),
@@ -668,8 +698,7 @@ class TestGroupedSampler:
         ("copies:25:tadpole31", 3, 2), ("er:150:0.012:seed=5", 1, 3), ("copies:3:star:2", 2, 2)])
     def test_grouped_graphs_two_sample_vs_reference(self, text, r, c):
         g = generate(parse_generator(text))
-        plan = _Plan.of(g, r, c)
-        assert plan.laws and _grouped(g, c)
+        assert _group_parts(g, r, c)
         ref = reference_monte_carlo(g, r, c, 3000, seed=107, block=500)
         dist = monte_carlo(g, r, c, 100_000, seed=109)
         assert set(dist.counts) >= {v for v, k in ref.items() if k >= 5}
@@ -683,9 +712,11 @@ class TestGroupedSampler:
         plan = _Plan.of(g, 2, 3)
         figure2 = generate(parse_generator("figure2:6"))
         alone = _Plan.of(figure2, 2, 3)
-        assert len(plan.laws) == 2 and plan.core_count == alone.core_count
-        assert np.array_equal(plan.core_u, alone.core_u) and len(plan.trees) == len(alone.trees)
-        for mine, its in zip(plan.trees, alone.trees):
+        assert len(_group_parts(g, 2, 3)) == 2 and plan.core_count == alone.core_count
+        assert all((ends >= 0).all() for ends, *_ in alone.parts)
+        anchored = [part for part in plan.parts if (part[0] >= 0).any()]
+        assert np.array_equal(plan.core_u, alone.core_u) and len(anchored) == len(alone.parts)
+        for mine, its in zip(anchored, alone.parts):
             assert all(np.array_equal(x, y) for x, y in zip(mine, its))
         ref = reference_monte_carlo(g, 2, 3, 3000, seed=113, block=500)
         dist = monte_carlo(g, 2, 3, 100_000, seed=127)
@@ -706,14 +737,14 @@ class TestGroupedSampler:
         ("er:400:0.005:seed=3", 1, 4, 20_000)])
     def test_worker_invariance(self, text, r, c, samples):
         g = generate(parse_generator(text))
-        assert _Plan.of(g, r, c).laws
+        assert _group_parts(g, r, c)
         dists = [monte_carlo(g, r, c, samples, seed=137, workers=w) for w in (1, 2, 8)]
         assert dists[0].counts == dists[1].counts == dists[2].counts
 
     def test_mixed_union_worker_invariance(self):
         g = disjoint_union(generate(parse_generator("figure2:20")),
                            generate(parse_generator("copies:300:star:3")))
-        assert _Plan.of(g, 2, 20).laws
+        assert _group_parts(g, 2, 20)
         dists = [monte_carlo(g, 2, 20, 20_000, seed=139, workers=w) for w in (1, 2, 8)]
         assert dists[0].counts == dists[1].counts == dists[2].counts
 
@@ -725,8 +756,9 @@ class TestGroupedSampler:
     def test_acceptance_graphs_form_no_group(self, text, r, c):
         # the criteria that check the kernel keep checking the kernel
         g = generate(parse_generator(text))
-        plan = _Plan.of(g, r, c)
-        assert plan.laws == [] and not _grouped(g, c)
+        whole = sum(anchors.size for _, length, anchors in pendant_trees(g)[2] if length < 0)
+        unanchored = sum(ends.size for ends, *_ in _Plan.of(g, r, c).parts if ends[0] < 0)
+        assert not _grouped(g, c) and unanchored <= whole
 
     def test_constant_and_zero_groups(self):
         # c = 1: every copy's T is its star count; r above the degrees: T = 0,
@@ -736,17 +768,17 @@ class TestGroupedSampler:
             assert monte_carlo(g, r, 1, 300, seed=149).counts == {count_stars(g, r): 300}
         g = disjoint_union(generate(parse_generator("copies:50:star:3")), complete(5))
         plan = _Plan.of(g, 4, 3)
-        assert plan.laws == [] and plan.core_count == 5 and plan.core_u.size == 10
-        assert plan.trees == []
+        assert _grouped(g, 3) and _group_parts(g, 4, 3) == []
+        assert plan.core_count == 5 and plan.core_u.size == 10 and plan.parts == []
         assert (monte_carlo(g, 4, 3, 5000, seed=151).counts
                 == monte_carlo(complete(5), 4, 3, 5000, seed=151).counts)
 
     def test_groups_sum_past_int64(self):
-        # the law's values take the table's object dtype
+        # the part's values take the table's object dtype
         g = disjoint_union(complete(65), complete(65))
         assert star_table(g, 32).dtype == object
-        [(copies, support, probs)] = _Plan.of(g, 32, 1).laws
-        assert copies == 2 and support.dtype == object and probs.tolist() == [1.0]
+        [(ends, p, cdf, a, s, _)] = _group_parts(g, 32, 1)
+        assert ends.size == 2 and s.dtype == object and p == 1 and cdf.tolist() == [1.0]
         assert monte_carlo(g, 32, 1, 20, seed=0).counts == {count_stars(g, 32): 20}
 
 

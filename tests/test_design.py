@@ -2,10 +2,11 @@
 module reaching into another module's private names, no package import hidden
 below module top level, no exception type that nothing raises, no r-subset
 enumeration beside the clique-sum classifier, an exact oracle on the one T
-kernel with no enumeration of colorings, one graph representation, an
-experiment spec holding only what callers set, a generator spec that is a
-table row's name plus its builder's arguments, no exported name that the
-package itself never uses, and no json or thread pool loaded by the import."""
+kernel with no enumeration of colorings, one draw route in the sampler, one
+graph representation, an experiment spec holding only what callers set, a
+generator spec that is a table row's name plus its builder's arguments, no
+exported name that the package itself never uses, and no json or thread pool
+loaded by the import."""
 import ast
 import dataclasses
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from monostar import graphs
+from monostar import coloring, graphs
 from monostar.experiment import ExperimentSpec
 from monostar.graphs import GeneratorSpec, Graph
 
@@ -97,6 +98,18 @@ def test_oracle_scores_partitions_with_the_one_kernel():
     assert "c ** (n - 1)" not in source and "c ** max(n - 1" not in source
 
 
+def test_sampler_draws_every_part_by_one_route():
+    # the 2-core's colors and one table of exact-law parts, groups of
+    # identical components and trees alike: no second draw route beside it
+    assert [f.name for f in dataclasses.fields(coloring._Plan)] == [
+        "c", "table", "core_count", "core_u", "core_v", "parts", "block"]
+    source = next(p for p in SOURCES if p.name == "coloring.py").read_text()
+    calls = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and isinstance(node.func, (ast.Attribute, ast.Name))}
+    assert "_bernoulli_positions" in calls and "multinomial" not in calls
+
+
 def test_graph_is_its_edge_list_and_degrees():
     # the sorted edge arrays are the one graph representation: no CSR rows
     # beside them
@@ -127,7 +140,6 @@ def test_generator_spec_is_a_name_and_its_arguments():
 # exported for the acceptance battery, which checks results through them
 UNUSED_EXPORTS_ALLOWED = {
     "eval_T",  # T of one explicit coloring: criterion 3 checks it against brute force
-    "pmf_mean",  # mean of a pmf: criterion 1 checks E[T] = n_star / c^r with it
 }
 
 

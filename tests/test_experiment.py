@@ -217,8 +217,8 @@ class TestBuiltins:
         "bipartite": "e92ace2e2928ddf7dd1438c71df090188ab3740679028435adb9fb4b9eb0b98c",
         "complete": "3d705d43f7baa1352112532609101dc111343e73669ed0fe20bcd809b11d6122",
         "figure2": "3d425fa34862bff76df550dd3fb9b7ddc61e3c47a32175d3554409f2194ac7d0",
-        "tadpole-remark": "de23765bf41c8401770bcd56b9ba6c593b43928734c6e585127aaa9d9bec0e3d",
-        "er": "7c75b6001b2eb09acb40b8c40722e369c5824e7a4950c77865428e53d3d12d1b",
+        "tadpole-remark": "4c9cd8ec2684493bc4375ba153a195469dcb289acfb7b000a2b4240794b25297",
+        "er": "86601c8fcee8c406afc0fb110ad43b5b7e53382a779e76e4b0e7d8f7bad9a2b7",
     }
 
     @pytest.mark.parametrize("name", builtin_names())

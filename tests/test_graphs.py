@@ -626,8 +626,8 @@ def _binary_tree(n):
 
 
 def _peel_rounds(monkeypatch, g):
-    """``two_core(g)`` and its number of rounds: each round takes two
-    ``np.bincount`` calls, for the degrees."""
+    """The 2-core mask of ``_peel(g)`` and its number of rounds: each round
+    takes two ``np.bincount`` calls, for the degrees."""
     calls = 0
     bincount = np.bincount
 
@@ -637,7 +637,7 @@ def _peel_rounds(monkeypatch, g):
         return bincount(*args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting)
-    core = graphs.two_core(g)
+    core = graphs._peel(g)[0]
     monkeypatch.undo()
     return core, calls // 2
 
@@ -647,7 +647,7 @@ class TestTwoCore:
 
     @staticmethod
     def assert_brute(g):
-        core = graphs.two_core(g)
+        core = graphs._peel(g)[0]
         assert core.dtype == bool and core.shape == (g.vertex_count,)
         assert set(np.flatnonzero(core).tolist()) == brute_two_core(g)
         return core

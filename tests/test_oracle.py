@@ -11,7 +11,7 @@ from monostar.errors import BudgetExceededError
 from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
                              parse_generator, star)
 from monostar.oracle import exact_pmf
-from monostar.pmf import pmf_mean, tv_distance
+from monostar.pmf import pmf_moments, tv_distance
 from monostar.stars import count_stars
 
 from oracles import brute_exact_pmf, coloring_exact_pmf, disjoint_union, random_graph
@@ -96,7 +96,7 @@ class TestExactPmf:
         # B(10) = 115,975 partitions stand in for 185^9 colorings
         g = complete(10)
         pmf = exact_pmf(g, 2, 185)
-        assert pmf_mean(pmf) == Fraction(count_stars(g, 2), 185**2)
+        assert pmf_moments(pmf, 1)[0] == Fraction(count_stars(g, 2), 185**2)
 
     def test_many_copies_refused_or_fast(self):
         # the convolution power's cells are charged by the size of their
@@ -113,7 +113,7 @@ class TestExactPmf:
         except BudgetExceededError as err:
             assert err.cost > err.budget == oracle.DEFAULT_ORACLE_BUDGET
         else:
-            assert pmf_mean(pmf) == Fraction(10_000, 21**3)
+            assert pmf_moments(pmf, 1)[0] == Fraction(10_000, 21**3)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -228,14 +228,14 @@ class TestMeanIdentity:
     @pytest.mark.parametrize("c", [2, 3])
     def test_exact_mean_identity(self, text, r, c):
         g = generate(parse_generator(text))
-        assert pmf_mean(exact_pmf(g, r, c)) == Fraction(count_stars(g, r), c**r)
+        assert pmf_moments(exact_pmf(g, r, c), 1)[0] == Fraction(count_stars(g, r), c**r)
 
     def test_star3_r3_c2(self):
-        assert pmf_mean(exact_pmf(star(3), 3, 2)) == Fraction(1, 8)
+        assert pmf_moments(exact_pmf(star(3), 3, 2), 1)[0] == Fraction(1, 8)
 
     def test_point_mass_mean(self):
         pmf = exact_pmf(build_graph(1, []), 2, 5)
-        assert pmf_mean(pmf) == 0
+        assert pmf_moments(pmf, 1)[0] == 0
 
 
 class TestMonteCarloConvergence:
