@@ -59,7 +59,7 @@ _GROUP_COLORINGS = 1 << 16
 
 @dataclass(frozen=True)
 class Coloring:
-    """Per-vertex colors in [0, c)."""
+    """Per-vertex integer colors in [0, c)."""
 
     colors: np.ndarray
     c: int
@@ -67,7 +67,9 @@ class Coloring:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("c must be >= 1")
-        if self.colors.size and int(self.colors.max()) >= self.c:
+        if not np.issubdtype(self.colors.dtype, np.integer):
+            raise ValueError(f"colors must be integers, got {self.colors.dtype}")
+        if self.colors.size and (int(self.colors.min()) < 0 or int(self.colors.max()) >= self.c):
             raise ValueError("color out of range")
 
 

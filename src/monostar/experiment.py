@@ -207,6 +207,14 @@ def _icbrt(n: int) -> int:
     return k
 
 
+def _rule_colors(name: str, n: int, c: int) -> int:
+    """The color count c that family ``name``'s rule gives at size n,
+    refused below 1, before anything divides by it."""
+    if c < 1:
+        raise ValueError(f"builtin {name} at n = {n} gives c = {c} colors; its rule needs c >= 1")
+    return c
+
+
 def _er_regime(n: int, p: float, r: int) -> str:
     if n ** ((r + 1) / r) * p <= 10.0:
         return "(a) sub-critical: T -> 0 in probability"
@@ -236,6 +244,8 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
     """Pre-wired experiment matching one of the named example families,
     including its predicted limit parameters."""
     n = _BUILTIN_SIZES.get(name) if n is None else n
+    if n is not None and n < 0:
+        raise ValueError(f"builtin {name} needs n >= 0, got n = {n}")
     samples = 200_000 if samples is None else samples
     seed = 20240601 if seed is None else seed
     base = dict(samples=samples, seed=seed, workers=workers, name=name)
@@ -258,20 +268,20 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
                               colors="n", predicted_params=params, **base)
     if name == "regular":
         d = 6
-        c = round(math.sqrt(n * comb(d, 2) / 2.0))
+        c = _rule_colors(name, n, round(math.sqrt(n * comb(d, 2) / 2.0)))
         return ExperimentSpec(generator=f"circulant:{n}:{d}", r=2, colors=c, theta_cut=0,
                               notes=("regular family: no degree atoms, plug-in class rates",),
                               **base)
     if name == "bipartite":
-        c = round(math.sqrt(n * n * (n - 1) / 3.9936))
+        c = _rule_colors(name, n, round(math.sqrt(n * n * (n - 1) / 3.9936)))
         mean = n * n * (n - 1) / c**2
         params = LimitLawParams(r=2, thetas=(), lambdas=(mean, 0.0, 0.0))
         return ExperimentSpec(generator=f"bipartite:{n}", r=2, colors=c, predicted_params=params,
                               notes=("triangle-free: pure coefficient-1 Poisson reference",),
                               **base)
     if name == "complete":
-        n_star = n * comb(n - 1, 2)
-        c = round(math.sqrt(n_star / 3.0))
+        n_star = 3 * comb(n, 3)  # n * comb(n - 1, 2), also at n = 0
+        c = _rule_colors(name, n, round(math.sqrt(n_star / 3.0)))
         mean = n_star / c**2
         params = LimitLawParams(r=2, thetas=(), lambdas=(0.0, 0.0, mean / 3.0))
         return ExperimentSpec(generator=f"complete:{n}", r=2, colors=c, predicted_params=params,
@@ -281,15 +291,15 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
         return ExperimentSpec(generator=f"figure2:{n}", r=2, colors="n",
                               predicted_params=figure2_params(1.0), tv_tolerance=0.07, **base)
     if name == "tadpole-remark":
-        c = _icbrt(n)
+        c = _rule_colors(name, n, _icbrt(n))
         mean = n / c**3
         params = LimitLawParams(r=3, thetas=(), lambdas=(mean, 0.0, 0.0, 0.0))
         return ExperimentSpec(generator=f"copies:{n}:star:3", r=3, colors=c,
                               predicted_params=params, **base)
     if name == "er":
         p = 0.001
-        expected_stars = n * comb(n - 1, 2) * p**2
-        c = round(math.sqrt(expected_stars / 2.0))
+        expected_stars = 3 * comb(n, 3) * p**2
+        c = _rule_colors(name, n, round(math.sqrt(expected_stars / 2.0)))
         return ExperimentSpec(generator=f"er:{n}:{p}:seed=7", r=2, colors=c,
                               notes=(f"er-regime {_er_regime(n, p, 2)}; "
                                      "comparison conditions on the realized graph",),

@@ -114,66 +114,34 @@ def degree_sequence(g: Graph) -> list[int]:
     return np.sort(g.degrees)[::-1].tolist()
 
 
-def _peel(g: Graph) -> tuple[np.ndarray, np.ndarray | None]:
-    """The 2-core mask (what is left after repeatedly deleting vertices of
-    degree <= 1), and the first round's run label of every vertex (None
-    when nothing is deleted).
-
-    Whole-array rounds of rake and compress (Miller & Reif). Each round
-    takes the degrees over the edges still alive and deletes every vertex of
-    degree <= 1 (rake), together with every run of degree-2 vertices next to
-    one (compress): such a run is a path hanging off that vertex, so peeling
-    it one vertex at a time would delete it whole. The runs are the
-    components of the degree-2 subgraph, labelled as in ``components``; a
-    lone cycle is a run with no such neighbor and stays. Peel order does not
-    change the 2-core. A round deletes every pendant path, which lowers the
-    Strahler number of each pendant tree by one, so at most log2(n) + 1
-    rounds delete and one more finds nothing left to delete. The deleted
-    vertices form pendant trees, each hanging off at most one core vertex.
-    """
-    n = g.vertex_count
-    core = np.ones(n, dtype=bool)
-    u, v = g.edge_u, g.edge_v
-    first = None
-    while True:
-        degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-        low = core & (degree <= 1)
-        if not low.any():
-            return core, first
-        chain = degree == 2
-        in_run = chain[u] & chain[v]
-        run = _labels(n, u[in_run], v[in_run])
-        first = run if first is None else first
-        hanging = np.zeros(n, dtype=bool)
-        hanging[run[v[low[u] & chain[v]]]] = True
-        hanging[run[u[low[v] & chain[u]]]] = True
-        # a run is labelled by one of its own vertices, so hanging[run] marks
-        # no vertex outside the runs
-        core &= ~low & ~hanging[run]
-        alive = core[u] & core[v]
-        u, v = u[alive], v[alive]
-
-
 def pendant_trees(g: Graph) -> tuple[np.ndarray, list[tuple], list[tuple]]:
-    """The 2-core mask of g and the trees outside it, contracted and grouped
-    by shape: ``(core, shapes, trees)``.
+    """The 2-core mask of g (what is left after repeatedly deleting vertices
+    of degree <= 1) and the trees outside it, contracted and grouped by
+    shape: ``(core, shapes, trees)``.
 
     Each tree either hangs off one core vertex, its anchor, by one edge, or
-    is a whole component. Every run of tree vertices of degree 2 is
-    contracted into one edge that keeps the run's length; the runs are the
-    peel's first-round runs, so they are not labelled again. What is left
-    are the tree vertices of degree 1 or at least 3 (nodes) and the anchors.
-    Rounds of raking then take every node with at most one edge left: that
-    edge goes to its parent, a node with none is the root of a whole
-    component, and of two nodes joined only to each other the larger goes
-    first. A node's shape is the multiset of its children's (shape, run
-    length) pairs, the AHU canonical form of its subtree (Aho, Hopcroft &
-    Ullman, 1974). A node is raked one round after its last child, so equal
-    shapes are raked in one round, and each round numbers its new shapes
-    after all earlier ones, by ``_unique_rows`` over the sorted child rows.
-    A round costs what it rakes, not the whole forest: each node keeps its
-    degree and the XOR of its edges' numbers, which is its one edge once
-    the others are gone.
+    is a whole component. Every run of degree-2 vertices (a component of
+    the subgraph they span, labelled once as in ``components``) is
+    contracted into one edge that keeps the run's length. What is left are
+    the vertices of other degrees (nodes), numbered by their own ids.
+    Whole-array rounds of raking (Miller & Reif, 1985) then take every node
+    with at most one edge left: that edge goes to its parent, a node with
+    none is the root of a whole component, and of two nodes joined only to
+    each other the larger goes first. This deletes what one-at-a-time
+    peeling deletes, in another order, which does not change the 2-core. A
+    core node keeps at least two edges, so it is never raked, and the core
+    is the nodes never raked, the runs between two of them and the lone
+    cycles. A graph with no vertex of degree <= 1 is its own 2-core.
+
+    A node's shape is the multiset of its children's (shape, run length)
+    pairs, the AHU canonical form of its subtree (Aho, Hopcroft & Ullman,
+    1974). A node is raked one round after its last child, so equal shapes
+    are raked in one round, and each round numbers its new shapes after all
+    earlier ones, by ``_unique_rows`` over the sorted child rows. A round
+    costs what it rakes, not the whole graph: each node keeps its degree
+    and the XOR of its edges' numbers, which is its one edge once the others
+    are gone. The children whose parent is never raked are the pendant
+    trees.
 
     ``shapes[s]`` lists the ``(child shape, run length, count)`` of shape s,
     so children come first. ``trees`` holds one ``(shape, length, anchors)``
@@ -182,40 +150,36 @@ def pendant_trees(g: Graph) -> tuple[np.ndarray, list[tuple], list[tuple]]:
     root's shape, length -1 and anchor -1. Isolated vertices are in no tree.
     """
     n = g.vertex_count
-    core, runs = _peel(g)
-    if runs is None:
-        return core, [], []
-    tree = ~(core[g.edge_u] & core[g.edge_v])
-    u, v = g.edge_u[tree], g.edge_v[tree]
-    chain = ~core & (g.degrees == 2)
+    if not (g.degrees <= 1).any():
+        return np.ones(n, dtype=bool), [], []
+    u, v = g.edge_u, g.edge_v
+    chain = g.degrees == 2
+    in_run = chain[u] & chain[v]
+    runs = _labels(n, u[in_run], v[in_run])
     # every edge with a node end, that end first; each run has two of them
-    across = ~(chain[u] & chain[v])
-    flip = chain[u[across]]
-    x = np.where(flip, v[across], u[across])
-    y = np.where(flip, u[across], v[across])
+    x, y = u[~in_run], v[~in_run]
+    flip = chain[x]
+    x, y = np.where(flip, y, x), np.where(flip, x, y)
     into_run = chain[y]
     run_of = runs[y[into_run]]
     order = np.argsort(run_of, kind="stable")
     run_ends = x[into_run][order].reshape(-1, 2)
-    # a vertex outside every run is a run of its own, labelled by itself
-    run_length = np.bincount(runs, minlength=n)[run_of[order][::2]]
-    ids, ends = np.unique(np.concatenate([x[~into_run], run_ends[:, 0], y[~into_run],
-                                          run_ends[:, 1]]), return_inverse=True)
-    ends = ends.reshape(2, -1)
-    length = np.concatenate([np.zeros(int((~into_run).sum()), dtype=np.int64), run_length])
-    anchor = core[ids]
-    count = ids.size
+    run = run_of[order][::2]
+    ends = np.concatenate([x[~into_run], run_ends[:, 0],
+                           y[~into_run], run_ends[:, 1]]).reshape(2, -1)
+    length = np.concatenate([np.zeros(int((~into_run).sum()), dtype=np.int64),
+                             np.bincount(runs, minlength=n)[run]])
     edge = np.arange(length.size)
-    degree = np.bincount(ends[0], minlength=count) + np.bincount(ends[1], minlength=count)
-    last = np.zeros(count, dtype=np.int64)
+    degree = g.degrees.copy()  # a node's contracted degree is its degree
+    last = np.zeros(n, dtype=np.int64)
     np.bitwise_xor.at(last, ends[0], edge)
     np.bitwise_xor.at(last, ends[1], edge)
-    shape = np.full(count, -1, dtype=np.int64)
-    marked = np.zeros(count, dtype=bool)
+    shape = np.full(n, -1, dtype=np.int64)
+    marked = np.zeros(n, dtype=bool)
     shapes: list[tuple] = []
     child_parent = child_code = np.empty(0, dtype=np.int64)
     rows = []  # (shape, length, anchor) of every tree
-    low = np.flatnonzero(~anchor & (degree <= 1))
+    low = np.flatnonzero(g.degrees == 1)
     while low.size:
         # of two low nodes joined only to each other, the smaller waits a round
         single = degree[low] == 1
@@ -243,23 +207,26 @@ def pendant_trees(g: Graph) -> tuple[np.ndarray, list[tuple], list[tuple]]:
                 pairs, repeats = np.unique(key, return_counts=True)
                 shapes.append(tuple(zip((pairs // (n + 1)).tolist(), (pairs % (n + 1)).tolist(),
                                         repeats.tolist())))
-        # each raked node's last edge goes to its parent: a node, or an anchor
+        # each raked node's last edge goes to its parent
         node = raked[degree[raked] == 1]
         e = last[node]
         by = np.argsort(e)
         node, e = node[by], e[by]
         above = ends[0, e] ^ ends[1, e] ^ node
-        hung = anchor[above]
-        rows.append(np.stack([shape[node[hung]], length[e[hung]], ids[above[hung]]]))
-        child_parent = np.concatenate([child_parent, above[~hung]])
-        child_code = np.concatenate([child_code, shape[node[~hung]] * (n + 1) + length[e[~hung]]])
+        child_parent = np.concatenate([child_parent, above])
+        child_code = np.concatenate([child_code, shape[node] * (n + 1) + length[e]])
         roots = raked[degree[raked] == 0]
         rows.append(np.stack([shape[roots], np.full(roots.size, -1), np.full(roots.size, -1)]))
         np.subtract.at(degree, above, 1)
         np.bitwise_xor.at(last, above, e)
-        low = np.unique(above[~anchor[above] & (degree[above] <= 1)])
-    if not rows:
-        return core, shapes, []
+        low = np.unique(above[degree[above] <= 1])
+    # a node has a shape once raked; an isolated vertex is in no tree and
+    # not in the core
+    hanging = np.zeros(n, dtype=bool)
+    hanging[run] = (shape[run_ends[:, 0]] >= 0) | (shape[run_ends[:, 1]] >= 0)
+    core = np.where(chain, ~hanging[runs], (shape < 0) & (g.degrees > 0))
+    # the children left hang off the core, each by the run of its edge
+    rows.append(np.stack([child_code // (n + 1), child_code % (n + 1), child_parent]))
     rows = np.concatenate(rows, axis=1)
     kinds, kind_of, counts = _unique_rows(rows[:2].T)
     groups = np.split(rows[2][np.argsort(kind_of, kind="stable")], np.cumsum(counts)[:-1])

@@ -76,7 +76,12 @@ class LimitLawParams:
             raise InvalidParamsError("theta atoms must be non-negative")
         if any(a < b for a, b in zip(self.thetas, self.thetas[1:])):
             raise InvalidParamsError("theta atoms must be non-increasing")
-        star_mass = sum(t**self.r for t in self.thetas) / factorial(self.r)
+        try:
+            star_mass = sum(t**self.r for t in self.thetas) / factorial(self.r)
+        except OverflowError:
+            raise InvalidParamsError(
+                f"the atom star mass sum(theta^r) / r! at r = {self.r} overflows float arithmetic"
+            ) from None
         z1 = self.lambdas[0] - star_mass
         if z1 < -_Z1_SLACK:
             if not clamp_z1:

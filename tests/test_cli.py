@@ -142,6 +142,14 @@ class TestLimit:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("tokens", [("r=2", "theta=1e200", "lambda1=1e300"),
+                                        ("r=3", "theta=1e120")])
+    def test_star_mass_overflow_usage_exit(self, capsys, tokens):
+        code, out, err = run_cli(capsys, "limit", "pmf", *tokens)
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert "star mass" in err and "overflows float arithmetic" in err
+
     def test_pmf_csv(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "pmf", "r=2", "lambda1=1.0", "--csv")
         assert code == 0
@@ -263,6 +271,23 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "not-a-family"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name, n, c", [
+        ("complete", 1, 0), ("complete", 2, 0), ("complete", 0, 0), ("bipartite", 1, 0),
+        ("tadpole-remark", 0, 0), ("er", 0, 0), ("regular", 0, 0)])
+    def test_color_rule_below_one_usage_exit(self, capsys, name, n, c):
+        # refused before the rule's mean divides by c
+        code, out, err = run_cli(capsys, "verify", name, "-n", str(n), "--samples", "10")
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert f"builtin {name} at n = {n} gives c = {c} colors" in err
+
+    @pytest.mark.parametrize("name", ["tadpole-remark", "complete", "star"])
+    def test_negative_size_usage_exit(self, capsys, name):
+        code, out, err = run_cli(capsys, "verify", name, "-n", "-1", "--samples", "10")
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert f"builtin {name} needs n >= 0, got n = -1" in err
 
     def test_budget_exit_from_error_kind(self, capsys, monkeypatch):
         # plug-in limit law with class counts refused by their budget

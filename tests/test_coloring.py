@@ -70,6 +70,15 @@ class TestEvalT:
         with pytest.raises(ValueError):
             eval_T(cycle(4), 2, _coloring(complete(3), [0, 1, 0]))
 
+    @pytest.mark.parametrize("colors, message", [
+        (np.array([-1, -1, -1]), "color out of range"),
+        (np.array([0, 2, 1]), "color out of range"),
+        (np.array([0.5, 0.5, 0.5]), "colors must be integers"),
+        (np.array([0.0, 1.0, 0.0]), "colors must be integers")])
+    def test_colors_outside_the_integers_0_to_c_rejected(self, colors, message):
+        with pytest.raises(ValueError, match=message):
+            Coloring(colors=colors, c=2)
+
 
 class TestMonteCarlo:
     def test_single_edge_match_rate(self):

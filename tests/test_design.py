@@ -110,6 +110,12 @@ def test_sampler_draws_every_part_by_one_route():
     assert "_bernoulli_positions" in calls and "multinomial" not in calls
 
 
+def test_one_rake_finds_the_core_and_the_trees():
+    # pendant_trees finds the 2-core with the rake that shapes the trees: no
+    # second peel beside it
+    assert not hasattr(graphs, "_peel")
+
+
 def test_graph_is_its_edge_list_and_degrees():
     # the sorted edge arrays are the one graph representation: no CSR rows
     # beside them

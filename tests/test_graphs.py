@@ -625,29 +625,32 @@ def _binary_tree(n):
     return build_graph(n, np.stack([(child - 1) // 2, child], axis=1))
 
 
-def _peel_rounds(monkeypatch, g):
-    """The 2-core mask of ``_peel(g)`` and its number of rounds: each round
-    takes two ``np.bincount`` calls, for the degrees."""
+def _rake_rounds(monkeypatch, g):
+    """The 2-core mask of ``pendant_trees(g)``, checked against the worklist
+    peel, and its number of raking rounds: each round orders its raked
+    nodes' edges by one ``np.argsort`` call that names no ``kind``, and no
+    other call leaves out ``kind``."""
     calls = 0
-    bincount = np.bincount
+    argsort = np.argsort
 
     def counting(*args, **kwargs):
         nonlocal calls
-        calls += 1
-        return bincount(*args, **kwargs)
+        calls += "kind" not in kwargs
+        return argsort(*args, **kwargs)
 
-    monkeypatch.setattr(np, "bincount", counting)
-    core = graphs._peel(g)[0]
+    monkeypatch.setattr(np, "argsort", counting)
+    core = pendant_trees(g)[0]
     monkeypatch.undo()
-    return core, calls // 2
+    assert set(np.flatnonzero(core).tolist()) == brute_two_core(g)
+    return core, calls
 
 
 class TestTwoCore:
-    """The rake-and-compress peel against the one-at-a-time worklist peel."""
+    """The 2-core of the one rake against the one-at-a-time worklist peel."""
 
     @staticmethod
     def assert_brute(g):
-        core = graphs._peel(g)[0]
+        core = pendant_trees(g)[0]
         assert core.dtype == bool and core.shape == (g.vertex_count,)
         assert set(np.flatnonzero(core).tolist()) == brute_two_core(g)
         return core
@@ -713,19 +716,28 @@ class TestTwoCore:
                      "circulant:30:4", "er:2000:0.001:seed=5", "complete:6", "bipartite:4"]:
             self.assert_brute(generate(parse_generator(text)))
 
-    def test_rounds_stay_within_log2_n_plus_2(self, monkeypatch):
-        rng = np.random.default_rng(1817)
-        n = 100_000
-        for g in (_binary_tree(2**15 - 1), _binary_tree(n), _random_tree(rng, n)):
-            core, rounds = _peel_rounds(monkeypatch, g)
-            assert not core.any()
-            assert rounds <= int(np.log2(g.vertex_count)) + 2
-        # a path is one run next to its two ends: one round deletes it all
-        assert _peel_rounds(monkeypatch, path(n))[1] == 2
-        # figure2's path and star leaves go in one round, the hub and its
-        # bridging leaf in the next
-        core, rounds = _peel_rounds(monkeypatch, figure2_composite(300))
-        assert rounds == 3 and core.sum() == 45
+    def test_rounds_follow_the_height_of_the_trees(self, monkeypatch):
+        # a complete binary tree of height h loses one level a round; its
+        # root is a run of one between two nodes joined only to each other,
+        # so the larger goes in round h and the smaller, now a root, in h + 1
+        for height in (1, 2, 5, 14):
+            core, rounds = _rake_rounds(monkeypatch, _binary_tree(2 ** (height + 1) - 1))
+            assert not core.any() and rounds == height + 1
+        # so does the binary heap on 10^5 vertices, of height 16
+        core, rounds = _rake_rounds(monkeypatch, _binary_tree(100_000))
+        assert not core.any() and rounds == 17
+        core, _ = _rake_rounds(monkeypatch, _random_tree(np.random.default_rng(1817), 100_000))
+        assert not core.any()
+        # a path is one run between its two ends: the larger goes in round
+        # 1, the smaller in round 2
+        core, rounds = _rake_rounds(monkeypatch, path(100_000))
+        assert not core.any() and rounds == 2
+        # figure2's path end and star leaves go in round 1, the hub in round 2
+        core, rounds = _rake_rounds(monkeypatch, figure2_composite(300))
+        assert rounds == 2 and core.sum() == 45
+        # no vertex of degree <= 1: the graph is its own 2-core, with no round
+        core, rounds = _rake_rounds(monkeypatch, complete(60))
+        assert core.all() and rounds == 0
 
 
 def _shape_sizes(shapes):

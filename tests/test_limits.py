@@ -101,6 +101,14 @@ class TestValidate:
         with pytest.raises(InvalidParamsError):
             LimitLawParams(r=2, thetas=(), lambdas=lambdas)
 
+    @pytest.mark.parametrize("r, thetas, lambdas", [
+        (2, (1e200,), (1e300, 0.0, 0.0)), (3, (1e120,), (0.0,) * 4),
+        (200, (1.0,), (1.0,) + (0.0,) * 200)])
+    def test_star_mass_past_float_range_invalid(self, r, thetas, lambdas):
+        # theta^r past 1.8e308, or an r! that no float holds
+        with pytest.raises(InvalidParamsError, match=f"star mass .* at r = {r} overflows"):
+            LimitLawParams(r=r, thetas=thetas, lambdas=lambdas)
+
     def test_mean(self):
         p = LimitLawParams(r=2, thetas=(), lambdas=(1.0, 0.5, 0.25))
         assert p.mean == pytest.approx(1.0 + 1.0 + 0.75)
