@@ -4,8 +4,10 @@
 Usage: python scripts/unreached_lines.py [pytest arguments ...]
 
 It needs no coverage package. pytest runs in this process under
-``sys.settrace`` and ``threading.settrace`` (the sampler's worker threads),
-and only frames whose code lies under ``src/monostar`` record line events.
+``sys.settrace``, and only frames whose code lies under ``src/monostar``
+record line events. A forked child (the sampler's worker processes) keeps
+the trace function; a fork hook makes its ``os._exit`` first write the lines
+the child ran to a temporary directory, which is merged after the run.
 Then every statement in a function body that never ran is printed as
 ``path:line: source``. With no arguments it runs the unit suites, that is
 ``tests`` without the acceptance battery. It exits with pytest's status.
@@ -16,8 +18,10 @@ A statement counts as run when any line of it ran; a compound statement
 are skipped, as are docstrings.
 """
 import ast
+import os
+import pickle
 import sys
-import threading
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,13 +79,26 @@ def main(argv: list[str]) -> int:
             return local(frame, event, arg)
         return None
 
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        status = pytest.main(argv or UNIT_SUITES)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    with tempfile.TemporaryDirectory(prefix="unreached-") as forked:
+        def in_child():
+            ran.clear()
+            exit_now = os._exit
+
+            def dump_then_exit(status):
+                with open(os.path.join(forked, str(os.getpid())), "wb") as out:
+                    pickle.dump(ran, out)
+                exit_now(status)
+
+            os._exit = dump_then_exit
+
+        os.register_at_fork(after_in_child=in_child)
+        sys.settrace(on_call)
+        try:
+            status = pytest.main(argv or UNIT_SUITES)
+        finally:
+            sys.settrace(None)
+        for path in Path(forked).iterdir():
+            ran |= pickle.loads(path.read_bytes())
 
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):

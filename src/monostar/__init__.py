@@ -17,6 +17,7 @@ from .errors import (
     EdgeListParseError,
     InvalidParamsError,
     MonostarError,
+    WorkerExitError,
 )
 from .experiment import (
     ExperimentSpec,

@@ -22,11 +22,17 @@ stream is keyed per (seed, block); each block draws its core colors, then
 per part law the positions of its non-trivial outcomes over rows x parts
 and those outcomes by inverse CDF. The block size depends on the graph and
 c alone, so the sample-i draws depend only on (seed, i) and the merged
-histogram is identical for any worker count. A graph with no group that is
-its own 2-core draws exactly the colors an explicit n-vertex sampler would.
+histogram is identical for any worker count. Workers are processes forked
+with os.fork, each running a contiguous span of blocks and sending its
+histogram back through a pipe, capped at the usable CPUs and at one per
+``_MIN_SPAN_BLOCKS`` blocks; with fewer blocks, or without os.fork, the call
+runs in the calling process. A graph with no group that is its own 2-core
+draws exactly the colors an explicit n-vertex sampler would.
 """
 from __future__ import annotations
 
+import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +40,7 @@ from math import ceil, log1p
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, WorkerExitError
 from .graphs import Graph, build_graph, component_groups, pendant_trees
 from .oracle import exact_pmf
 from .pmf import Pmf
@@ -55,6 +61,9 @@ _BLOCK_CELL_TARGET = 2_000_000
 _MAX_BLOCK_ROWS = 4096
 _OUTCOME_CELLS = 12
 _GROUP_COLORINGS = 1 << 16
+# blocks per worker process at least: a fork costs about 0.8 ms in the parent
+# and 2.7 ms round trip from a 55 MB parent, against 0.1-1.7 ms per block
+_MIN_SPAN_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -422,13 +431,92 @@ def _run_blocks(plan: _Plan, seed: int, blocks, samples: int) -> Counter:
     return counter
 
 
+def _spans(nblocks: int, workers: int) -> list[range]:
+    """Block spans, one per process: no more than ``workers``, the usable CPUs
+    or one per ``_MIN_SPAN_BLOCKS`` blocks, and one span without os.fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = min(workers, cpus or 1, nblocks // _MIN_SPAN_BLOCKS) if hasattr(os, "fork") else 1
+    return [range(int(span[0]), int(span[-1]) + 1)
+            for span in np.array_split(np.arange(nblocks), max(count, 1))]
+
+
+def _fork_span(plan: _Plan, seed: int, span: range, samples: int) -> tuple[int, int]:
+    """Start a child that runs ``_run_blocks`` on ``span`` and pickles
+    (True, its Counter) or (False, the exception it raised) into a pipe;
+    returns the child's pid and the pipe's read end. The child leaves by
+    os._exit, so it never returns into the caller's frames or flushes the
+    stdio it inherited."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            try:
+                result = True, _run_blocks(plan, seed, span, samples)
+            except BaseException as exc:
+                result = False, exc
+            with open(write, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _run_spans(plan: _Plan, seed: int, spans: list[range], samples: int) -> Counter:
+    """Histogram of every block: spans[0] here, each other span in a forked
+    child. Every child is reaped before this returns or raises, and a raise
+    here kills the children still running."""
+    children, reaped = [], set()
+    try:
+        for span in spans[1:]:
+            children.append(_fork_span(plan, seed, span, samples))
+        counter = _run_blocks(plan, seed, spans[0], samples)
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise WorkerExitError(f"Monte-Carlo worker {pid} {how} without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            counter.update(value)
+        return counter
+    except BaseException:
+        import signal  # only on this path: importing monostar should not load it
+
+        for pid, _ in children:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if pid not in reaped:
+                os.waitpid(pid, 0)
+
+
 def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
                 workers: int = 1) -> EmpiricalDist:
     """Histogram of T over ``samples`` independent uniform colorings.
 
     Per-sample randomness is a fixed function of (seed, sample index), so the
-    result is identical for any ``workers`` value; workers only split blocks.
-    A call costing more than ``DEFAULT_MC_BUDGET`` vertex-colorings is refused.
+    result is identical for any ``workers`` value. Workers are forked
+    processes that split the blocks (``_spans``): no more than the usable
+    CPUs, at least ``_MIN_SPAN_BLOCKS`` blocks each, and none at all when
+    blocks are few or the platform has no os.fork, where the call runs in
+    the calling process. A call costing more than ``DEFAULT_MC_BUDGET``
+    vertex-colorings is refused.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -445,21 +533,5 @@ def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
         raise BudgetExceededError(f"monte_carlo cost {cost} vertex-colorings exceeds budget "
                                   f"{DEFAULT_MC_BUDGET}", cost=cost, budget=DEFAULT_MC_BUDGET)
     plan = _Plan.of(g, r, c)
-    nblocks = -(-samples // plan.block)
-    if workers == 1 or nblocks == 1:
-        # not through a pool: a new thread starts on a fresh allocator arena;
-        # figure2:300 at 1,200 samples took 53 ms in the calling thread and
-        # 58 ms in a one-thread pool (medians of 8 processes, 2 vCPUs)
-        counter = _run_blocks(plan, seed, range(nblocks), samples)
-    else:
-        # not at the top: importing monostar should not load concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        spans = [span for span in np.array_split(np.arange(nblocks), workers) if span.size]
-        counter = Counter()
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(_run_blocks, plan, seed, [int(b) for b in span], samples)
-                       for span in spans]
-            for fut in futures:
-                counter.update(fut.result())
+    counter = _run_spans(plan, seed, _spans(-(-samples // plan.block), workers), samples)
     return EmpiricalDist(counts=dict(counter), total_samples=samples, seed=seed)

@@ -24,3 +24,7 @@ class BudgetExceededError(MonostarError):
 
 class InvalidParamsError(MonostarError):
     """Limit-law parameters violate the representability constraints."""
+
+
+class WorkerExitError(MonostarError):
+    """A Monte-Carlo worker process ended without sending its result."""

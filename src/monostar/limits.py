@@ -39,6 +39,13 @@ _DENSE_LIMIT = 1 << 24  # values in limit_pmf's dense array (128 MiB of float64)
 _POISSON_RATE_MAX = float(2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
+def _star_mass(thetas, r: int) -> float:
+    """sum(theta^r) / r!, divided as integers: r! has no float form from
+    r = 171 on, though the quotient is tiny there."""
+    num, den = float(sum(t**r for t in thetas)).as_integer_ratio()
+    return num / (den * factorial(r))
+
+
 @dataclass(frozen=True)
 class LimitLawParams:
     """Parameters of the limit law, checked for representability when built.
@@ -77,7 +84,7 @@ class LimitLawParams:
         if any(a < b for a, b in zip(self.thetas, self.thetas[1:])):
             raise InvalidParamsError("theta atoms must be non-increasing")
         try:
-            star_mass = sum(t**self.r for t in self.thetas) / factorial(self.r)
+            star_mass = _star_mass(self.thetas, self.r)
         except OverflowError:
             raise InvalidParamsError(
                 f"the atom star mass sum(theta^r) / r! at r = {self.r} overflows float arithmetic"
@@ -132,7 +139,7 @@ def params_from_graph(g: Graph, c: int, r: int, theta_cut: int = DEFAULT_THETA_C
     # carries all the star mass and no vertex acts as an atom
     candidates = [d / c for d in degree_sequence(g)[:theta_cut]] if r > 1 else []
     thetas = tuple(x for x in candidates if x >= DEFAULT_THETA_THRESHOLD)
-    dropped = sum(x**r for x in candidates if x < DEFAULT_THETA_THRESHOLD) / factorial(r)
+    dropped = _star_mass([x for x in candidates if x < DEFAULT_THETA_THRESHOLD], r)
     flags = (f"theta tail dropped: star mass {dropped!r}",) if dropped > 0 else ()
     return LimitLawParams(r=r, thetas=thetas, lambdas=lambdas, flags=flags, clamp_z1=True)
 

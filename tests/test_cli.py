@@ -150,6 +150,14 @@ class TestLimit:
         assert out == ""
         assert "star mass" in err and "overflows float arithmetic" in err
 
+    def test_star_mass_past_float_factorial(self, capsys):
+        # 171! has no float form, but 0.5^171 / 171! is tiny
+        for r in (170, 171):
+            code, out, err = run_cli(capsys, "limit", "params", f"r={r}", "theta=0.5",
+                                     "lambda1=1")
+            assert code == 0 and err == ""
+            assert json.loads(out)["z1_rate"] == 1.0
+
     def test_pmf_csv(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "pmf", "r=2", "lambda1=1.0", "--csv")
         assert code == 0

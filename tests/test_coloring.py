@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -16,7 +19,7 @@ from monostar.coloring import (
     eval_T,
     monte_carlo,
 )
-from monostar.errors import BudgetExceededError
+from monostar.errors import BudgetExceededError, WorkerExitError
 from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
                              parse_generator, path, pendant_trees, star)
 from monostar.oracle import exact_pmf
@@ -143,6 +146,119 @@ class TestMonteCarlo:
             rates.append(1 - dist.counts.get(0, 0) / dist.total_samples)
         assert rates == sorted(rates, reverse=True)
         assert rates[-1] < 0.05
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _fail_off_block_0(monkeypatch, fail):
+    """Make every span but the parent's own (the one starting at block 0) call
+    ``fail``; a forked child inherits the patch."""
+    run_blocks = coloring._run_blocks
+
+    def patched(plan, seed, blocks, samples):
+        if blocks[0] != 0:
+            fail()
+        return run_blocks(plan, seed, blocks, samples)
+
+    monkeypatch.setattr(coloring, "_run_blocks", patched)
+    _two_cpus(monkeypatch)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _lowest_free_pipe():
+    pipe = os.pipe()
+    for fd in pipe:
+        os.close(fd)
+    return pipe
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+class TestWorkers:
+    # complete:3 at c = 2 runs 4,096 rows per block: 25 blocks at 10^5 samples
+    G, R, C, SAMPLES = complete(3), 2, 2, 100_000
+
+    def test_spans_are_capped_by_cpus_and_block_count(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("_spans started a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _two_cpus(monkeypatch)
+        spans = coloring._spans(10_000, 10**6)
+        assert spans == [range(0, 5000), range(5000, 10_000)]
+        assert coloring._spans(25, 10**6) == [range(0, 13), range(13, 25)]
+        # a span holds at least _MIN_SPAN_BLOCKS blocks, so few blocks stay in one
+        few = 2 * coloring._MIN_SPAN_BLOCKS - 1
+        assert coloring._spans(few, 10**6) == [range(few)]
+        assert coloring._spans(1, 8) == [range(1)]
+        assert coloring._spans(10_000, 1) == [range(10_000)]
+
+    def test_spans_without_fork_stay_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert coloring._spans(10_000, 8) == [range(10_000)]
+
+    def test_eight_workers_on_two_cpus_fork_one_child(self, monkeypatch):
+        one = monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=23).counts
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _two_cpus(monkeypatch)
+        eight = monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=23, workers=8).counts
+        assert len(forks) == 1 and eight == one
+        _no_child_left()
+
+    def test_child_exception_is_raised_in_the_parent(self, monkeypatch):
+        def fail():
+            raise KeyError("off block 0")
+
+        _fail_off_block_0(monkeypatch, fail)
+        with pytest.raises(KeyError, match="off block 0"):
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=29, workers=2)
+        _no_child_left()
+
+    def test_child_exit_without_result(self, monkeypatch):
+        _fail_off_block_0(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(WorkerExitError, match="exited with status 3"):
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=31, workers=2)
+        _no_child_left()
+
+    def test_child_killed_by_a_signal(self, monkeypatch):
+        _fail_off_block_0(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(WorkerExitError, match=f"killed by signal {int(signal.SIGKILL)}"):
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=37, workers=2)
+        _no_child_left()
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _two_cpus(monkeypatch)
+        free = _lowest_free_pipe()
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=43, workers=2)
+        assert _lowest_free_pipe() == free
+
+    def test_parent_raise_stops_the_children(self, monkeypatch):
+        run_blocks = coloring._run_blocks
+
+        def patched(plan, seed, blocks, samples):
+            if blocks[0] == 0:
+                raise KeyError("parent span")
+            time.sleep(60)
+            return run_blocks(plan, seed, blocks, samples)
+
+        monkeypatch.setattr(coloring, "_run_blocks", patched)
+        _two_cpus(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="parent span"):
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=41, workers=2)
+        assert time.monotonic() - start < 30
+        _no_child_left()
 
 
 def _z_scores(counts_a: dict, n_a: int, counts_b: dict, n_b: int) -> list[float]:

@@ -5,8 +5,8 @@ enumeration beside the clique-sum classifier, an exact oracle on the one T
 kernel with no enumeration of colorings, one draw route in the sampler, one
 graph representation, an experiment spec holding only what callers set, a
 generator spec that is a table row's name plus its builder's arguments, no
-exported name that the package itself never uses, and no json or thread pool
-loaded by the import."""
+exported name that the package itself never uses, and no json or
+concurrent.futures loaded by the import."""
 import ast
 import dataclasses
 import os
@@ -170,7 +170,8 @@ def test_every_export_is_used_in_the_package():
 
 def test_import_loads_neither_json_nor_concurrent_futures():
     # every module imported at the top is loaded by each ``import monostar``;
-    # json serves only canonical reports and the thread pool only workers > 1
+    # json serves only canonical reports; concurrent.futures serves nothing, since
+    # Monte-Carlo workers are forked processes
     src = str(SOURCES[0].parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

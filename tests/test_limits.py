@@ -3,6 +3,7 @@ import math
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from math import comb, exp, factorial
 
 import numpy as np
@@ -16,6 +17,7 @@ from monostar.graphs import complete, complete_bipartite, figure2_composite, sta
 from monostar.limits import (
     DEFAULT_TAIL_EPS,
     LimitLawParams,
+    _star_mass,
     figure2_params,
     limit_moments,
     limit_pmf,
@@ -103,11 +105,24 @@ class TestValidate:
 
     @pytest.mark.parametrize("r, thetas, lambdas", [
         (2, (1e200,), (1e300, 0.0, 0.0)), (3, (1e120,), (0.0,) * 4),
-        (200, (1.0,), (1.0,) + (0.0,) * 200)])
+        (200, (1e10,), (1.0,) + (0.0,) * 200)])
     def test_star_mass_past_float_range_invalid(self, r, thetas, lambdas):
-        # theta^r past 1.8e308, or an r! that no float holds
+        # theta^r past 1.8e308, also where r! has no float form either
         with pytest.raises(InvalidParamsError, match=f"star mass .* at r = {r} overflows"):
             LimitLawParams(r=r, thetas=thetas, lambdas=lambdas)
+
+    @pytest.mark.parametrize("r, thetas", [
+        (171, (0.5,)), (200, (1.0,)), (171, (60.0, 0.0)), (22, (3.3,)), (40, (30.0,))])
+    def test_star_mass_is_the_rounded_exact_quotient(self, r, thetas):
+        # no float holds r! from r = 171 on, yet theta = 60 gives a star mass near 1e-5
+        exact = Fraction(thetas[0] ** r) / factorial(r)
+        assert _star_mass(thetas, r) == float(exact)
+        lambdas = (float(exact) + 1.0,) + (0.0,) * r
+        assert LimitLawParams(r=r, thetas=thetas, lambdas=lambdas).thetas == thetas
+
+    def test_dropped_tail_past_float_factorial(self):
+        p = params_from_graph(star(5), 1000, 171)
+        assert p.thetas == () and p.flags == () and p.z1_rate == 0.0
 
     def test_mean(self):
         p = LimitLawParams(r=2, thetas=(), lambdas=(1.0, 0.5, 0.25))
