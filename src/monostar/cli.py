@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 usage error, 3 budget refusal, 4 tolerance failure
-in ``verify``.
+Exit codes: 0 success, 1 a Monte-Carlo worker process that died without a
+result, 2 usage error, 3 budget refusal, 4 tolerance failure in ``verify``.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coloring import EmpiricalDist, monte_carlo
-from .errors import BudgetExceededError, EdgeListParseError, InvalidParamsError
+from .errors import BudgetExceededError, EdgeListParseError, InvalidParamsError, WorkerExitError
 from .experiment import (
     birthday_probability,
     builtin_example,
@@ -31,6 +31,7 @@ from .limits import (
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_pmf
 from .stars import DEFAULT_CLASS_BUDGET, class_counts, count_stars
 
+WORKER_EXIT = 1
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
 TOLERANCE_EXIT = 4
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except (EdgeListParseError, InvalidParamsError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
+    except WorkerExitError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return WORKER_EXIT
 
 
 if __name__ == "__main__":

@@ -24,10 +24,11 @@ and those outcomes by inverse CDF. The block size depends on the graph and
 c alone, so the sample-i draws depend only on (seed, i) and the merged
 histogram is identical for any worker count. Workers are processes forked
 with os.fork, each running a contiguous span of blocks and sending its
-histogram back through a pipe, capped at the usable CPUs and at one per
-``_MIN_SPAN_BLOCKS`` blocks; with fewer blocks, or without os.fork, the call
-runs in the calling process. A graph with no group that is its own 2-core
-draws exactly the colors an explicit n-vertex sampler would.
+histogram, or the exception it raised, back through a pipe, capped at the
+usable CPUs and at one per ``_MIN_SPAN_BLOCKS`` blocks; with fewer blocks,
+or without os.fork, the call runs in the calling process. A graph with no
+group that is its own 2-core draws exactly the colors an explicit n-vertex
+sampler would.
 """
 from __future__ import annotations
 
@@ -440,70 +441,58 @@ def _spans(nblocks: int, workers: int) -> list[range]:
             for span in np.array_split(np.arange(nblocks), max(count, 1))]
 
 
-def _fork_span(plan: _Plan, seed: int, span: range, samples: int) -> tuple[int, int]:
-    """Start a child that runs ``_run_blocks`` on ``span`` and pickles
-    (True, its Counter) or (False, the exception it raised) into a pipe;
-    returns the child's pid and the pipe's read end. The child leaves by
-    os._exit, so it never returns into the caller's frames or flushes the
-    stdio it inherited."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            try:
-                result = True, _run_blocks(plan, seed, span, samples)
-            except BaseException as exc:
-                result = False, exc
-            with open(write, "wb") as pipe:
-                pickle.dump(result, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
 def _run_spans(plan: _Plan, seed: int, spans: list[range], samples: int) -> Counter:
     """Histogram of every block: spans[0] here, each other span in a forked
-    child. Every child is reaped before this returns or raises, and a raise
-    here kills the children still running."""
-    children, reaped = [], set()
+    child. A child pickles its Counter, or the exception it raised, into a
+    pipe and leaves by os._exit (status 1 if it could not write), so it never
+    returns into the caller's frames or flushes the stdio it inherited. The
+    ``finally`` kills and reaps every child not yet reaped."""
+    children = []  # (pid, pipe) of each child not yet reaped
     try:
         for span in spans[1:]:
-            children.append(_fork_span(plan, seed, span, samples))
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    try:
+                        result = _run_blocks(plan, seed, span, samples)
+                    except BaseException as exc:
+                        result = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
         counter = _run_blocks(plan, seed, spans[0], samples)
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
+        while children:
+            pid, pipe = children[0]
+            with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
+            del children[0]
             if status or not data:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise WorkerExitError(f"Monte-Carlo worker {pid} {how} without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            counter.update(value)
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            counter.update(result)
         return counter
-    except BaseException:
-        import signal  # only on this path: importing monostar should not load it
-
-        for pid, _ in children:
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-        raise
     finally:
-        for pid, read in children:
-            os.close(read)
-            if pid not in reaped:
-                os.waitpid(pid, 0)
+        for pid, pipe in children:
+            import signal  # only on this path: importing monostar should not load it
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,

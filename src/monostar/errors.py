@@ -6,11 +6,15 @@ class MonostarError(Exception):
 
 
 class EdgeListParseError(MonostarError):
-    """Malformed edge-list input. Carries the 1-based line number."""
+    """Malformed edge-list input. Carries the 1-based line number. Its args
+    are the constructor's, so it survives pickling, as from a worker process."""
 
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)
         self.line_number = line_number
+
+    def __str__(self) -> str:
+        return f"line {self.args[0]}: {self.args[1]}"
 
 
 class BudgetExceededError(MonostarError):

@@ -24,7 +24,6 @@ __all__ = [
     "generator_scale",
     "degree_sequence",
     "pendant_trees",
-    "components",
     "component_groups",
     "parse_edge_list",
     "edge_list_text",
@@ -121,7 +120,7 @@ def pendant_trees(g: Graph) -> tuple[np.ndarray, list[tuple], list[tuple]]:
 
     Each tree either hangs off one core vertex, its anchor, by one edge, or
     is a whole component. Every run of degree-2 vertices (a component of
-    the subgraph they span, labelled once as in ``components``) is
+    the subgraph they span, labelled once by ``_labels``) is
     contracted into one edge that keeps the run's length. What is left are
     the vertices of other degrees (nodes), numbered by their own ids.
     Whole-array rounds of raking (Miller & Reif, 1985) then take every node
@@ -261,16 +260,6 @@ def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = up
 
 
-def components(g: Graph, within: np.ndarray | None = None) -> np.ndarray:
-    """Connected-component label of every vertex: the smallest vertex of its
-    component (int32, as the edge arrays). See ``_labels``. With a vertex
-    mask ``within``, only the edges with both ends in it count."""
-    if within is None:
-        return _labels(g.vertex_count, g.edge_u, g.edge_v)
-    inside = within[g.edge_u] & within[g.edge_v]
-    return _labels(g.vertex_count, g.edge_u[inside], g.edge_v[inside])
-
-
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D array in lexicographic order, each row's
     index among them, and their counts: ``np.unique(rows, axis=0,
@@ -310,8 +299,8 @@ def component_groups(g: Graph, max_vertices: int,
     """
     n = g.vertex_count
     small = g.degrees < max_vertices
-    labels = components(g, small)
     inside = small[g.edge_u] & small[g.edge_v]
+    labels = _labels(n, g.edge_u[inside], g.edge_v[inside])
     inner = np.bincount(g.edge_u[inside], minlength=n) + np.bincount(g.edge_v[inside], minlength=n)
     sizes = np.bincount(labels, minlength=n)  # non-zero only at the roots
     # a vertex outside ``small`` is a component of its own here

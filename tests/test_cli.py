@@ -1,11 +1,12 @@
 import json
 import math
+import os
 from functools import partial
 
 import pytest
 
-from monostar import cli, experiment
-from monostar.cli import BUDGET_EXIT, USAGE_EXIT, main
+from monostar import cli, coloring, experiment
+from monostar.cli import BUDGET_EXIT, USAGE_EXIT, WORKER_EXIT, main
 from monostar.experiment import Report
 from monostar.stars import class_counts
 
@@ -94,6 +95,26 @@ class TestSimulate:
                                "-n", "100", "--seed", "0", "--csv")
         assert code == 0
         assert out.startswith("value,count\n")
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch):
+        run_blocks = coloring._run_blocks
+
+        def patched(plan, seed, blocks, samples):
+            if blocks[0] != 0:  # only the forked child dies
+                os._exit(3)
+            return run_blocks(plan, seed, blocks, samples)
+
+        monkeypatch.setattr(coloring, "_run_blocks", patched)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # 25 blocks of 4,096 rows: two spans on two CPUs
+        code, out, err = run_cli(capsys, "simulate", "complete:3", "-r", "2", "-c", "2",
+                                 "-n", "100000", "--seed", "5", "--workers", "2")
+        assert code == WORKER_EXIT == 1
+        assert out == ""
+        assert err.startswith("error: Monte-Carlo worker ") and err.count("\n") == 1
+        assert "exited with status 3 without a result" in err
 
 
 class TestExact:

@@ -19,7 +19,7 @@ from monostar.coloring import (
     eval_T,
     monte_carlo,
 )
-from monostar.errors import BudgetExceededError, WorkerExitError
+from monostar.errors import BudgetExceededError, EdgeListParseError, WorkerExitError
 from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
                              parse_generator, path, pendant_trees, star)
 from monostar.oracle import exact_pmf
@@ -166,6 +166,19 @@ def _fail_off_block_0(monkeypatch, fail):
     _two_cpus(monkeypatch)
 
 
+def _worker_dists(monkeypatch, g, r, c, samples, seed):
+    """monte_carlo at workers 1, 2 and 8 on two CPUs. The workers=2 call must
+    fork, counted as in ``TestWorkers``, so the histograms do not all come
+    from the calling process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _two_cpus(monkeypatch)
+    one = monte_carlo(g, r, c, samples, seed=seed)
+    two = monte_carlo(g, r, c, samples, seed=seed, workers=2)
+    assert forks, "workers=2 ran in the calling process"
+    return [one, two, monte_carlo(g, r, c, samples, seed=seed, workers=8)]
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -218,6 +231,27 @@ class TestWorkers:
         _fail_off_block_0(monkeypatch, fail)
         with pytest.raises(KeyError, match="off block 0"):
             monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=29, workers=2)
+        _no_child_left()
+
+    def test_child_parse_error_keeps_its_line_number(self, monkeypatch):
+        def fail():
+            raise EdgeListParseError(3, "bad")
+
+        _fail_off_block_0(monkeypatch, fail)
+        with pytest.raises(EdgeListParseError, match="line 3: bad") as info:
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=47, workers=2)
+        assert info.value.line_number == 3
+        _no_child_left()
+
+    def test_child_that_cannot_pickle_its_exception_exits_with_status_1(self, monkeypatch):
+        def fail():
+            error = KeyError("unpicklable")
+            error.hook = lambda: None
+            raise error
+
+        _fail_off_block_0(monkeypatch, fail)
+        with pytest.raises(WorkerExitError, match="exited with status 1"):
+            monte_carlo(self.G, self.R, self.C, self.SAMPLES, seed=53, workers=2)
         _no_child_left()
 
     def test_child_exit_without_result(self, monkeypatch):
@@ -365,12 +399,13 @@ class TestCoreTreeSampler:
             dist = monte_carlo(g, r, c, 100_000, seed=59)
             assert max(_tail_pooled_z_scores(dist.counts, 100_000, ref, 6000)) <= 5
 
-    def test_mixed_graph_worker_invariance(self):
-        for text, r, c, samples in [("figure2:20", 2, 20, 20_000),
-                                    ("copies:2000:star:3", 3, 5, 5_000),
-                                    ("path:3000", 2, 3, 2_000)]:
+    def test_mixed_graph_worker_invariance(self, monkeypatch):
+        # 4,096 rows per block: 10 blocks, so workers=2 forks on two CPUs
+        for text, r, c, samples in [("figure2:20", 2, 20, 40_000),
+                                    ("copies:2000:star:3", 3, 5, 40_000),
+                                    ("path:3000", 2, 3, 40_000)]:
             g = generate(parse_generator(text))
-            dists = [monte_carlo(g, r, c, samples, seed=61, workers=w) for w in (1, 2, 8)]
+            dists = _worker_dists(monkeypatch, g, r, c, samples, seed=61)
             assert dists[0].counts == dists[1].counts == dists[2].counts, text
 
     def test_skip_extremes(self):
@@ -858,19 +893,21 @@ class TestGroupedSampler:
         assert abs((second - mean**2) / (10_000 * p * (1 - p)) - 1) <= 0.05
 
     @pytest.mark.parametrize("text,r,c,samples", [
-        ("copies:2000:star:3", 3, 5, 20_000), ("copies:500:tadpole31", 2, 3, 20_000),
+        ("copies:2000:star:3", 3, 5, 40_000), ("copies:500:tadpole31", 2, 3, 20_000),
         ("er:400:0.005:seed=3", 1, 4, 20_000)])
-    def test_worker_invariance(self, text, r, c, samples):
+    def test_worker_invariance(self, monkeypatch, text, r, c, samples):
+        # 10, 16 and 11 blocks: workers=2 forks on two CPUs
         g = generate(parse_generator(text))
         assert _group_parts(g, r, c)
-        dists = [monte_carlo(g, r, c, samples, seed=137, workers=w) for w in (1, 2, 8)]
+        dists = _worker_dists(monkeypatch, g, r, c, samples, seed=137)
         assert dists[0].counts == dists[1].counts == dists[2].counts
 
-    def test_mixed_union_worker_invariance(self):
+    def test_mixed_union_worker_invariance(self, monkeypatch):
         g = disjoint_union(generate(parse_generator("figure2:20")),
                            generate(parse_generator("copies:300:star:3")))
         assert _group_parts(g, 2, 20)
-        dists = [monte_carlo(g, 2, 20, 20_000, seed=139, workers=w) for w in (1, 2, 8)]
+        # 4,096 rows per block: 10 blocks, so workers=2 forks on two CPUs
+        dists = _worker_dists(monkeypatch, g, 2, 20, 40_000, seed=139)
         assert dists[0].counts == dists[1].counts == dists[2].counts
 
     @pytest.mark.parametrize("text,r,c", [

@@ -3,10 +3,11 @@ module reaching into another module's private names, no package import hidden
 below module top level, no exception type that nothing raises, no r-subset
 enumeration beside the clique-sum classifier, an exact oracle on the one T
 kernel with no enumeration of colorings, one draw route in the sampler, one
-graph representation, an experiment spec holding only what callers set, a
-generator spec that is a table row's name plus its builder's arguments, no
-exported name that the package itself never uses, and no json or
-concurrent.futures loaded by the import."""
+cleanup path for its worker processes, one graph representation, an
+experiment spec holding only what callers set, a generator spec that is a
+table row's name plus its builder's arguments, no exported name that the
+package itself never uses, and no json or concurrent.futures loaded by the
+import."""
 import ast
 import dataclasses
 import os
@@ -114,6 +115,19 @@ def test_one_rake_finds_the_core_and_the_trees():
     # pendant_trees finds the 2-core with the rake that shapes the trees: no
     # second peel beside it
     assert not hasattr(graphs, "_peel")
+
+
+def test_workers_are_cleaned_up_by_one_finally():
+    # _run_spans forks each child itself, and one try/finally at its own level
+    # kills and reaps the children not yet reaped: no except clause there and
+    # no second cleanup path. Only the fork and the child's own code, inside
+    # the loop that forks, nest a try of their own.
+    assert not hasattr(coloring, "_fork_span")
+    source = next(p for p in SOURCES if p.name == "coloring.py").read_text()
+    [run_spans] = [node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_run_spans"]
+    [cleanup] = [node for node in run_spans.body if isinstance(node, ast.Try)]
+    assert cleanup.handlers == [] and cleanup.finalbody
 
 
 def test_graph_is_its_edge_list_and_degrees():

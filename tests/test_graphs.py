@@ -14,7 +14,6 @@ from monostar.graphs import (
     circulant,
     complete,
     component_groups,
-    components,
     complete_bipartite,
     cycle,
     degree_sequence,
@@ -473,7 +472,7 @@ def test_parse_keeps_ids_past_int64():
 
 class _CountingMinimum:
     """``np.minimum`` that counts its ``at`` calls: one per hooking round of
-    ``components``."""
+    ``_labels``."""
 
     def __init__(self):
         self.rounds = 0
@@ -493,7 +492,7 @@ class TestComponents:
         isolated = 0
         for _ in range(200):
             g = random_graph(rng, 30, p=float(rng.uniform(0.0, 0.15)))
-            labels = components(g)
+            labels = graphs._labels(g.vertex_count, g.edge_u, g.edge_v)
             assert labels.dtype == np.int32
             assert labels.tolist() == brute_components(g)
             isolated += int((g.degrees == 0).sum())
@@ -503,13 +502,15 @@ class TestComponents:
         for text in ["figure2:6", "er:400:0.004:seed=3", "copies:7:tadpole31",
                      "union:0.6,0.3,0.1:50", "star:0", "path:1", "cycle:9"]:
             g = generate(parse_generator(text))
-            assert components(g).tolist() == brute_components(g), text
+            labels = graphs._labels(g.vertex_count, g.edge_u, g.edge_v)
+            assert labels.tolist() == brute_components(g), text
 
     def test_empty_and_one_vertex(self):
-        assert components(build_graph(0, [])).tolist() == []
-        assert components(build_graph(1, [])).tolist() == [0]
-        assert component_groups(build_graph(0, []), 5) == []
-        assert component_groups(build_graph(1, []), 5) == []
+        empty, one = build_graph(0, []), build_graph(1, [])
+        assert graphs._labels(0, empty.edge_u, empty.edge_v).tolist() == []
+        assert graphs._labels(1, one.edge_u, one.edge_v).tolist() == [0]
+        assert component_groups(empty, 5) == []
+        assert component_groups(one, 5) == []
 
     def test_long_paths_take_few_rounds(self, monkeypatch):
         n = 100_000
@@ -517,7 +518,7 @@ class TestComponents:
         for g in (path(n), build_graph(n, np.stack([shuffled[:-1], shuffled[1:]], axis=1))):
             counter = _CountingMinimum()
             monkeypatch.setattr(np, "minimum", counter)
-            labels = components(g)
+            labels = graphs._labels(g.vertex_count, g.edge_u, g.edge_v)
             monkeypatch.undo()
             assert not labels.any()
             # each tree merges within two rounds, so at most 2 * log2(n) + 2
@@ -585,7 +586,9 @@ class TestComponents:
         assert same_edges(copy, path(2)) and vertices.tolist() == [[12, 13], [14, 15]]
         assert len(component_groups(g, 6)) == 2
         within = g.degrees < 5
-        assert components(g, within).tolist() == list(range(12)) + [12, 12, 14, 14]
+        inside = within[g.edge_u] & within[g.edge_v]
+        labels = graphs._labels(g.vertex_count, g.edge_u[inside], g.edge_v[inside])
+        assert labels.tolist() == list(range(12)) + [12, 12, 14, 14]
 
     def test_min_copies_one_covers_every_component(self):
         # the exact oracle's grouping: every component, with or without a copy
