@@ -6,16 +6,16 @@ so a sample only needs to know which edges match, and T is a sum of
 independent terms over the connected components. ``monte_carlo`` builds one
 ``_Plan`` per call: explicit colors only for the 2-core, and one draw from
 an exact law of (a, S) for every other part, each tree outside the 2-core
-(``_TreeLaws``) and each copy of a small component with identical copies
-(``oracle.exact_pmf``). A tree's edges match with probability 1/c each,
-whatever the core's colors, so its whole effect on T is a, whether its edge
-to the core matches, and S, the sum of C(h_v, r) over its own vertices; a
-copy has a = 0 and S its T. Parts of one shape share one law. One
-vertex-major kernel (``stars.eval_T_block``), also behind ``eval_T`` and
-the exact oracle, turns core colors into T per row: a scan of the core
-edges in cache-sized slices finds the matched ones, and one bincount over
-their ends and the parts' a hits gives m_v for every colored vertex. The
-parts' S are then added per row.
+(``_TreeLaws``, on ``pmf``'s law algebra) and each copy of a small component
+with identical copies (``oracle.exact_pmf``). A tree's edges match with
+probability 1/c each, whatever the core's colors, so its whole effect on T
+is a, whether its edge to the core matches, and S, the sum of C(h_v, r) over
+its own vertices; a copy has a = 0 and S its T. Parts of one shape share one
+law. One vertex-major kernel (``stars.eval_T_block``), also behind
+``eval_T`` and the exact oracle, turns core colors into T per row: a scan of
+the core edges in cache-sized slices finds the matched ones, and one
+bincount over their ends and the parts' a hits gives m_v for every colored
+vertex. The parts' S are then added per row.
 
 The samples are split into blocks of the plan's row count, and one Philox
 stream is keyed per (seed, block); each block draws its core colors, then
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BudgetExceededError, WorkerExitError
 from .graphs import Graph, build_graph, component_groups, pendant_trees
 from .oracle import exact_pmf
-from .pmf import Pmf
+from .pmf import CUT, Pmf, add_laws, merge_law, power, sum_laws
 from .stars import count_stars, eval_T_block, star_table
 
 __all__ = [
@@ -177,63 +177,11 @@ def _max_group_vertices(c: int, n: int) -> int:
     return k
 
 
-_CUT = 2.0**-60
-_OUTER_CELLS = 1 << 20
-
-
-def _merge(values: np.ndarray, probs: np.ndarray, deficit: float) -> tuple:
-    """The law ``(values, probs, deficit)`` of outcomes drawn with ``probs``:
-    equal values summed, then every outcome lighter than ``_CUT`` over their
-    number cut, so that at most ``_CUT`` is cut, and that mass added to the
-    deficit."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    values, probs = values[first], np.add.reduceat(probs[order], first)
-    light = probs <= _CUT / probs.size
-    return values[~light], probs[~light], deficit + float(probs[light].sum())
-
-
-def _sums(pairs: list, deficit: float) -> tuple:
-    """The law of x + y, for x and y drawn independently from one of the
-    ``pairs`` of laws (each law's mass being that pair's share). The outer
-    sums are merged every ``_OUTER_CELLS`` or so, so memory stays bounded."""
-    values, probs, size = [], [], 0
-    for a, b in pairs:
-        step = max(1, _OUTER_CELLS // max(b[0].size, 1))
-        for i in range(0, a[0].size, step):
-            values.append(np.add.outer(a[0][i:i + step], b[0]).ravel())
-            probs.append(np.multiply.outer(a[1][i:i + step], b[1]).ravel())
-            size += values[-1].size
-            if size > _OUTER_CELLS:
-                merged = _merge(np.concatenate(values), np.concatenate(probs), deficit)
-                values, probs, deficit = [merged[0]], [merged[1]], merged[2]
-                size = merged[0].size
-    return _merge(np.concatenate(values), np.concatenate(probs), deficit)
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    """Law of the sum of independent draws from laws a and b."""
-    return _sums([(a, b)], a[2] + b[2])
-
-
-def _power(base, count: int, times):
-    """``base`` times itself ``count`` >= 1 times under ``times``, by squaring."""
-    out = None
-    while count:
-        if count & 1:
-            out = base if out is None else times(out, base)
-        count >>= 1
-        if count:
-            base = times(base, base)
-    return out
-
-
 def _times(a: tuple, b: tuple) -> tuple:
     """Product of two transfer matrices ``(offset, matrix, deficit)``, whose
     ``matrix[i, j, s]`` is the chance of top edge j and S = offset + s given
     bottom edge i; the S columns at either end are cut while their total
-    mass stays at most ``_CUT``."""
+    mass stays at most ``CUT``."""
     (oa, ma, da), (ob, mb, db) = a, b
     out = np.zeros((2, 2, ma.shape[2] + mb.shape[2] - 1))
     for i in (0, 1):
@@ -241,8 +189,8 @@ def _times(a: tuple, b: tuple) -> tuple:
             for k in (0, 1):
                 out[i, j] += np.convolve(ma[i, k], mb[k, j])
     mass = out.sum(axis=(0, 1))
-    low = int(np.searchsorted(np.cumsum(mass), _CUT / 2, side="right"))
-    high = mass.size - int(np.searchsorted(np.cumsum(mass[::-1]), _CUT / 2, side="right"))
+    low = int(np.searchsorted(np.cumsum(mass), CUT / 2, side="right"))
+    high = mass.size - int(np.searchsorted(np.cumsum(mass[::-1]), CUT / 2, side="right"))
     cut = float(mass[:low].sum() + mass[high:].sum())
     return oa + ob + low, out[:, :, low:high], da + db + cut
 
@@ -254,17 +202,17 @@ class _TreeLaws:
     other edge and of the core's colors, so a tree adds to T only through
     the pair (a, S): a whether the edge to its anchor matches, which adds
     one to the anchor's match count, and S the sum of C(h_v, r) over its own
-    vertices. A law is ``(values, probs, deficit)`` with value ``S * keys +
-    key``: the key is a match count M or an edge's match e, and ``keys`` is
-    a power of two above the maximum degree, so summing two values sums the
-    keys and the S parts apart. A node's children are independent, so the
+    vertices. A law is a ``pmf`` law ``(values, probs, deficit)`` with value
+    ``S * keys + key``: the key is a match count M or an edge's match e, and
+    ``keys`` is a power of two above the maximum degree, so summing two
+    values sums the keys and the S parts apart. A node's children are independent, so the
     law of (M, S) below it is the sum of its children's laws of (e, S), and
     identical children are one law raised to their count by squaring.
     ``close`` then adds C(M + e, r) for the node itself. A run of L
     degree-2 vertices is ``close`` applied L times: a power of the 2x2
     transfer matrix of one such vertex, taken by squaring with each entry a
     dense array over S (Flajolet & Sedgewick, *Analytic Combinatorics*,
-    2009). Each step cuts at most ``_CUT`` of its lightest mass and adds the
+    2009). Each step cuts at most ``pmf.CUT`` of its lightest mass and adds the
     deficits it uses, so a law's deficit bounds the mass it lost.
     """
 
@@ -285,8 +233,8 @@ class _TreeLaws:
         m = (law[0] % self.keys).astype(np.intp)
         s = law[0] - m
         if not keyed:
-            return _merge(s + self.steps[m], law[1], law[2])
-        return _merge(np.concatenate([s + self.steps[m], s + self.steps[m + 1] + 1]),
+            return merge_law(s + self.steps[m], law[1], law[2])
+        return merge_law(np.concatenate([s + self.steps[m], s + self.steps[m + 1] + 1]),
                       np.concatenate([law[1] * (1 - self.hit), law[1] * self.hit]), law[2])
 
     def chain(self, law: tuple, length: int) -> tuple:
@@ -297,14 +245,14 @@ class _TreeLaws:
         for i in (0, 1):
             for j in (0, 1):
                 step[i, j, int(self.table[i + j])] = self.hit if j else 1 - self.hit
-        offset, matrix, deficit = _power((0, step, 0.0), length, _times)
+        offset, matrix, deficit = power((0, step, 0.0), length, _times)
         key = law[0] % self.keys
         rows = []
         for i in (0, 1):
             j, s = np.nonzero(matrix[i])
             rows.append(((law[0][key == i] - i, law[1][key == i]),
                          ((offset + s).astype(self.dtype) * self.keys + j, matrix[i, j, s])))
-        return _sums(rows, law[2] + deficit)
+        return sum_laws(rows, law[2] + deficit)
 
     def of(self, shapes: list, trees: list) -> list:
         """``(anchors, law)`` per tree kind: pendant trees by their top
@@ -320,7 +268,7 @@ class _TreeLaws:
         for children in shapes:
             law = self.point()
             for child, length, count in children:
-                law = _add(law, _power(up(child, length), count, _add))
+                law = add_laws(law, power(up(child, length), count, add_laws))
             below.append(law)
         return [(anchors, up(shape, length) if length >= 0
                  else self.close(below[shape], keyed=False))

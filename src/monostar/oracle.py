@@ -9,7 +9,8 @@ partition of the vertices. A partition into k blocks arises from the
 where N(t, k) counts the partitions with k blocks and value t. T is also a
 sum over connected components, so its law is the convolution of the
 component laws, and identical components (``graphs.component_groups``) need
-one law and a convolution power. A component without an r-star adds 0.
+one law and a convolution power, both in ``pmf``'s law algebra, taken onto
+the law so far. A component without an r-star adds 0.
 
 Each distinct component's partitions are restricted growth strings (Knuth,
 TAOCP 7.2.1.5) with at most min(c, n) blocks, built in numpy by prefix,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .graphs import Graph, component_groups
-from .pmf import Pmf
+from .pmf import Pmf, add_laws, power
 from .stars import eval_T_block, star_table
 
 __all__ = ["exact_pmf", "DEFAULT_ORACLE_BUDGET"]
@@ -104,8 +105,9 @@ def _growth_strings(n: int, blocks: int):
         stack += reversed(list(zip(np.split(strings, cuts, axis=1), np.split(used, cuts))))
 
 
-def _partition_law(g: Graph, r: int, c: int) -> dict[int, int]:
-    """T on g from its set partitions: value -> number of its c^n colorings."""
+def _partition_law(g: Graph, r: int, c: int) -> tuple:
+    """The law ``(values, counts, 0)`` of T on g from its set partitions:
+    each value with the number of its c^n colorings, as Python ints."""
     n = g.vertex_count
     blocks = min(c, n)
     falling = [c]  # falling[k - 1] = (c)_k
@@ -120,8 +122,9 @@ def _partition_law(g: Graph, r: int, c: int) -> dict[int, int]:
                                 minlength=values.size * blocks).reshape(-1, blocks)
         for v, row in zip(values.tolist(), by_blocks):
             counts[v] = counts[v] + row if v in counts else row
-    return {v: sum(count * f for count, f in zip(row.tolist(), falling))
-            for v, row in counts.items()}
+    return (np.array(list(counts), dtype=object), np.array(
+        [sum(count * f for count, f in zip(row.tolist(), falling)) for row in counts.values()],
+        dtype=object), 0)
 
 
 def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET) -> Pmf:
@@ -141,31 +144,20 @@ def exact_pmf(g: Graph, r: int, c: int, budget: int = DEFAULT_ORACLE_BUDGET) -> 
         cost += _partition_count(shape.vertex_count, min(c, shape.vertex_count), cap)
         if cost > budget:
             _refuse(cost, budget, at_least=cost > cap)
-    law, vertices = {0: 1}, 0
 
     def words(m):  # 64-bit words of a count of the colorings of m vertices
         return m * c.bit_length() // 64 + 1
 
-    def convolve(a, na, b, nb):
+    def times(a, b):  # laws, each with its vertex count
         nonlocal cost
-        cost += len(a) * len(b) * words(na) * words(nb)
+        cost += a[0][0].size * b[0][0].size * words(a[1]) * words(b[1])
         if cost > budget:
             _refuse(cost, budget, at_least=True)
-        out: dict[int, int] = {}
-        for x, p in a.items():
-            for y, q in b.items():
-                out[x + y] = out.get(x + y, 0) + p * q
-        return out
+        return add_laws(a[0], b[0]), a[1] + b[1]
 
+    law = None
     for shape, copies in shapes:
-        part, size = _partition_law(shape, r, c), shape.vertex_count
-        while True:
-            if copies & 1:
-                law = convolve(law, vertices, part, size) if vertices else part
-                vertices += size
-            copies >>= 1
-            if not copies:
-                break
-            part, size = convolve(part, size, part, size), 2 * size
+        law = power((_partition_law(shape, r, c), shape.vertex_count), copies, times, law)
+    (values, counts, _), vertices = law or (([0], [1], 0), 0)  # no r-star: T is 0
     total = c**vertices
-    return Pmf({v: Fraction(k, total) for v, k in law.items()}, Fraction(0))
+    return Pmf({v: Fraction(k, total) for v, k in zip(values, counts)}, Fraction(0))

@@ -1,8 +1,13 @@
-"""Finite probability mass functions with explicit truncation deficit.
+"""Finite probability mass functions with explicit truncation deficit, and
+the one algebra that sums independent finite laws.
 
 Two flavors share one container: exact (Fraction probabilities, deficit 0 for
 enumeration output) and float (truncated convolutions). All iteration is in
 sorted support order so float reductions are reproducible.
+
+The algebra's laws are ``(values, probs, deficit)``: float probs for the
+sampler's tree laws, counts of colorings as Python ints for the exact oracle,
+which ``merge_law``'s cut never reaches, since a count is at least 1.
 """
 from __future__ import annotations
 
@@ -11,7 +16,10 @@ from fractions import Fraction
 from math import fsum, lcm
 from numbers import Rational
 
-__all__ = ["Pmf", "pmf_moments", "tv_distance"]
+import numpy as np
+
+__all__ = ["Pmf", "pmf_moments", "tv_distance", "CUT", "merge_law", "sum_laws", "add_laws",
+           "power"]
 
 _FLOAT_MASS_TOL = 1e-12
 
@@ -96,3 +104,54 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
         acc += abs(float(p.prob(v)) - float(q.prob(v)))
     acc += abs(float(p.deficit) - float(q.deficit))
     return 0.5 * acc
+
+
+CUT = 2.0**-60
+_OUTER_CELLS = 1 << 20
+
+
+def merge_law(values: np.ndarray, probs: np.ndarray, deficit: float) -> tuple:
+    """The law ``(values, probs, deficit)`` of outcomes drawn with ``probs``:
+    equal values summed, then every outcome lighter than ``CUT`` over their
+    number cut, so that at most ``CUT`` is cut, and that mass added to the
+    deficit."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    values, probs = values[first], np.add.reduceat(probs[order], first)
+    light = probs <= CUT / probs.size
+    return values[~light], probs[~light], deficit + float(probs[light].sum())
+
+
+def sum_laws(pairs: list, deficit: float) -> tuple:
+    """The law of x + y, for x and y drawn independently from one of the
+    ``pairs`` of laws (each law's mass being that pair's share). The outer
+    sums are merged every ``_OUTER_CELLS`` or so, so memory stays bounded."""
+    values, probs, size = [], [], 0
+    for a, b in pairs:
+        step = max(1, _OUTER_CELLS // max(b[0].size, 1))
+        for i in range(0, a[0].size, step):
+            values.append(np.add.outer(a[0][i:i + step], b[0]).ravel())
+            probs.append(np.multiply.outer(a[1][i:i + step], b[1]).ravel())
+            size += values[-1].size
+            if size > _OUTER_CELLS:
+                merged = merge_law(np.concatenate(values), np.concatenate(probs), deficit)
+                values, probs, deficit = [merged[0]], [merged[1]], merged[2]
+                size = merged[0].size
+    return merge_law(np.concatenate(values), np.concatenate(probs), deficit)
+
+
+def add_laws(a: tuple, b: tuple) -> tuple:
+    """Law of the sum of independent draws from laws a and b."""
+    return sum_laws([(a, b)], a[2] + b[2])
+
+
+def power(base, count: int, times, out=None):
+    """out * base^count under ``times``, by squaring; base^count, count >= 1, without out."""
+    while count:
+        if count & 1:
+            out = base if out is None else times(out, base)
+        count >>= 1
+        if count:
+            base = times(base, base)
+    return out

@@ -81,12 +81,18 @@ class TestSimulate:
         assert payload["samples"] == 5000
         assert set(payload["counts"]) <= {"0", "3"}
 
-    def test_deterministic_across_workers(self, capsys):
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+    def test_deterministic_across_workers(self, capsys, monkeypatch):
+        # 10 blocks of 4,096 rows, so workers=2 forks on two CPUs
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         outputs = []
         for w in ("1", "2"):
             code, out, _ = run_cli(capsys, "simulate", "cycle:9", "-r", "2", "-c", "3",
-                                   "-n", "4000", "--seed", "5", "--workers", w)
+                                   "-n", "40000", "--seed", "5", "--workers", w)
             assert code == 0
+            assert bool(forks) == (w == "2"), f"workers={w} forked {len(forks)} times"
             outputs.append(out)
         assert outputs[0] == outputs[1]
 

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from monostar import coloring
+from monostar import coloring, pmf
 from monostar.coloring import (
     Coloring,
     EmpiricalDist,
@@ -577,13 +577,13 @@ class TestTreeLaws:
                 assert cov == pytest.approx(want[2], rel=1e-7, abs=1e-15)
 
     def test_merging_in_chunks_keeps_each_law(self, monkeypatch):
-        # the outer sums of two laws are merged every _OUTER_CELLS cells; a
-        # bound of 64 cells merges many times on the way, to the same laws
+        # the outer sums of two laws are merged every pmf._OUTER_CELLS cells;
+        # a bound of 64 cells merges many times on the way, to the same laws
         rng = np.random.default_rng(223)
         g = disjoint_union(with_pendant_trees(rng, cycle(3), 40), star(9), path(30))
         for r, c in [(1, 2), (2, 3)]:
             whole = _Plan.of(g, r, c).parts
-            monkeypatch.setattr(coloring, "_OUTER_CELLS", 64)
+            monkeypatch.setattr(pmf, "_OUTER_CELLS", 64)
             chunked = _Plan.of(g, r, c).parts
             monkeypatch.undo()
             assert len(whole) == len(chunked) > 3

@@ -2,8 +2,9 @@
 module reaching into another module's private names, no package import hidden
 below module top level, no exception type that nothing raises, no r-subset
 enumeration beside the clique-sum classifier, an exact oracle on the one T
-kernel with no enumeration of colorings, one draw route in the sampler, one
-cleanup path for its worker processes, one graph representation, an
+kernel with no enumeration of colorings, one finite-law algebra shared by the
+oracle and the sampler, one draw route in the sampler, one cleanup path for
+its worker processes, one graph representation, an
 experiment spec holding only what callers set, a generator spec that is a
 table row's name plus its builder's arguments, no exported name that the
 package itself never uses, and no json or concurrent.futures loaded by the
@@ -97,6 +98,22 @@ def test_oracle_scores_partitions_with_the_one_kernel():
     assert "eval_T_block" in calls
     assert "_decode_colorings" not in source
     assert "c ** (n - 1)" not in source and "c ** max(n - 1" not in source
+
+
+def test_one_law_algebra_in_pmf():
+    # pmf sums and raises every finite law, the oracle's counts of colorings
+    # and the sampler's tree laws alike: no outer sums, dict convolution or
+    # law sums beside it
+    outer = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "outer"
+             and isinstance(node.value, ast.Attribute) and node.value.attr in ("add", "multiply")]
+    assert outer and {mention.split(":")[0] for mention in outer} == {"pmf.py"}
+    defined = {path.name: {node.name for node in ast.walk(ast.parse(path.read_text()))
+                           if isinstance(node, ast.FunctionDef)}
+               for path in SOURCES if path.name in ("oracle.py", "coloring.py")}
+    assert "convolve" not in defined["oracle.py"]
+    assert not {"_merge", "_sums", "_add", "_power"} & defined["coloring.py"]
 
 
 def test_sampler_draws_every_part_by_one_route():

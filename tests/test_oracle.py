@@ -91,6 +91,17 @@ class TestExactPmf:
         with pytest.raises(BudgetExceededError) as err:
             exact_pmf(g, 2, 2, budget=10)
         assert err.value.cost == 14
+        # each shape's power is taken onto the law so far, which fixes the
+        # order, and so the sizes, of the cells charged
+        for parts, c, charge in [(["copies:3:star:2", "copies:7:tadpole31"], 3, 584),
+                                 (["copies:7:tadpole31", "copies:5:star:3", "copies:3:path:3"],
+                                  4, 2159)]:
+            g = disjoint_union(*(generate(parse_generator(text)) for text in parts))
+            pmf = exact_pmf(g, 2, c, budget=charge)
+            assert pmf_moments(pmf, 1)[0] == Fraction(count_stars(g, 2), c**2)
+            with pytest.raises(BudgetExceededError) as err:
+                exact_pmf(g, 2, c, budget=charge - 1)
+            assert err.value.cost == charge
 
     def test_complete_10_at_185_colors(self):
         # B(10) = 115,975 partitions stand in for 185^9 colorings

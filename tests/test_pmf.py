@@ -2,12 +2,16 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monostar import pmf
+from monostar.graphs import generate, parse_generator
 from monostar.limits import figure2_params, limit_pmf
-from monostar.pmf import Pmf, pmf_moments, tv_distance
+from monostar.oracle import exact_pmf
+from monostar.pmf import CUT, Pmf, add_laws, merge_law, pmf_moments, power, tv_distance
 
 
 def exact(d):
@@ -118,3 +122,67 @@ class TestTvDistance:
     @settings(max_examples=100, deadline=None)
     def test_triangle_inequality(self, p, q, s):
         assert tv_distance(p, q) <= tv_distance(p, s) + tv_distance(s, q) + 1e-12
+
+
+def _counts_law(rng, size):
+    """An exact law: distinct values with counts of colorings past 2^64, as
+    Python ints in object arrays."""
+    values = sorted(rng.choice(50, size=size, replace=False).tolist())
+    counts = [int(k) * 3**50 + 1 for k in rng.integers(1, 1000, size=size)]
+    return np.array(values, dtype=object), np.array(counts, dtype=object), 0
+
+
+def _as_dict(law):
+    return dict(zip(law[0].tolist(), law[1].tolist()))
+
+
+def _convolve(*laws):
+    """The plain dict convolution of exact laws."""
+    out = {0: 1}
+    for law in laws:
+        sums = {}
+        for x, p in out.items():
+            for y, q in _as_dict(law).items():
+                sums[x + y] = sums.get(x + y, 0) + p * q
+        out = sums
+    return out
+
+
+class TestLawAlgebra:
+    def test_exact_counts_are_summed_exactly(self):
+        # counts past 2^64 are never lighter than CUT over the support size:
+        # nothing is cut and the deficit stays 0
+        rng = np.random.default_rng(226)
+        a, b = _counts_law(rng, 7), _counts_law(rng, 11)
+        assert max(a[1]) > 1 << 64
+        cases = [(add_laws(a, b), [a, b]), (power(a, 5, add_laws), [a] * 5),
+                 (power(a, 6, add_laws, b), [b] + [a] * 6), (power(a, 0, add_laws, b), [b])]
+        for law, parts in cases:
+            assert _as_dict(law) == _convolve(*parts)
+            assert list(law[0]) == sorted(law[0]) and law[2] == 0
+
+    def test_float_cut_mass_enters_the_deficit(self):
+        # each outcome lighter than CUT over the support size is cut, at most
+        # CUT in all, and its mass is added to the deficit
+        values = np.array([2, 0, 2, 1, 3])
+        probs = np.array([0.25, 0.5, 0.25, 1e-19, 2e-19])
+        merged = merge_law(values, probs, 1e-18)
+        assert merged[0].tolist() == [0, 2] and merged[1].tolist() == [0.5, 0.5]
+        assert merged[2] == 1e-18 + (1e-19 + 2e-19) and 1e-19 + 2e-19 <= CUT
+        near = (np.array([0, 1]), np.array([1 - 1e-10, 1e-10]), 0.0)
+        law = add_laws(near, near)
+        assert law[0].tolist() == [0, 1] and 0 < law[2] == 1e-10 * 1e-10 <= CUT
+
+    def test_merging_in_chunks_keeps_exact_laws(self, monkeypatch):
+        # the outer sums are merged every pmf._OUTER_CELLS cells; a bound of 64
+        # merges many times on the way, to identical exact laws
+        rng = np.random.default_rng(227)
+        a, b = _counts_law(rng, 20), _counts_law(rng, 30)
+        g = generate(parse_generator("copies:9:star:3"))
+        whole = [add_laws(a, b), power(a, 3, add_laws, b), exact_pmf(g, 2, 3)]
+        monkeypatch.setattr(pmf, "_OUTER_CELLS", 64)
+        chunked = [add_laws(a, b), power(a, 3, add_laws, b), exact_pmf(g, 2, 3)]
+        for mine, its in zip(whole[:2], chunked[:2]):
+            assert _as_dict(mine) == _as_dict(its) and mine[0].size > 64
+            assert list(mine[0]) == list(its[0]) and its[2] == 0
+        assert whole[2] == chunked[2]
