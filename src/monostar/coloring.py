@@ -19,16 +19,16 @@ vertex. The parts' S are then added per row.
 
 The samples are split into blocks of the plan's row count, and one Philox
 stream is keyed per (seed, block); each block draws its core colors, then
-per part law the positions of its non-trivial outcomes over rows x parts
-and those outcomes by inverse CDF. The block size depends on the graph and
-c alone, so the sample-i draws depend only on (seed, i) and the merged
-histogram is identical for any worker count. Workers are processes forked
-with os.fork, each running a contiguous span of blocks and sending its
-histogram, or the exception it raised, back through a pipe, capped at the
-usable CPUs and at one per ``_MIN_SPAN_BLOCKS`` blocks; with fewer blocks,
-or without os.fork, the call runs in the calling process. A graph with no
-group that is its own 2-core draws exactly the colors an explicit n-vertex
-sampler would.
+per part law the positions of its non-trivial outcomes over rows x parts, by
+the shared sampler ``graphs.bernoulli_positions``, and those outcomes by
+inverse CDF. The block size depends on the graph and c alone, so the
+sample-i draws depend only on (seed, i) and the merged histogram is
+identical for any worker count. Workers are processes forked with os.fork,
+each running a contiguous span of blocks and sending its histogram, or the
+exception it raised, back through a pipe, capped at the usable CPUs and at
+one per ``_MIN_SPAN_BLOCKS`` blocks; with fewer blocks, or without os.fork,
+the call runs in the calling process. A graph with no group that is its own
+2-core draws exactly the colors an explicit n-vertex sampler would.
 """
 from __future__ import annotations
 
@@ -37,12 +37,12 @@ import pickle
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log1p
+from math import ceil
 
 import numpy as np
 
 from .errors import BudgetExceededError, WorkerExitError
-from .graphs import Graph, build_graph, component_groups, pendant_trees
+from .graphs import Graph, bernoulli_positions, build_graph, component_groups, pendant_trees
 from .oracle import exact_pmf
 from .pmf import CUT, Pmf, add_laws, merge_law, power, sum_laws
 from .stars import count_stars, eval_T_block, star_table
@@ -138,27 +138,6 @@ def empirical_moments(d: EmpiricalDist, order: int) -> list[Fraction]:
         raise ValueError("order must be >= 1")
     return [Fraction(sum(k * v**j for v, k in d.counts.items()), d.total_samples)
             for j in range(1, order + 1)]
-
-
-def _bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.ndarray:
-    """Sorted positions of the successes among ``length`` Bernoulli(p) trials,
-    drawn as geometric gaps between successes (Batagelj & Brandes)."""
-    # floor(Exp(1) / -log(1 - p)) is Geometric(p) failures before a success
-    scale = -1.0 / log1p(-p) if p < 1 else 0.0
-    chunks = []
-    last = -1
-    while True:
-        mean = (length - 1 - last) * p
-        draws = rng.standard_exponential(int(mean + 4 * mean**0.5) + 16)
-        # clipping keeps the running sum in int64 for tiny p; a clipped gap
-        # still lands past the end, as last >= -1
-        gaps = np.minimum(draws * scale, length).astype(np.int64) + 1
-        pos = last + np.cumsum(gaps)
-        if pos[-1] >= length:
-            chunks.append(pos[:np.searchsorted(pos, length)])
-            return np.concatenate(chunks)
-        chunks.append(pos)
-        last = int(pos[-1])
 
 
 def _max_group_vertices(c: int, n: int) -> int:
@@ -292,7 +271,7 @@ class _Plan:
     and ``cdf``, ``a`` and ``s`` list those outcomes with their cumulative
     probabilities given that one is drawn. ``deficit`` bounds the mass the
     law's support cut off. A law that is always trivial is dropped. Per
-    block, ``_bernoulli_positions`` draws where the non-trivial outcomes fall
+    block, ``bernoulli_positions`` draws where the non-trivial outcomes fall
     over rows x parts, a uniform each picks its outcome, an outcome with
     a = 1 passes the key of its core end and row to the kernel's bincount,
     and S is added to its row with ``np.add.at``, exact in the table's
@@ -364,7 +343,7 @@ def _run_blocks(plan: _Plan, seed: int, blocks, samples: int) -> Counter:
         colors = np.ascontiguousarray(drawn.T, dtype=np.min_scalar_type(c - 1))
         hits, part_rows, part_s = [np.empty(0, dtype=np.int64)], [], []
         for ends, p, cdf, a, s, _ in plan.parts:
-            row, t = np.divmod(_bernoulli_positions(rng, rows * ends.size, p), ends.size)
+            row, t = np.divmod(bernoulli_positions(rng, rows * ends.size, p), ends.size)
             k = np.searchsorted(cdf, rng.random(row.size), side="right")
             hit = a[k]
             hits.append(ends[t[hit]] * rows + row[hit])

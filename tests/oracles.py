@@ -259,15 +259,25 @@ def reference_monte_carlo(g: Graph, r: int, c: int, samples: int, seed: int,
 
 
 def reference_erdos_renyi_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
-    """G(n, p) edges drawn one row of candidate pairs per ``rng.random`` call,
-    from the same Philox stream as the generator."""
+    """G(n, p) edges as the successes among the candidate pairs (u, u+1 ..
+    n-1), rows in order: one geometric gap per scalar ``standard_exponential``
+    draw from the generator's Philox stream, with the generator's float ops
+    per gap, and each position mapped to (u, v) by walking the rows."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048], dtype=np.uint64)))
-    edges = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - u - 1) < p)
-        edges.extend((u, u + 1 + int(j)) for j in hits)
-    return edges
+    if p == 0:
+        return []
+    scale = -1.0 / math.log1p(-p) if p < 1 else 0.0
+    length = n * (n - 1) // 2
+    edges, u, row_start, pos = [], 0, 0, -1
+    while True:
+        pos += int(min(rng.standard_exponential() * scale, float(length))) + 1
+        if pos >= length:
+            return edges
+        while pos >= row_start + n - 1 - u:  # past row u's last pair
+            row_start += n - 1 - u
+            u += 1
+        edges.append((u, u + 1 + pos - row_start))
 
 
 def brute_limit_moments(r: int, thetas, rates, order: int, terms: int = 400) -> list[float]:

@@ -12,7 +12,6 @@ from monostar import coloring, pmf
 from monostar.coloring import (
     Coloring,
     EmpiricalDist,
-    _bernoulli_positions,
     _max_group_vertices,
     _Plan,
     empirical_moments,
@@ -20,8 +19,8 @@ from monostar.coloring import (
     monte_carlo,
 )
 from monostar.errors import BudgetExceededError, EdgeListParseError, WorkerExitError
-from monostar.graphs import (build_graph, complete, component_groups, cycle, generate,
-                             parse_generator, path, pendant_trees, star)
+from monostar.graphs import (bernoulli_positions, build_graph, complete, component_groups, cycle,
+                             generate, parse_generator, path, pendant_trees, star)
 from monostar.oracle import exact_pmf
 from monostar.stars import _SCAN_CELLS, count_stars, eval_T_block, star_table
 
@@ -431,7 +430,7 @@ class TestCoreTreeSampler:
                 return np.full(size, (gap - 0.5) * -np.log1p(-p))
 
         rng = ConstantExponential()
-        positions = _bernoulli_positions(rng, 1000, p)
+        positions = bernoulli_positions(rng, 1000, p)
         assert np.array_equal(positions, np.arange(gap - 1, 1000, gap))
         assert rng.calls > 1
 

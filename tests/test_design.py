@@ -3,7 +3,8 @@ module reaching into another module's private names, no package import hidden
 below module top level, no exception type that nothing raises, no r-subset
 enumeration beside the clique-sum classifier, an exact oracle on the one T
 kernel with no enumeration of colorings, one finite-law algebra shared by the
-oracle and the sampler, one draw route in the sampler, one cleanup path for
+oracle and the sampler, one draw route in the sampler, one Bernoulli-trial
+sampler for its parts and the G(n, p) edges, one cleanup path for
 its worker processes, one graph representation, an
 experiment spec holding only what callers set, a generator spec that is a
 table row's name plus its builder's arguments, no exported name that the
@@ -116,16 +117,32 @@ def test_one_law_algebra_in_pmf():
     assert not {"_merge", "_sums", "_add", "_power"} & defined["coloring.py"]
 
 
+def _calls(name: str) -> set[str]:
+    """Names of the functions and methods that module ``name`` calls."""
+    source = next(p for p in SOURCES if p.name == name).read_text()
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))}
+
+
 def test_sampler_draws_every_part_by_one_route():
     # the 2-core's colors and one table of exact-law parts, groups of
     # identical components and trees alike: no second draw route beside it
     assert [f.name for f in dataclasses.fields(coloring._Plan)] == [
         "c", "table", "core_count", "core_u", "core_v", "parts", "block"]
-    source = next(p for p in SOURCES if p.name == "coloring.py").read_text()
-    calls = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-             and isinstance(node.func, (ast.Attribute, ast.Name))}
-    assert "_bernoulli_positions" in calls and "multinomial" not in calls
+    calls = _calls("coloring.py")
+    assert "bernoulli_positions" in calls and "multinomial" not in calls
+
+
+def test_one_bernoulli_trial_sampler():
+    # the Monte-Carlo parts and the G(n, p) edges find their successes by one
+    # sampler of geometric skips: no per-pair uniform scan beside it
+    defined = [path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.FunctionDef) and "bernoulli" in node.name.lower()]
+    assert defined == ["graphs.py"]
+    assert "bernoulli_positions" in _calls("coloring.py") & _calls("graphs.py")
+    assert "random" not in _calls("graphs.py")
 
 
 def test_one_rake_finds_the_core_and_the_trees():

@@ -218,7 +218,7 @@ class TestBuiltins:
         "complete": "3d705d43f7baa1352112532609101dc111343e73669ed0fe20bcd809b11d6122",
         "figure2": "3d425fa34862bff76df550dd3fb9b7ddc61e3c47a32175d3554409f2194ac7d0",
         "tadpole-remark": "4c9cd8ec2684493bc4375ba153a195469dcb289acfb7b000a2b4240794b25297",
-        "er": "86601c8fcee8c406afc0fb110ad43b5b7e53382a779e76e4b0e7d8f7bad9a2b7",
+        "er": "59d185b21f346a9582317afd95e3ad989f502f2ebf65fd12950a51fa424e9700",
     }
 
     @pytest.mark.parametrize("name", builtin_names())

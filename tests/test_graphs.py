@@ -10,6 +10,7 @@ from monostar import graphs
 from monostar.errors import EdgeListParseError
 from monostar.graphs import (
     GeneratorSpec,
+    bernoulli_positions,
     build_graph,
     circulant,
     complete,
@@ -432,7 +433,7 @@ def test_disjoint_copies_offsets_each_copy():
 class TestErdosRenyiChunks:
     @pytest.mark.parametrize("n,p,seed", [
         (0, 0.5, 1), (1, 0.5, 1), (2, 1.0, 4), (40, 0.0, 3), (40, 1.0, 3),
-        (60, 0.3, 7), (200, 0.05, 11), (1600, 0.002, 5),  # 1600 rows span two chunks
+        (60, 0.3, 7), (200, 0.05, 11), (1600, 0.002, 5),
     ])
     def test_matches_row_by_row_draws(self, n, p, seed):
         g = erdos_renyi(n, p, seed)
@@ -441,7 +442,8 @@ class TestErdosRenyiChunks:
 
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_chunk_boundaries(self, monkeypatch, cells):
-        monkeypatch.setattr(graphs, "_ER_CHUNK_CELLS", cells)
+        # a smaller batch cap draws the same exponentials in more calls
+        monkeypatch.setattr(graphs, "_BERNOULLI_BATCH", cells)
         for n, p, seed in [(30, 0.4, 2), (25, 1.0, 9)]:
             g = erdos_renyi(n, p, seed)
             assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
@@ -461,6 +463,49 @@ class TestErdosRenyiChunks:
     def test_complete_at_p_one(self):
         g = erdos_renyi(9, 1.0, 0)
         assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == list(combinations(range(9), 2))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("length", [0, 1])
+def test_bernoulli_positions_at_the_ends(length, p):
+    rng = np.random.Generator(np.random.Philox(key=np.array([3, 5], dtype=np.uint64)))
+    positions = bernoulli_positions(rng, length, p)
+    assert positions.dtype == np.int64
+    assert positions.tolist() == (list(range(length)) if p == 1 else [])
+
+
+class TestErdosRenyiLaw:
+    def test_each_pair_is_an_edge_with_probability_p(self):
+        # over 2,000 seeds each pair's edge frequency is within 5 standard
+        # errors of p, and the edge count has the mean and variance of
+        # Bin(66, p): a position offset or a gap off by one moves them, which
+        # a reference drawing from the same stream would repeat
+        n, p, seeds = 12, 0.3, 2000
+        pairs, q = n * (n - 1) // 2, 1 - p
+        hits = np.zeros((n, n))
+        counts = np.empty(seeds)
+        for seed in range(seeds):
+            g = erdos_renyi(n, p, seed)
+            hits[g.edge_u, g.edge_v] += 1
+            counts[seed] = g.edge_count
+        freq = hits[np.triu_indices(n, 1)] / seeds
+        assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * q / seeds))
+        var = pairs * p * q
+        assert abs(counts.mean() - pairs * p) <= 5 * np.sqrt(var / seeds)
+        # the sample variance's standard error, by Bin's fourth central moment
+        mu4 = 3 * var**2 + var * (1 - 6 * p * q)
+        assert abs(counts.var(ddof=1) - var) <= 5 * np.sqrt((mu4 - var**2) / seeds)
+
+    def test_a_million_vertices(self):
+        # 5e11 candidate pairs and about 2e6 edges, built in O(edges)
+        n, p = 1_000_000, 0.000004
+        g = generate(parse_generator("er:1000000:0.000004"))
+        u, v = g.edge_u.astype(np.int64), g.edge_v.astype(np.int64)
+        assert g.vertex_count == n
+        assert np.all(u < v) and np.all(np.diff(u * n + v) > 0), "sorted simple pairs"
+        assert np.array_equal(np.bincount(np.concatenate([u, v]), minlength=n), g.degrees)
+        pairs = n * (n - 1) // 2
+        assert abs(g.edge_count - pairs * p) <= 6 * np.sqrt(pairs * p * (1 - p))
 
 
 def test_parse_keeps_ids_past_int64():
