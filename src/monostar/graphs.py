@@ -103,8 +103,10 @@ def build_graph(vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]
     keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
     edge_u = (keys // n).astype(np.int32)
     edge_v = (keys % n).astype(np.int32)
-    degrees = (np.bincount(edge_u, minlength=n)
-               + np.bincount(edge_v, minlength=n)).astype(np.int64, copy=False)
+    # one count over both ends, concatenated in the intp that bincount reads
+    # so that it makes no cast copy of them
+    degrees = np.bincount(np.concatenate((edge_u, edge_v), dtype=np.intp),
+                          minlength=n).astype(np.int64, copy=False)
     for arr in (degrees, edge_u, edge_v):
         arr.flags.writeable = False
     return Graph(vertex_count=n, degrees=degrees, edge_u=edge_u, edge_v=edge_v)
@@ -350,11 +352,39 @@ def parse_edge_list(text: str | IO[str]) -> tuple[Graph, dict[int, int]]:
 
     Ids need not be contiguous; they are compacted to dense 0-based ids in
     sorted order. Duplicate lines and reversed duplicates collapse to one edge.
+
+    The lines (``str.splitlines``) go through numpy's C reader, ``np.loadtxt``
+    into int64. Only when it refuses them, or when it reads a negative id or a
+    self-loop, does ``_parse_lines`` read them again one line at a time by
+    ``int()``, for what the C reader cannot do: name the first bad line in
+    ``EdgeListParseError``, keep ids past int64 as Python ints, and take the
+    ids ``int()`` takes but the C reader refuses, such as ``1_0`` or non-ASCII
+    digits.
     """
     if hasattr(text, "read"):
         text = text.read()
+    lines = str(text).splitlines()
+    try:
+        # a sentinel row keeps a text with no rows 2-D and free of loadtxt's
+        # empty-input warning; as every row must have the sentinel's two
+        # columns, any other column count raises
+        ends = np.loadtxt(lines + ["0 1"], dtype=np.int64, comments="#", ndmin=2)[:-1]
+    except (ValueError, OverflowError):
+        ends = None
+    if ends is None or (ends < 0).any() or (ends[:, 0] == ends[:, 1]).any():
+        ends = _parse_lines(lines)
+    # return_inverse takes np.unique's sort path, not its slower hash path
+    ids, dense = np.unique(ends, return_inverse=True)
+    mapping = dict(zip(ids.tolist(), range(ids.size)))
+    return build_graph(ids.size, dense.reshape(-1, 2)), mapping
+
+
+def _parse_lines(lines: list[str]) -> np.ndarray:
+    """The endpoints of edge-list lines read one line at a time, by ``int()``:
+    int64, or Python ints once one is past int64. Raises EdgeListParseError
+    at the first bad line."""
     ends: list[int] = []
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -371,19 +401,15 @@ def parse_edge_list(text: str | IO[str]) -> tuple[Graph, dict[int, int]]:
             raise EdgeListParseError(lineno, f"self-loop at vertex {u} rejected")
         ends += (u, v)
     try:
-        ids = np.array(ends, dtype=np.int64)
+        return np.array(ends, dtype=np.int64)
     except OverflowError:  # ids past int64 stay Python ints
-        ids = np.array(ends, dtype=object)
-    # return_inverse takes np.unique's sort path, not its slower hash path
-    ids, dense = np.unique(ids, return_inverse=True)
-    mapping = dict(zip(ids.tolist(), range(ids.size)))
-    return build_graph(ids.size, dense.reshape(-1, 2)), mapping
+        return np.array(ends, dtype=object)
 
 
 def edge_list_text(g: Graph) -> str:
     """Serialize to the edge-list format; round-trips up to id compaction."""
-    lines = [f"{u} {v}" for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())]
-    return "\n".join(lines) + ("\n" if lines else "")
+    ends = np.stack((g.edge_u, g.edge_v), axis=1).ravel().tolist()
+    return ("%d %d\n" * g.edge_count) % tuple(ends)
 
 
 # ----------------------------------------------------------------------------
@@ -545,18 +571,34 @@ def bernoulli_positions(rng: np.random.Generator, length: int, p: float) -> np.n
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with edges drawn from a Philox stream keyed by the seed: the
     successes among the n(n-1)/2 candidate pairs, numbered row by row as (u,
-    u+1 .. n-1), found by ``bernoulli_positions`` in O(edges) time."""
+    u+1 .. n-1), found by ``bernoulli_positions`` and mapped to their pairs
+    by ``_pair_ends``, in O(edges) time and memory."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048], dtype=np.uint64)))
-    # offsets[u]: index of pair (u, u+1) in the flat pair order
-    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))))
     flat = bernoulli_positions(rng, n * (n - 1) // 2, p)
-    u = np.searchsorted(offsets, flat, side="right") - 1
-    return build_graph(n, _pairs(u, u + 1 + flat - offsets[u]))
+    return build_graph(n, _pairs(*_pair_ends(n, flat)))
+
+
+def _pair_ends(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v) at int64 positions in the row-by-row order of the
+    pairs of n vertices, in O(len(flat)) time and memory.
+
+    Counted from the end, at ``back``, the rows after row u hold T(w) =
+    w(w+1)/2 pairs, w = n-2-u, so row u holds T(w) .. T(w+1)-1 and v =
+    n-1 - (back - T(w)). The root w = floor((sqrt(8 back + 1) - 1) / 2) is
+    taken in float64 and then moved by at most one step either way in exact
+    int64 arithmetic. Counted from the end, the root's float error stays far
+    below 1 for n < 2^31; counted from the start, the last rows' root would
+    sit where the square root's argument nears 0."""
+    back = n * (n - 1) // 2 - 1 - flat
+    w = ((np.sqrt(8.0 * back + 1) - 1) / 2).astype(np.int64)
+    w -= w * (w + 1) // 2 > back
+    w += (w + 1) * (w + 2) // 2 <= back
+    return n - 2 - w, n - 1 - back + w * (w + 1) // 2
 
 
 # ----------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from monostar.errors import EdgeListParseError
 from monostar.graphs import Graph, build_graph
 from monostar.pmf import Pmf
 from monostar.stars import (StarClassCounts, _triangle_vertices, count_stars, eval_T_block,
@@ -278,6 +279,36 @@ def reference_erdos_renyi_edges(n: int, p: float, seed: int) -> list[tuple[int, 
             row_start += n - 1 - u
             u += 1
         edges.append((u, u + 1 + pos - row_start))
+
+
+def reference_parse_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
+    """Edge-list text read one line at a time by ``int()``, compacted to
+    dense ids in sorted order: the whole parser before it gained a C reader,
+    kept as it was."""
+    ends: list[int] = []
+    for lineno, raw in enumerate(str(text).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(lineno, f"expected two vertex ids, got {raw.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(lineno, f"vertex ids must be integers, got {raw.strip()!r}") from None
+        if u < 0 or v < 0:
+            raise EdgeListParseError(lineno, f"vertex ids must be non-negative, got {raw.strip()!r}")
+        if u == v:
+            raise EdgeListParseError(lineno, f"self-loop at vertex {u} rejected")
+        ends += (u, v)
+    try:
+        ids = np.array(ends, dtype=np.int64)
+    except OverflowError:
+        ids = np.array(ends, dtype=object)
+    ids, dense = np.unique(ids, return_inverse=True)
+    mapping = dict(zip(ids.tolist(), range(ids.size)))
+    return build_graph(ids.size, dense.reshape(-1, 2)), mapping
 
 
 def brute_limit_moments(r: int, thetas, rates, order: int, terms: int = 400) -> list[float]:

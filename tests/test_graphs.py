@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +35,7 @@ from monostar.graphs import (
 )
 
 from oracles import (brute_components, brute_two_core, disjoint_union, random_graph,
-                     reference_erdos_renyi_edges)
+                     reference_erdos_renyi_edges, reference_parse_edge_list)
 
 
 def rows(g):
@@ -104,6 +105,77 @@ class TestLoader:
         with pytest.raises(EdgeListParseError) as err:
             parse_edge_list("0 1\n3 3\n")
         assert err.value.line_number == 2
+
+
+def _parse_outcome(parse, text):
+    """A parser's graph and mapping, or the line and message of its error."""
+    try:
+        g, mapping = parse(text)
+    except EdgeListParseError as exc:
+        return "error", exc.line_number, str(exc)
+    return g.vertex_count, g.edge_u.tolist(), g.edge_v.tolist(), mapping
+
+
+# Tokens an edge-list text is made of here: digits, every whitespace and
+# line break the two readers may treat apart, signs, and the forms ``int()``
+# takes but numpy's C reader does not (or the reverse).
+_ADVERSARIAL = ["0", "1", "2", "3", "7", "10", " ", "\t", "\n", "\r", "\x0b", "#", "-", "+", "_",
+                ".", "\xa0", "\x00", "\x1f", "\u0661", "e", str((1 << 63) + 5)]
+# Fields and separators of line-shaped texts: mostly plain ids, so that
+# many texts are whole edge lists.
+_FIELDS = [str(i) for i in range(6)] * 4 + [
+    "17", "-1", "+3", "-0", "007", "1_0", "\u0661", "1.0", "1e3", "9" * 19, str((1 << 63) + 5),
+    "3\x00", "#", "x"]
+_SEPARATORS = [" "] * 4 + ["\t", "  ", "\xa0", "\x1f", " # "]
+_LINE_ENDS = ["\n"] * 4 + ["\r\n", "\r", "\x0b", " \n", "\t# c\n", "\n\n"]
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Raw strings over the adversarial tokens; or lines of fields, each
+    line's end drawn apart; or an edge list of plain ids with at most one
+    adversarial token put in anywhere."""
+    kind = draw(st.sampled_from(["raw", "lines", "edited"]))
+    if kind == "raw":
+        return "".join(draw(st.lists(st.sampled_from(_ADVERSARIAL), max_size=40)))
+    if kind == "lines":
+        lines = draw(st.lists(st.sampled_from([2] * 6 + [1, 3]).flatmap(
+            lambda k: st.lists(st.sampled_from(_FIELDS), min_size=k, max_size=k)), max_size=8))
+        return "".join(draw(st.sampled_from(_SEPARATORS)).join(fields)
+                       + draw(st.sampled_from(_LINE_ENDS)) for fields in lines)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 9)), max_size=8))
+    text = "".join(f"{u} {u + d}\n" for u, d in pairs)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(_ADVERSARIAL + [""])) + text[at:]
+
+
+class TestLineLoopDifferential:
+    """parse_edge_list against the line loop it replaced, in
+    ``oracles.reference_parse_edge_list``: the same graph and mapping, or the
+    same error on the same line."""
+
+    @pytest.mark.parametrize("text", [
+        "", "# only\n#comments\n\n", "1 2 3\n4 5 6\n", "1\n2\n", "1_0 2", "+3 4", "3\x00 4",
+        "0 1", "0 1\n2 -3\n", "0 1\n4 4\n", "5 9223372036854775808\n", "0 1\n\u0661 2\n",
+    ])
+    def test_explicit_cases(self, text):
+        assert _parse_outcome(parse_edge_list, text) == \
+            _parse_outcome(reference_parse_edge_list, text)
+
+    @given(_edge_list_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_adversarial_texts(self, text):
+        assert _parse_outcome(parse_edge_list, text) == \
+            _parse_outcome(reference_parse_edge_list, text)
+
+    def test_clean_text_skips_the_line_loop(self, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("the line loop ran")
+        monkeypatch.setattr(graphs, "_parse_lines", refuse)
+        g, mapping = parse_edge_list("# header\n10 70\n\n70 300  # inline\n")
+        assert mapping == {10: 0, 70: 1, 300: 2}
+        assert (g.edge_u.tolist(), g.edge_v.tolist()) == ([0, 1], [1, 2])
+        assert parse_edge_list("")[0].vertex_count == 0
 
 
 class TestGenerators:
@@ -299,9 +371,13 @@ class TestRoundTrip:
         g = build_graph(n, edges)
         if g.edge_count == 0:
             return
-        g2 = parse_edge_list(edge_list_text(g))[0]
+        g2, mapping = parse_edge_list(edge_list_text(g))
         # compaction drops isolated vertices; degree sequences match on support
         assert [d for d in degree_sequence(g) if d > 0] == degree_sequence(g2)
+        ids = np.unique(np.concatenate([g.edge_u, g.edge_v]))
+        assert mapping == dict(zip(ids.tolist(), range(ids.size)))
+        assert np.array_equal(g2.edge_u, np.searchsorted(ids, g.edge_u))
+        assert np.array_equal(g2.edge_v, np.searchsorted(ids, g.edge_v))
 
     @given(st.integers(3, 40), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -311,6 +387,14 @@ class TestRoundTrip:
             return
         g = circulant(n, d)
         assert degree_sequence(g) == [d] * n
+
+
+@pytest.mark.parametrize("text", [":".join([row.names[0], *(_SAMPLE[attr] for attr, *_ in row.fields)])
+                                  for row in graphs._KINDS] + ["star:0"])
+def test_edge_list_text_is_the_line_join(text):
+    for g in (generate(parse_generator(text)), build_graph(0, [])):
+        want = "".join(f"{u} {v}\n" for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
+        assert edge_list_text(g) == want
 
 
 def test_build_graph_rejects_bad_edges():
@@ -463,6 +547,39 @@ class TestErdosRenyiChunks:
     def test_complete_at_p_one(self):
         g = erdos_renyi(9, 1.0, 0)
         assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == list(combinations(range(9), 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 4500, (1 << 31) - 1])
+def test_pair_ends_match_a_search_of_row_starts(n):
+    # every row (4,096 sampled and 64 at each end at n = 2^31 - 1), at its
+    # first two and last two pairs
+    if n < 5000:
+        rows = np.arange(n - 1)
+    else:
+        rng = np.random.default_rng(31)
+        rows = np.unique(np.concatenate([np.arange(64), n - 2 - np.arange(64),
+                                         rng.integers(0, n - 1, 4096)]))
+    first = rows * (2 * n - rows - 1) // 2  # pair (u, u + 1)
+    last = first + n - 2 - rows  # pair (u, n - 1)
+    flat = np.unique(np.concatenate([first, np.minimum(first + 1, last),
+                                     np.maximum(last - 1, first), last]))
+    row = np.searchsorted(first, flat, side="right") - 1
+    u, v = graphs._pair_ends(n, flat)
+    assert np.array_equal(u, rows[row])
+    assert np.array_equal(v, rows[row] + 1 + flat - first[row])
+
+
+def test_sparse_er_keeps_only_its_degrees():
+    # 5e6 vertices and about 120 edges: the 40 MB degree array is the only
+    # allocation of size n
+    tracemalloc.start()
+    try:
+        g = generate(parse_generator("er:5000000:0.00000000001"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count < 1000
+    assert peak < 50e6
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
