@@ -15,7 +15,10 @@ law. One vertex-major kernel (``stars.eval_T_block``), also behind
 ``eval_T`` and the exact oracle, turns core colors into T per row: a scan of
 the core edges in cache-sized slices finds the matched ones, and one
 bincount over their ends and the parts' a hits gives m_v for every colored
-vertex. The parts' S are then added per row.
+vertex. A dense core whose non-edges are fewer cells takes the count route
+instead: m_v is the number of core vertices that share v's color, less one
+and less v's matched non-neighbors, so only the non-edges are scanned. The
+parts' S are then added per row.
 
 The samples are split into blocks of the plan's row count, and one Philox
 stream is keyed per (seed, block); each block draws its core colors, then
@@ -281,17 +284,26 @@ class _Plan:
     ``block`` rows make about ``_BLOCK_CELL_TARGET`` cells: a core color and
     both ends of a core edge are one cell each, an expected non-trivial
     outcome ``_OUTCOME_CELLS``. A core color holds a color byte and 8 bytes
-    of m_v, which ``table[m_v]`` overwrites in place. The core edges are
+    of m_v, which ``table[m_v]`` overwrites in place. The pairs are
     scanned in slices of ``stars._SCAN_CELLS`` cells, so their memory does
     not grow with the rows. An outcome holds about 100 bytes of int64
     position, row, part, uniform, index and key arrays.
+
+    The kernel scans the core edges, or on the count route (``counted``) the
+    core's non-edges, with the c colors counted per row (see
+    ``stars.eval_T_block``). The count route is taken when its cells per row
+    are fewer: non-edges + core vertices + c < core edges. It takes K60 at
+    c = 185 and figure2's K45 core at c = 300, but not K(40,40) at c = 125,
+    whose 1,560 non-edges make 1,765 cells against 1,600 edges. The route
+    leaves ``block``, and so every draw, as it is.
     """
 
     c: int
     table: np.ndarray  # star_table: C(m, r) by match count m
     core_count: int
-    core_u: np.ndarray  # endpoints of the core edges
-    core_v: np.ndarray
+    pair_u: np.ndarray  # ends of the pairs the kernel scans: core edges, or non-edges if counted
+    pair_v: np.ndarray
+    counted: bool  # whether the kernel counts same-colored core vertices (the count route)
     parts: list  # (ends, p, cdf, a, s, deficit) per part
     block: int
 
@@ -327,9 +339,14 @@ class _Plan:
                 parts.append((ends, p, cdf / cdf[-1], (values % tree_laws.keys).astype(bool),
                               (values // tree_laws.keys).astype(table.dtype), deficit))
                 cells += ceil(_OUTCOME_CELLS * ends.size * p)
-        return cls(c=c, table=table, core_count=core_count,
-                   core_u=local[g.edge_u[in_core]], core_v=local[g.edge_v[in_core]],
-                   parts=parts,
+        pair_u, pair_v = local[g.edge_u[in_core]], local[g.edge_v[in_core]]
+        counted = core_count * (core_count - 1) // 2 - pair_u.size + core_count + c < pair_u.size
+        if counted:
+            adjacent = np.zeros((core_count, core_count), dtype=bool)
+            adjacent[pair_u, pair_v] = True
+            pair_u, pair_v = np.nonzero(np.triu(~adjacent, 1))
+        return cls(c=c, table=table, core_count=core_count, pair_u=pair_u, pair_v=pair_v,
+                   counted=counted, parts=parts,
                    block=max(1, min(_MAX_BLOCK_ROWS, _BLOCK_CELL_TARGET // max(cells, 1))))
 
 
@@ -349,8 +366,8 @@ def _run_blocks(plan: _Plan, seed: int, blocks, samples: int) -> Counter:
             hits.append(ends[t[hit]] * rows + row[hit])
             part_rows.append(row)
             part_s.append(s[k])
-        t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v,
-                              np.concatenate(hits))
+        t_vals = eval_T_block(plan.table, colors, plan.pair_u, plan.pair_v,
+                              np.concatenate(hits), c if plan.counted else 0)
         if part_rows:
             np.add.at(t_vals, np.concatenate(part_rows), np.concatenate(part_s))
         values, reps = np.unique(t_vals, return_counts=True)

@@ -52,33 +52,70 @@ def star_table(g: Graph, r: int) -> np.ndarray:
     return np.array([comb(m, r) for m in range(g.max_degree() + 1)], dtype=dtype)
 
 
-def eval_T_block(table: np.ndarray, colors: np.ndarray, edge_u: np.ndarray,
-                 edge_v: np.ndarray, hits: np.ndarray | None = None) -> np.ndarray:
+def _same_colored(colors: np.ndarray, c: int) -> np.ndarray:
+    """Per key ``vertex * rows + row``, how many of the k colored vertices
+    other than that vertex share its color in that row.
+
+    The colors are counted in slices of rows, by one bincount of the keys
+    ``color * width + row`` per slice of ``width`` rows, so each slice's bins
+    stay near ``_SCAN_CELLS // 8`` (128 KiB of int64, the size of a scan
+    slice's equality array) and are reused from the heap.
+    """
+    k, rows = colors.shape
+    same = np.empty((k, rows), dtype=np.int64)
+    step = max(1, _SCAN_CELLS // 8 // c)
+    for start in range(0, rows, step):
+        width = min(step, rows - start)
+        keys = colors[:, start:start + width].astype(np.intp) * width + np.arange(width)
+        same[:, start:start + width] = np.bincount(keys.reshape(-1))[keys]
+    same = same.reshape(-1)
+    same -= 1
+    return same
+
+
+def eval_T_block(table: np.ndarray, colors: np.ndarray, pair_u: np.ndarray,
+                 pair_v: np.ndarray, hits: np.ndarray | None = None, c: int = 0) -> np.ndarray:
     """T of each of ``rows`` colorings, from vertex-major colors.
 
     ``colors[j, i]`` is vertex j's color in row i, for k colored vertices, and
-    the edges ``(edge_u[i], edge_v[i])`` join colored vertices. Each key
+    the pairs ``(pair_u[i], pair_v[i])`` join colored vertices. Each key
     ``vertex * rows + row`` in ``hits`` adds one match at that colored vertex
     in that row, for an edge known to match without colors (a pendant tree's
     edge to the core).
 
-    The edges are scanned in slices of at most ``_SCAN_CELLS`` (edge, row)
+    With ``c = 0`` the pairs are the edges among the colored vertices (the
+    edge route). With c >= 1, the color count, they are the non-edges among
+    them (the count route, for dense graphs): m_v is then the number of
+    colored vertices that share v's color (``_same_colored``), less v's
+    matched non-neighbors.
+
+    The pairs are scanned in slices of at most ``_SCAN_CELLS`` (pair, row)
     cells, so the gathered colors and their equality array stay cache-sized
     (128 KiB each for uint8 colors) and are reused from the heap, not mapped
     afresh per block (Lam, Rothberg & Wolf, ASPLOS 1991).
     Each slice adds the keys ``vertex * rows + row`` of both ends of its
-    matched edges, and one bincount over all keys and hits gives m_v for
-    every colored vertex. A row's T sums ``table[m_v]`` (see ``star_table``),
-    in the table's dtype; an int64 table is read into m in place.
+    matched pairs. On the edge route one bincount over all keys and hits
+    gives m_v for every colored vertex; on the count route the keys' counts
+    are subtracted and the hits' added. A row's T sums ``table[m_v]`` (see
+    ``star_table``), in the table's dtype; an int64 table is read into m in
+    place.
     """
     k, rows = colors.shape
     step = max(1, _SCAN_CELLS // rows)
-    matched = [np.empty(0, dtype=np.int64) if hits is None else hits]
-    for start in range(0, edge_u.size, step):
-        u, v = edge_u[start:start + step], edge_v[start:start + step]
+    hits = np.empty(0, dtype=np.int64) if hits is None else hits
+    matched = []
+    for start in range(0, pair_u.size, step):
+        u, v = pair_u[start:start + step], pair_v[start:start + step]
         e, row = np.divmod(np.flatnonzero(colors[u] == colors[v]), rows)
         matched += [u[e] * rows + row, v[e] * rows + row]
-    m = np.bincount(np.concatenate(matched), minlength=k * rows)
+    if not c:
+        m = np.bincount(np.concatenate([hits, *matched]), minlength=k * rows)
+    else:
+        m = _same_colored(colors, c)
+        if matched:
+            m -= np.bincount(np.concatenate(matched), minlength=k * rows)
+        if hits.size:
+            m += np.bincount(hits, minlength=k * rows)
     if table.dtype == m.dtype:
         # m <= max degree, so nothing is clipped; "raise" would buffer ``out``
         np.take(table, m, out=m, mode="clip")

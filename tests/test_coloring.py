@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import time
@@ -24,9 +25,9 @@ from monostar.graphs import (bernoulli_positions, build_graph, complete, compone
 from monostar.oracle import exact_pmf
 from monostar.stars import _SCAN_CELLS, count_stars, eval_T_block, star_table
 
-from oracles import (brute_eval_T, brute_exact_pmf, brute_pendant_pmf, brute_two_core,
-                     disjoint_union, own_core_block_rows, random_graph, reference_monte_carlo,
-                     with_pendant_trees)
+from oracles import (brute_adjacency, brute_eval_T, brute_exact_pmf, brute_pendant_pmf,
+                     brute_two_core, disjoint_union, own_core_block_rows, random_graph,
+                     reference_monte_carlo, with_pendant_trees)
 
 
 def _coloring(g, values):
@@ -638,8 +639,8 @@ def _plan_T(g, r, c, colors):
     attach = core[g.edge_u] != core[g.edge_v]
     row, e = np.nonzero(matched[:, attach])
     ends = np.where(core[g.edge_u], g.edge_u, g.edge_v)[attach][e]
-    t = eval_T_block(plan.table, np.ascontiguousarray(colors[:, core].T), plan.core_u,
-                     plan.core_v, local[ends] * rows + row)
+    t = eval_T_block(plan.table, np.ascontiguousarray(colors[:, core].T), plan.pair_u,
+                     plan.pair_v, local[ends] * rows + row, _counted_c(plan))
     h = np.zeros((rows, g.vertex_count), dtype=np.int64)
     np.add.at(h, (slice(None), g.edge_u), matched)
     np.add.at(h, (slice(None), g.edge_v), matched)
@@ -673,10 +674,29 @@ def _group_parts(g, r, c):
     return parts
 
 
+def _counted_c(plan):
+    """The kernel's color count argument for ``plan``: c on the count route,
+    0 on the edge route."""
+    return plan.c if plan.counted else 0
+
+
 def _core_edges(g):
-    """Number of edges with both ends in the 2-core, by brute force."""
-    core = brute_two_core(g)
-    return sum(u in core and v in core for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    """Edges with both ends in the 2-core, by brute force, as pairs of
+    core-first numbers (the core vertices numbered in their order)."""
+    core = sorted(brute_two_core(g))
+    local = {v: i for i, v in enumerate(core)}
+    return {(local[u], local[v]) for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())
+            if u in local and v in local}
+
+
+def _core_pairs(plan):
+    """The core edges that ``plan`` describes: its pairs on the edge route,
+    the complement of its pairs among the core vertices on the count route."""
+    pairs = set(zip(plan.pair_u.tolist(), plan.pair_v.tolist()))
+    assert len(pairs) == plan.pair_u.size and all(u < v for u, v in pairs)
+    if not plan.counted:
+        return pairs
+    return {(u, v) for u in range(plan.core_count) for v in range(u + 1, plan.core_count)} - pairs
 
 
 class TestVertexMajorKernel:
@@ -691,8 +711,8 @@ class TestVertexMajorKernel:
             plan = _Plan.of(g, 2, 3)
             k = plan.core_count
             assert k == len(brute_two_core(g))
-            assert plan.core_u.size == _core_edges(g)
-            assert np.all(plan.core_u < k) and np.all(plan.core_v < k)
+            assert _core_pairs(plan) == _core_edges(g)
+            assert np.all(plan.pair_u < k) and np.all(plan.pair_v < k)
             # a tree hangs off one core vertex, or is a whole component (-1)
             for ends, *_ in plan.parts:
                 assert np.all((ends >= -1) & (ends < k))
@@ -792,7 +812,7 @@ class TestSlicedScan:
         # same bincount as the matched core edges
         g = build_graph(10, _K34 + [(0, 7), (7, 8), (3, 9)])
         plan = _Plan.of(g, 2, 2)
-        assert (plan.core_count, plan.core_u.size) == (7, 12)
+        assert (plan.core_count, plan.pair_u.size, plan.counted) == (7, 12, False)
         assert sorted(int(end) for ends, *_ in plan.parts for end in ends) == [0, 3]
         colors = np.random.default_rng(step).integers(
             0, 2, size=(_rows_for_step(step), g.vertex_count), dtype=np.uint8)
@@ -818,23 +838,116 @@ class TestSlicedScan:
         assert max(expected) >= 1 << 63
 
     @pytest.mark.parametrize("text,c,rows", [("complete:60", 185, 555),
+                                             ("complete:45", 300, 987),
                                              ("bipartite:40", 125, 609)])
     def test_block_peak_memory(self, text, c, rows):
         # the sampler's block on the dense acceptance graphs: temporaries of
-        # one slice, not of the whole (edge, row) array (2.8 MiB)
+        # one slice, not of the whole (edge, row) array (2.8 MiB), nor, on
+        # the count route that the cliques take, of a (color, row) count of
+        # the whole block (820 KB on K60)
         g = generate(parse_generator(text))
         plan = _Plan.of(g, 2, c)
         assert plan.block == rows and plan.core_count == g.vertex_count
+        assert plan.counted == text.startswith("complete")
         colors = np.random.default_rng(c).integers(
-            0, c, size=(plan.core_count, rows), dtype=np.uint8)
+            0, c, size=(plan.core_count, rows), dtype=np.min_scalar_type(c - 1))
         tracemalloc.start()
         try:
-            t_vals = eval_T_block(plan.table, colors, plan.core_u, plan.core_v)
+            t_vals = eval_T_block(plan.table, colors, plan.pair_u, plan.pair_v,
+                                  c=_counted_c(plan))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert t_vals.shape == (rows,)
         assert peak < 1 << 20
+
+
+def _without(g, drop):
+    """``g`` less the edges in ``drop``."""
+    return build_graph(g.vertex_count, [e for e in zip(g.edge_u.tolist(), g.edge_v.tolist())
+                                        if e not in drop])
+
+
+def _rows_per_count(c):
+    """Rows per slice of the count route's color count at c colors."""
+    return max(1, _SCAN_CELLS // 8 // c)
+
+
+class TestCountRoute:
+    """A dense core takes the count route: m_v is the number of core vertices
+    that share v's color, less one and less v's matched non-neighbors, so the
+    kernel scans the core's non-edges, not its edges. Checked row for row
+    against brute_eval_T, and against the edge route's histograms."""
+
+    def test_dense_cores_vs_brute(self):
+        rng = np.random.default_rng(181)
+        punctured = [_without(complete(9), {(0, 1), (2, 5), (3, 8)}),
+                     _without(complete(10), {(0, 9), (1, 2), (1, 3), (4, 7)})]
+        hung = [with_pendant_trees(rng, complete(8), 9),
+                with_pendant_trees(rng, _without(complete(9), {(0, 1), (0, 2)}), 12)]
+        for g in [complete(6), complete(7), complete(12)] + punctured + hung:
+            for r, c in [(1, 1), (1, 2), (2, 3), (3, 2), (2, 5)]:
+                plan = _Plan.of(g, r, c)
+                assert plan.counted and _core_pairs(plan) == _core_edges(g)
+                colors = rng.integers(0, c, size=(60, g.vertex_count), dtype=np.uint16)
+                expected = [brute_eval_T(g, r, row) for row in colors]
+                assert _plan_T(g, r, c, colors).tolist() == expected
+        # the trees' a hits land at core vertices
+        assert all(any((ends >= 0).any() for ends, *_ in _Plan.of(g, 2, 3).parts) for g in hung)
+
+    def test_object_table_vs_match_counts(self):
+        # K65 at r = 32: row sums pass 2**63, so the table is Python ints
+        rng = np.random.default_rng(191)
+        for g in [complete(65), _without(complete(65), {(0, 1), (5, 60), (7, 8)})]:
+            plan = _Plan.of(g, 32, 2)
+            assert plan.counted and plan.table.dtype == object
+            rows = 300
+            colors = np.zeros((g.vertex_count, rows), dtype=np.uint8)
+            colors[rng.integers(0, g.vertex_count, size=(3, rows)), np.arange(rows)] = 1
+            got = eval_T_block(plan.table, colors, plan.pair_u, plan.pair_v, c=2)
+            adj = brute_adjacency(g)
+            expected = [sum(comb(sum(int(row[u] == row[v]) for u in adj[v]), 32)
+                            for v in range(g.vertex_count)) for row in colors.T]
+            assert got.tolist() == expected and max(expected) >= 1 << 63
+
+    @pytest.mark.parametrize("rows", [1, 3275, 3276, 3277, 6553])
+    def test_count_slice_boundaries_vs_brute(self, rows):
+        # at c = 5 the colors are counted 3,276 rows at a time: T must not
+        # depend on where the slices end
+        assert _rows_per_count(5) == 3276
+        rng = np.random.default_rng(rows)
+        g = with_pendant_trees(rng, _without(complete(8), {(0, 1), (2, 3)}), 3)
+        assert _Plan.of(g, 2, 5).counted
+        colors = rng.integers(0, 5, size=(rows, g.vertex_count), dtype=np.uint8)
+        assert _plan_T(g, 2, 5, colors).tolist() == _brute_rows(g, 2, colors)
+
+    @pytest.mark.parametrize("text,c,counted,block", [
+        ("complete:60", 185, True, 555), ("figure2:300", 300, True, 981),
+        ("complete:45", 300, True, 987), ("bipartite:40", 125, False, 609),
+        ("complete:3", 2, False, 4096), ("tadpole31", 2, False, 4096),
+        ("er:4000:0.001:seed=7", 126, False, 105)])
+    def test_builtin_routes(self, text, c, counted, block):
+        # the count route when non-edges + core vertices + c < core edges:
+        # K60 245 against 1,770 cells, K45 345 against 990, K(40,40) 1,765
+        # against 1,600; ``block`` counts the core edges on either route
+        g = generate(parse_generator(text))
+        plan = _Plan.of(g, 2, c)
+        assert (plan.counted, plan.block) == (counted, block)
+        assert _core_pairs(plan) == _core_edges(g)
+
+    def test_routes_draw_one_histogram(self):
+        # the same blocks scored on the edge route give the same histogram
+        hung = with_pendant_trees(np.random.default_rng(193),
+                                  _without(complete(9), {(0, 1), (3, 4)}), 10)
+        for g, r, c, samples in [(complete(60), 2, 185, 3000), (complete(12), 3, 4, 20_000),
+                                 (hung, 2, 3, 20_000)]:
+            plan = _Plan.of(g, r, c)
+            u, v = np.array(sorted(_core_edges(g))).T
+            edge_route = dataclasses.replace(plan, pair_u=u, pair_v=v, counted=False)
+            blocks = range(-(-samples // plan.block))
+            assert plan.counted
+            assert (coloring._run_blocks(plan, 197, blocks, samples)
+                    == coloring._run_blocks(edge_route, 197, blocks, samples))
 
 
 class TestGroupedSampler:
@@ -848,7 +961,7 @@ class TestGroupedSampler:
         # the whole graph is one group: no core, no tree, one part
         g = generate(parse_generator(text))
         plan = _Plan.of(g, r, c)
-        assert plan.core_count == 0 and plan.core_u.size == 0
+        assert plan.core_count == 0 and plan.pair_u.size == 0
         assert len(plan.parts) == len(_group_parts(g, r, c)) == 1
 
     @pytest.mark.parametrize("text,r,c", [
@@ -874,7 +987,7 @@ class TestGroupedSampler:
         assert len(_group_parts(g, 2, 3)) == 2 and plan.core_count == alone.core_count
         assert all((ends >= 0).all() for ends, *_ in alone.parts)
         anchored = [part for part in plan.parts if (part[0] >= 0).any()]
-        assert np.array_equal(plan.core_u, alone.core_u) and len(anchored) == len(alone.parts)
+        assert np.array_equal(plan.pair_u, alone.pair_u) and len(anchored) == len(alone.parts)
         for mine, its in zip(anchored, alone.parts):
             assert all(np.array_equal(x, y) for x, y in zip(mine, its))
         ref = reference_monte_carlo(g, 2, 3, 3000, seed=113, block=500)
@@ -930,7 +1043,9 @@ class TestGroupedSampler:
         g = disjoint_union(generate(parse_generator("copies:50:star:3")), complete(5))
         plan = _Plan.of(g, 4, 3)
         assert _grouped(g, 3) and _group_parts(g, 4, 3) == []
-        assert plan.core_count == 5 and plan.core_u.size == 10 and plan.parts == []
+        # K5's 10 core edges are all its pairs: the count route scans none
+        assert plan.core_count == 5 and plan.counted and plan.pair_u.size == 0
+        assert len(_core_pairs(plan)) == 10 and plan.parts == []
         assert (monte_carlo(g, 4, 3, 5000, seed=151).counts
                 == monte_carlo(complete(5), 4, 3, 5000, seed=151).counts)
 

@@ -129,7 +129,7 @@ def test_sampler_draws_every_part_by_one_route():
     # the 2-core's colors and one table of exact-law parts, groups of
     # identical components and trees alike: no second draw route beside it
     assert [f.name for f in dataclasses.fields(coloring._Plan)] == [
-        "c", "table", "core_count", "core_u", "core_v", "parts", "block"]
+        "c", "table", "core_count", "pair_u", "pair_v", "counted", "parts", "block"]
     calls = _calls("coloring.py")
     assert "bernoulli_positions" in calls and "multinomial" not in calls
 
