@@ -1,8 +1,9 @@
 """Immutable simple-graph container, deterministic generators, and edge-list I/O.
 
 A graph is its edge list, sorted lexicographically with ``edge_u < edge_v``
-and no duplicates, plus the vertex degrees. It is built by one key sort with
-no per-vertex Python objects; the generators emit edge arrays. Vertices are
+and no duplicates, plus the vertex degrees. It is built from one int64 key
+per edge with no per-vertex Python objects, and the keys are sorted only when
+they come out of order; the generators emit edge arrays. Vertices are
 dense 0-based integers. Loaders compact arbitrary ids and report the mapping.
 Graphs are immutable after construction and safe to share across threads.
 """
@@ -72,8 +73,11 @@ def build_graph(vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]
     iterable of pairs.
 
     Duplicate edges (in either orientation) collapse; self-loops and
-    out-of-range endpoints raise ValueError. Edges are deduplicated and
-    ordered by one sort of the keys ``min * n + max``.
+    out-of-range endpoints raise ValueError. Each edge is keyed ``(min << 32)
+    | max``, which orders the keys as the pairs. Keys that are not strictly
+    increasing, as one compare finds, are sorted and deduplicated; the rest
+    (path, complete, bipartite, star, star-union, copies and ER edges, and
+    an edge list read in order) are the edges already.
     """
     if vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
@@ -97,12 +101,16 @@ def build_graph(vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-    # np.sort plus a mask, not np.unique: plain np.unique takes a hash path
-    # that is tens of times slower on int64 keys
-    keys = np.sort(lo * n + hi)
-    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-    edge_u = (keys // n).astype(np.int32)
-    edge_v = (keys % n).astype(np.int32)
+    # n < 2**31, so (lo << 32) | hi orders the pairs as (lo, hi) does
+    keys = (lo << 32) | hi
+    del lo, hi, bad  # 17 bytes an edge, freed before the unpacking allocates
+    if not (keys[1:] > keys[:-1]).all():
+        # np.sort plus a mask, not np.unique: plain np.unique takes a hash
+        # path that is tens of times slower on int64 keys
+        keys = np.sort(keys)
+        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    edge_u = (keys >> 32).astype(np.int32)
+    edge_v = (keys & 0xFFFFFFFF).astype(np.int32)
     # one count over both ends, concatenated in the intp that bincount reads
     # so that it makes no cast copy of them
     degrees = np.bincount(np.concatenate((edge_u, edge_v), dtype=np.intp),

@@ -148,27 +148,36 @@ class StarClassCounts:
 _WEDGE_CHUNK = 1 << 16
 
 
-def _triangle_vertices(g: Graph) -> np.ndarray:
-    """Boolean mask of the vertices that lie in a triangle.
+def _triangle_vertices(g: Graph) -> tuple[np.ndarray, int]:
+    """Boolean mask of the vertices that lie in a triangle, and the number
+    of triangles.
 
     Each edge is oriented from its endpoint of lower (degree, id) rank, so
-    every out-degree is at most sqrt(2E) (Chiba & Nishizeki). A triangle is
-    then a wedge of two out-arcs at its lowest-ranked vertex whose far ends
-    are adjacent: O(E^1.5) wedges, looked up among the sorted edge keys about
-    ``_WEDGE_CHUNK`` at a time.
+    every out-degree is at most sqrt(2E) (Chiba & Nishizeki). As ``edge_u <
+    edge_v``, that is from ``edge_u`` unless its degree is the larger. A
+    triangle is then a wedge of two out-arcs at its lowest-ranked vertex
+    whose far ends are adjacent, so the closed wedges count the triangles
+    once each: O(E^1.5) wedges, looked up among the edge keys about
+    ``_WEDGE_CHUNK`` at a time. Edges and arcs are keyed ``(source << 32) |
+    target``; the edge keys are sorted already, and the arcs are sorted only
+    when a flipped arc puts them out of order.
     """
     n = g.vertex_count
     in_triangle = np.zeros(n, dtype=bool)
     u, v = g.edge_u.astype(np.int64), g.edge_v.astype(np.int64)
-    edge_keys = u * n + v  # sorted: the edges are in lexicographic order
-    rank = g.degrees * n + np.arange(n)
-    up = rank[u] < rank[v]
-    arcs = np.sort(np.where(up, u, v) * n + np.where(up, v, u))
-    source, target = arcs // n, arcs % n
+    edge_keys = (u << 32) | v  # sorted: the edges are in lexicographic order
+    flip = g.degrees[u] > g.degrees[v]
+    arcs = np.where(flip, (v << 32) | u, edge_keys)
+    if not (arcs[1:] > arcs[:-1]).all():
+        arcs.sort()
+    source, target = arcs >> 32, arcs & 0xFFFFFFFF
+    if not (source[1:] == source[:-1]).any():
+        return in_triangle, 0  # no vertex has two out-arcs, so no wedge
     # arc i pairs with the arcs after it in its source's run
     out_degree = np.bincount(source, minlength=n)
     later = np.cumsum(out_degree)[source] - np.arange(arcs.size) - 1
     wedges_to = np.cumsum(later)
+    triangles = 0
     start = 0
     while start < arcs.size:
         stop = int(np.searchsorted(wedges_to, wedges_to[start] - later[start] + _WEDGE_CHUNK,
@@ -178,12 +187,13 @@ def _triangle_vertices(g: Graph) -> np.ndarray:
         first = np.repeat(np.arange(start, stop), counts)
         second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
         a, b = target[first], target[second]
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        keys = (np.minimum(a, b) << 32) | np.maximum(a, b)
         closed = edge_keys[np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)] == keys
+        triangles += int(np.count_nonzero(closed))
         for ends in (source[first], a, b):
             in_triangle[ends[closed]] = True
         start = stop
-    return in_triangle
+    return in_triangle, triangles
 
 
 def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarClassCounts:
@@ -192,7 +202,10 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
     Cost guard: refuses when the star count sum_v C(d_v, r) exceeds
     ``budget``. For r = 1 every star is an edge whose two ends are both
     full-degree. For r >= 2, Lambda comes from the clique sums N_j of the
-    module docstring. Every member of a j-clique J (j >= 2) with a common
+    module docstring. At r = 2 they close: each of the t triangles is an edge
+    plus a common neighbor in 3 ways, so N_2 = 3t, N_3 = t and Lambda =
+    (n_star - 3t, 0, t), with t from ``_triangle_vertices``. For r >= 3 the
+    cliques are listed. Every member of a j-clique J (j >= 2) with a common
     neighbor, and every such neighbor, lies in a triangle, so the cliques grow
     in index order on the subgraph induced by the triangle vertices (Chiba &
     Nishizeki; Danisch, Balalau & Sozio, "Listing k-cliques in sparse
@@ -220,7 +233,11 @@ def class_counts(g: Graph, r: int, budget: int = DEFAULT_CLASS_BUDGET) -> StarCl
     if r == 1:
         lams[2] = g.edge_count
         return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
-    in_triangle = _triangle_vertices(g)
+    in_triangle, triangles = _triangle_vertices(g)
+    if r == 2:
+        # N_2 = 3t and N_3 = t for t triangles
+        lams[1:] = n_star - 3 * triangles, 0, triangles
+        return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
     tri = np.flatnonzero(in_triangle)
     inner = in_triangle[g.edge_u] & in_triangle[g.edge_v]
     # rows of the subgraph on the triangle vertices, relabelled in order

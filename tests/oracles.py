@@ -14,8 +14,7 @@ import numpy as np
 from monostar.errors import EdgeListParseError
 from monostar.graphs import Graph, build_graph
 from monostar.pmf import Pmf
-from monostar.stars import (StarClassCounts, _triangle_vertices, count_stars, eval_T_block,
-                            star_table)
+from monostar.stars import StarClassCounts, count_stars, eval_T_block, star_table
 
 _COLORING_CHUNK = 1 << 16
 
@@ -61,11 +60,27 @@ def brute_class_counts(g: Graph, r: int) -> tuple[int, ...]:
     return tuple(lams[1:])
 
 
+def brute_triangles(adj: list[set[int]]) -> tuple[np.ndarray, int]:
+    """Triangle membership of each vertex and the triangle count, from
+    neighbor sets: each triangle a < b < c is found once, at its edge (a, b),
+    as a common neighbor c > b."""
+    in_triangle = np.zeros(len(adj), dtype=bool)
+    count = 0
+    for a, nb in enumerate(adj):
+        for b in nb:
+            if b > a:
+                for c in adj[a] & adj[b]:
+                    if c > b:
+                        in_triangle[[a, b, c]] = True
+                        count += 1
+    return in_triangle, count
+
+
 def enumerate_class_counts(g: Graph, r: int) -> StarClassCounts:
     """Class counts by enumerating the r-subsets of each triangle vertex's
     neighborhood: a reference for ``class_counts`` on graphs too large for
-    ``brute_class_counts``. It shares only the star count and the triangle
-    mask with the package, and both are checked on their own.
+    ``brute_class_counts``. It shares only the star count with the package,
+    which is checked on its own; the triangle mask is ``brute_triangles``.
 
     A subset S = {v} union U (U inside the neighborhood of v) has k(S) = 1 +
     #{u in U adjacent to all of U \\ {u}}, and every full-degree vertex of S
@@ -78,12 +93,12 @@ def enumerate_class_counts(g: Graph, r: int) -> StarClassCounts:
     if r == 1:
         lams[2] = g.edge_count
         return StarClassCounts(r=r, n_star=n_star, class_counts=tuple(lams[1:]))
-    in_triangle = _triangle_vertices(g)
+    adj = brute_adjacency(g)
+    in_triangle, _ = brute_triangles(adj)
     free = np.bincount(g.degrees[~in_triangle])
     lam1_direct = sum(math.comb(d, r) * int(free[d]) for d in range(r, free.size))
     discoveries = [0] * (r + 2)  # index k: discoveries of subsets with k centers
     triangle_vertices = np.flatnonzero(in_triangle).tolist()
-    adj = brute_adjacency(g)
     adjacency = {v: sorted(adj[v]) for v in triangle_vertices}
     # a neighbor in no triangle shares no neighbor with v, so it is never a
     # full-degree leaf and needs no set

@@ -326,6 +326,9 @@ class TestGenerators:
 # a new field needs an entry here before the table tests below can run.
 _SAMPLE = {"n": "6", "d": "2", "p": "0.25", "weights": "0.6,0.3,0.1", "count": "3",
            "inner": "copies:2:star:3", "seed": "7", "shift_exponent": "0.5"}
+# one sample text per kind, by its first name
+_KIND_SAMPLES = [":".join([row.names[0], *(_SAMPLE[attr] for attr, *_ in row.fields)])
+                 for row in graphs._KINDS]
 _SCALE = {"star": 6, "union": 6, "complete": 6, "bipartite": 6, "cycle": 6, "path": 6,
           "circulant": 6, "tadpole31": 1, "copies": 3, "figure2": 6, "er": 6}
 
@@ -389,12 +392,33 @@ class TestRoundTrip:
         assert degree_sequence(g) == [d] * n
 
 
-@pytest.mark.parametrize("text", [":".join([row.names[0], *(_SAMPLE[attr] for attr, *_ in row.fields)])
-                                  for row in graphs._KINDS] + ["star:0"])
+@pytest.mark.parametrize("text", _KIND_SAMPLES + ["star:0"])
 def test_edge_list_text_is_the_line_join(text):
     for g in (generate(parse_generator(text)), build_graph(0, [])):
         want = "".join(f"{u} {v}\n" for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
         assert edge_list_text(g) == want
+
+
+@pytest.mark.parametrize("text", _KIND_SAMPLES + [
+    "star:0", "path:1", "circulant:40:6", "figure2:6", "copies:3:cycle:5", "er:60:0.2:seed=3"])
+def test_build_graph_ignores_edge_order_orientation_and_repeats(text):
+    # a generator's graph, rebuilt from its edges in order (the build that
+    # skips the sort), shuffled, swapped, partly swapped and repeated
+    g = generate(parse_generator(text))
+    rng = np.random.default_rng(sum(map(ord, text)))
+    pairs = np.stack((g.edge_u, g.edge_v), axis=1)
+    shuffled = pairs[rng.permutation(g.edge_count)]
+    some_swapped = np.where(rng.random((g.edge_count, 1)) < 0.5, shuffled, shuffled[:, ::-1])
+    repeated = pairs[np.sort(np.concatenate((np.arange(g.edge_count),
+                                             rng.integers(0, max(g.edge_count, 1), g.edge_count))))]
+    for edges in (pairs, shuffled, pairs[:, ::-1], some_swapped, repeated,
+                  np.concatenate((some_swapped, pairs))):
+        h = build_graph(g.vertex_count, edges)
+        assert h.vertex_count == g.vertex_count
+        for got, want in ((h.edge_u, g.edge_u), (h.edge_v, g.edge_v), (h.degrees, g.degrees)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert not got.flags.writeable and not want.flags.writeable
+    assert_well_formed(g)
 
 
 def test_build_graph_rejects_bad_edges():

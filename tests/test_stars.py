@@ -1,9 +1,8 @@
-from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monostar import stars
@@ -15,18 +14,35 @@ from monostar.graphs import (
     cycle,
     generate,
     parse_generator,
+    path,
     star,
     tadpole31,
 )
 from monostar.stars import class_counts, count_stars
 
 from oracles import (brute_adjacency, brute_class_counts, brute_clique_pair_counts,
-                     brute_count_stars, enumerate_class_counts,
+                     brute_count_stars, brute_triangles, enumerate_class_counts,
                      random_graph, with_pendant_trees)
 
 # star visits up to which a randomized case is also run through the
 # enumeration oracle, which spends a few microseconds per visit
 ENUMERATION_CAP = 400_000
+
+
+@st.composite
+def triangle_graphs(draw):
+    """A graph of ``random_graph``'s kind on up to 14 vertices, with up to
+    three triangles planted on its vertices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_graph(rng, 14, p=float(rng.uniform(0.05, 0.5)))
+    n = g.vertex_count
+    if n < 3:
+        return g
+    planted = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                     unique=True), max_size=3))
+    edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    edges += [(a, b) for x, y, z in planted for a, b in ((x, y), (y, z), (x, z))]
+    return build_graph(n, edges)
 
 
 def complete_minus(n, missing):
@@ -226,15 +242,16 @@ class TestClassCounts:
         assert class_counts(complete(60), 4).class_counts == (0, 0, 0, 0, comb(60, 5))
 
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
-    def test_triangle_vertices_against_brute_force(self, monkeypatch, chunk):
+    @given(g=triangle_graphs())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(g=star(5))  # every arc flipped to a leaf: no wedge
+    @example(g=path(6))  # one flipped arc, still in order: no wedge
+    @example(g=build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]))  # bowtie
+    def test_triangle_vertices_against_brute_force(self, monkeypatch, chunk, g):
+        # the mask, the triangle count and the r = 2 class counts they give
         monkeypatch.setattr(stars, "_WEDGE_CHUNK", chunk)
-        rng = np.random.default_rng(chunk)
-        for _ in range(30):
-            g = random_graph(rng, 14, p=float(rng.uniform(0.05, 0.5)))
-            adj = brute_adjacency(g)
-            want = np.zeros(g.vertex_count, dtype=bool)
-            for a, b, c in combinations(range(g.vertex_count), 3):
-                if b in adj[a] and c in adj[a] and c in adj[b]:
-                    want[[a, b, c]] = True
-            assert np.array_equal(stars._triangle_vertices(g), want)
-
+        want, triangles = brute_triangles(brute_adjacency(g))
+        in_triangle, count = stars._triangle_vertices(g)
+        assert np.array_equal(in_triangle, want) and count == triangles
+        assert class_counts(g, 2) == enumerate_class_counts(g, 2)
