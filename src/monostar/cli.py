@@ -45,7 +45,7 @@ def _load_graph(arg: str):
 
 
 def _emit(payload, args) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "output", None):
@@ -173,77 +173,73 @@ def _cmd_birthday(args) -> int:
     return 0
 
 
+def _shared(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one argument, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monostar",
         description="Monochromatic r-star statistics: counting, simulation, limit laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = _shared("-o", "--output")
+    graph = _shared("graph", help="edge-list file or generator string")
+    graph.add_argument("-r", type=int, required=True)
+    colors = _shared("-c", type=int, required=True)
+    csv = _shared("--csv", action="store_true")
 
-    p = sub.add_parser("gen", help="write a generated graph as an edge list")
+    p = sub.add_parser("gen", help="write a generated graph as an edge list", parents=[output])
     p.add_argument("spec", help='generator string, e.g. "star:4", "figure2:10", "er:100:0.05:seed=7"')
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("stats", help="star count and class counts")
-    p.add_argument("graph", help="edge-list file or generator string")
-    p.add_argument("-r", type=int, required=True)
+    p = sub.add_parser("stats", help="star count and class counts", parents=[graph, output])
     p.add_argument("--classes", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_CLASS_BUDGET)
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo histogram of T")
-    p.add_argument("graph")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
+    p = sub.add_parser("simulate", help="Monte-Carlo histogram of T",
+                       parents=[graph, colors, csv, output])
     p.add_argument("-n", "--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("exact", help="exact pmf of T over set partitions, per component")
-    p.add_argument("graph")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
+    p = sub.add_parser("exact", help="exact pmf of T over set partitions, per component",
+                       parents=[graph, colors, csv, output])
     p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
                    help="most evaluations to spend: the set partitions of each distinct "
                         "component, plus the word-weighted cells of each convolution step "
                         "(default: %(default)s)")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_exact)
 
-    p = sub.add_parser("limit", help="limit-law parameters, pmf, and sampling")
+    p = sub.add_parser("limit", help="limit-law parameters, pmf, and sampling",
+                       parents=[csv, output])
     p.add_argument("action", choices=["params", "pmf", "sample"])
     p.add_argument("params", nargs="*", help='e.g. r=2 theta=1,0.5 lambda1=0.9 lambda3=0.2')
     p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS, dest="tail_eps")
     p.add_argument("-n", "--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_limit)
 
-    p = sub.add_parser("verify", help="run a pre-wired example and check its tolerance")
+    p = sub.add_parser("verify", help="run a pre-wired example and check its tolerance",
+                       parents=[output])
     p.add_argument("name", choices=list(builtin_names()))
     p.add_argument("-n", type=int, default=None, help="family size override")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("birthday", help="P(T > 0) by oracle, Monte Carlo, or limit law")
-    p.add_argument("graph")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
+    p = sub.add_parser("birthday", help="P(T > 0) by oracle, Monte Carlo, or limit law",
+                       parents=[graph, colors, output])
     p.add_argument("--method", choices=["oracle", "mc", "limit"], default="oracle")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_birthday)
 
     return parser

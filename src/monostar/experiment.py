@@ -14,7 +14,7 @@ from math import comb
 
 from .coloring import empirical_moments, monte_carlo
 from .errors import BudgetExceededError, MonostarError
-from .graphs import generate, generator_scale, parse_generator
+from .graphs import generate, parse_generator
 from .limits import (
     DEFAULT_THETA_CUT,
     LimitLawParams,
@@ -34,26 +34,12 @@ __all__ = [
     "builtin_example",
     "builtin_names",
     "birthday_probability",
-    "resolve_colors",
     "DEFAULT_TV_TOLERANCE",
 ]
 
 # Finite-size tolerances are engineering choices, not theorem content; they
 # are echoed in every report.
 DEFAULT_TV_TOLERANCE = {"exact-oracle": 0.005, "limit-law": 0.05}
-
-
-def resolve_colors(rule: int | str, scale: int) -> int:
-    """The color count: a fixed int, or ``"n"`` for the generator scale."""
-    if rule == "n":
-        c = scale
-    elif isinstance(rule, int):
-        c = rule
-    else:
-        raise ValueError(f"color rule {rule!r} is neither an integer nor 'n'")
-    if c < 1:
-        raise ValueError(f"color rule {rule!r} resolved to c = {c} < 1")
-    return c
 
 
 @dataclass(frozen=True)
@@ -63,7 +49,7 @@ class ExperimentSpec:
 
     generator: str
     r: int
-    colors: int | str  # a fixed count, or "n" for the generator scale
+    colors: int
     samples: int
     seed: int
     comparison: str = "limit-law"  # exact-oracle | limit-law | both
@@ -124,11 +110,14 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     started = time.perf_counter()
     report = Report(spec=spec.spec_echo(), warnings=list(spec.notes))
     try:
+        c = spec.colors
+        if not isinstance(c, int) or c < 1:
+            raise ValueError(f"colors must be an integer >= 1, got {c!r}")
+        if spec.tv_tolerance is not None and math.isnan(spec.tv_tolerance):
+            raise ValueError("tv_tolerance must be a number, got NaN")
         if spec.comparison not in ("exact-oracle", "limit-law", "both"):
             raise ValueError(f"unknown comparison {spec.comparison!r}")
-        gen = parse_generator(spec.generator)
-        g = generate(gen)
-        c = resolve_colors(spec.colors, generator_scale(gen))
+        g = generate(parse_generator(spec.generator))
         n_star = count_stars(g, spec.r)
         report.graph = {
             "vertex_count": g.vertex_count,
@@ -252,20 +241,20 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
 
     if name == "star":
         params = LimitLawParams(r=2, thetas=(1.0,), lambdas=(0.5, 0.0, 0.0))
-        return ExperimentSpec(generator=f"star:{n}", r=2, colors="n",
+        return ExperimentSpec(generator=f"star:{n}", r=2, colors=_rule_colors(name, n, n),
                               predicted_params=params, **base)
     if name == "star-union":
         weights = (0.6, 0.3, 0.1)
         lam1 = sum(a**2 for a in weights) / 2
         params = LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
-        return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}", r=2, colors="n",
-                              predicted_params=params, **base)
+        return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}", r=2,
+                              colors=_rule_colors(name, n, n), predicted_params=params, **base)
     if name == "star-union-shifted":
         weights = (0.6, 0.3, 0.1)
         lam1 = sum(a**2 for a in weights) / 2 + 0.5
         params = LimitLawParams(r=2, thetas=weights, lambdas=(lam1, 0.0, 0.0))
         return ExperimentSpec(generator=f"union:0.6,0.3,0.1:{n}:shift=0.5", r=2,
-                              colors="n", predicted_params=params, **base)
+                              colors=_rule_colors(name, n, n), predicted_params=params, **base)
     if name == "regular":
         d = 6
         c = _rule_colors(name, n, round(math.sqrt(n * comb(d, 2) / 2.0)))
@@ -288,7 +277,7 @@ def builtin_example(name: str, n: int | None = None, samples: int | None = None,
                               notes=("complete family: support on multiples of 3",),
                               **base)
     if name == "figure2":
-        return ExperimentSpec(generator=f"figure2:{n}", r=2, colors="n",
+        return ExperimentSpec(generator=f"figure2:{n}", r=2, colors=_rule_colors(name, n, n),
                               predicted_params=figure2_params(1.0), tv_tolerance=0.07, **base)
     if name == "tadpole-remark":
         c = _rule_colors(name, n, _icbrt(n))

@@ -24,7 +24,6 @@ __all__ = [
     "build_graph",
     "generate",
     "parse_generator",
-    "generator_scale",
     "degree_sequence",
     "pendant_trees",
     "component_groups",
@@ -449,12 +448,18 @@ def star_union(weights: tuple[float, ...], n: int, shift_exponent: float | None 
     if n < 0:
         raise ValueError("n must be non-negative")
     if shift_exponent is None:
-        sizes = [int(n * a) for a in weights]
+        form, sizes = "floor(n * a_s)", [n * a for a in weights]
     else:
-        shift = float(n) ** shift_exponent
+        try:
+            shift = float(n) ** shift_exponent
+        except (OverflowError, ZeroDivisionError):  # past the float range, or 0 ** -e
+            shift = float("inf")
         padded = list(weights) + [0.0] * max(0, n - len(weights))
-        sizes = [int(n * a + shift) for a in padded[:n]]
-    sizes = np.array([s for s in sizes if s > 0], dtype=np.int64)
+        form, sizes = "floor(n * a_s + n**e)", [n * a + shift for a in padded[:n]]
+    bad = [s for s in sizes if not s < 1 << 31]  # NaN fails the compare too
+    if bad:
+        raise ValueError(f"star size {form} must be finite and below 2**31, got {bad[0]}")
+    sizes = np.array([int(s) for s in sizes if s >= 1], dtype=np.int64)
     # each star is its hub followed by its leaves
     hubs = np.cumsum(sizes + 1) - (sizes + 1)
     total = int((sizes + 1).sum())
@@ -585,8 +590,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048], dtype=np.uint64)))
+        key=np.array([seed, 0x4752415048], dtype=np.uint64)))
     flat = bernoulli_positions(rng, n * (n - 1) // 2, p)
     return build_graph(n, _pairs(*_pair_ends(n, flat)))
 
@@ -636,14 +643,13 @@ class _Kind:
 
     ``fields`` come in CLI order; ``options`` maps an option name to a field
     plus its default. The builder takes the fields and then the options,
-    positionally. ``scale`` names the argument a color rule calls ``n``.
+    positionally.
     """
 
     names: tuple[str, ...]
     fields: tuple[tuple, ...]
     build: Callable[..., Graph]
     options: dict = field(default_factory=dict)
-    scale: str = "n"
 
     @property
     def params(self) -> list[str]:
@@ -667,7 +673,7 @@ _KINDS = (
     _Kind(("circulant",), (_N, ("d", int)), circulant),
     _Kind(("tadpole31",), (), tadpole31),
     _Kind(("copies",), (("count", int), _INNER),
-          lambda count, inner: disjoint_copies(generate(inner), count), scale="count"),
+          lambda count, inner: disjoint_copies(generate(inner), count)),
     _Kind(("figure2",), (_N,), figure2_composite),
     _Kind(("er", "erdos-renyi"), (_N, ("p", float)), erdos_renyi,
           {"seed": ("seed", int, 0)}),
@@ -685,13 +691,6 @@ def _row(name: str) -> _Kind:
 def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec; deterministic given the spec (incl. seed)."""
     return _row(spec.name).build(*spec.args)
-
-
-def generator_scale(spec: GeneratorSpec) -> int:
-    """The size parameter that the color rule ``"n"`` stands for: the
-    argument its row's ``scale`` names, or 1 when there is none."""
-    row = _row(spec.name)
-    return dict(zip(row.params, spec.args)).get(row.scale, 1)
 
 
 def parse_generator(text: str) -> GeneratorSpec:

@@ -280,7 +280,7 @@ def reference_erdos_renyi_edges(n: int, p: float, seed: int) -> list[tuple[int, 
     draw from the generator's Philox stream, with the generator's float ops
     per gap, and each position mapped to (u, v) by walking the rows."""
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x4752415048], dtype=np.uint64)))
+        key=np.array([seed, 0x4752415048], dtype=np.uint64)))
     if p == 0:
         return []
     scale = -1.0 / math.log1p(-p) if p < 1 else 0.0

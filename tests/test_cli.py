@@ -44,6 +44,22 @@ class TestGen:
         assert out == ""
         assert f"does not match {form}" in err
 
+    @pytest.mark.parametrize("spec", ["union:1e308:5", "union:inf:5", "union:nan:5"])
+    def test_non_finite_star_size_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "gen", spec)
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: star size floor(n * a_s) must be finite")
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_er_seed_outside_64_bits_usage_error(self, capsys, seed):
+        # each would alias a valid seed: 2**64 - 1 and 0
+        code, out, err = run_cli(capsys, "gen", f"er:12:0.5:seed={seed}")
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert err == "error: seed must be a 64-bit unsigned integer\n"
+
 
 class TestStats:
     def test_generator_argument(self, capsys):
@@ -185,6 +201,13 @@ class TestLimit:
             assert code == 0 and err == ""
             assert json.loads(out)["z1_rate"] == 1.0
 
+    def test_pmf_support_in_numeric_order(self, capsys):
+        code, out, _ = run_cli(capsys, "limit", "pmf", "r=2", "lambda1=3")
+        assert code == 0
+        keys = list(json.loads(out)["support"])
+        assert keys == [str(v) for v in range(len(keys))]
+        assert len(keys) > 10
+
     def test_pmf_csv(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "pmf", "r=2", "lambda1=1.0", "--csv")
         assert code == 0
@@ -302,6 +325,14 @@ class TestVerify:
         assert code == 4
         assert "exceeds tolerance" in err
 
+    def test_nan_tolerance_usage_exit(self, capsys):
+        # every TV compares false against NaN, which would pass any run
+        code, out, err = run_cli(capsys, "verify", "star", "-n", "50", "--samples", "10",
+                                 "--tol", "nan")
+        assert code == USAGE_EXIT
+        assert json.loads(out)["failed"]
+        assert "verify failed: ValueError: tv_tolerance must be a number, got NaN" in err
+
     def test_unknown_name_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "not-a-family"])
@@ -309,7 +340,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, n, c", [
         ("complete", 1, 0), ("complete", 2, 0), ("complete", 0, 0), ("bipartite", 1, 0),
-        ("tadpole-remark", 0, 0), ("er", 0, 0), ("regular", 0, 0)])
+        ("tadpole-remark", 0, 0), ("er", 0, 0), ("regular", 0, 0), ("star", 0, 0)])
     def test_color_rule_below_one_usage_exit(self, capsys, name, n, c):
         # refused before the rule's mean divides by c
         code, out, err = run_cli(capsys, "verify", name, "-n", str(n), "--samples", "10")

@@ -6,21 +6,23 @@ kernel with no enumeration of colorings, one finite-law algebra shared by the
 oracle and the sampler, one draw route in the sampler, one Bernoulli-trial
 sampler for its parts and the G(n, p) edges, one cleanup path for
 its worker processes, one graph representation, an
-experiment spec holding only what callers set, a generator spec that is a
-table row's name plus its builder's arguments, no exported name that the
-package itself never uses, and no json or concurrent.futures loaded by the
-import."""
+experiment spec holding only what callers set, a color count that is a
+number, a generator spec that is a table row's name plus its builder's
+arguments, CLI options shared by subcommands declared once, no exported name
+that the package itself never uses, and no json or concurrent.futures loaded
+by the import."""
 import ast
 import dataclasses
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
-from monostar import coloring, graphs
+from monostar import coloring, experiment, graphs
 from monostar.experiment import ExperimentSpec
 from monostar.graphs import GeneratorSpec, Graph
 
@@ -181,6 +183,26 @@ def test_experiment_spec_keeps_what_callers_set():
     assert [f.name for f in dataclasses.fields(ExperimentSpec)] == [
         "generator", "r", "colors", "samples", "seed", "comparison", "workers", "theta_cut",
         "predicted_params", "tv_tolerance", "name", "notes"]
+
+
+def test_color_count_is_a_number():
+    # one way to state a color count: no rule resolved against a generator's
+    # size argument, and no table column naming that argument
+    assert typing.get_type_hints(ExperimentSpec)["colors"] is int
+    assert not hasattr(experiment, "resolve_colors")
+    assert not hasattr(graphs, "generator_scale")
+    assert "scale" not in [f.name for f in dataclasses.fields(graphs._Kind)]
+
+
+def test_cli_declares_shared_options_once():
+    cli = ast.parse(next(p for p in SOURCES if p.name == "cli.py").read_text())
+    declared = [node.args[0].value for node in ast.walk(cli)
+                if isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and (isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+                     or isinstance(node.func, ast.Name) and node.func.id == "_shared")]
+    assert {flag: declared.count(flag) for flag in ("-o", "graph", "-r", "-c", "--csv")} == {
+        "-o": 1, "graph": 1, "-r": 1, "-c": 1, "--csv": 1}
 
 
 def test_generator_spec_is_a_name_and_its_arguments():

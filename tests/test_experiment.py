@@ -10,7 +10,6 @@ from monostar.experiment import (
     birthday_probability,
     builtin_example,
     builtin_names,
-    resolve_colors,
     run_experiment,
 )
 from monostar.graphs import build_graph, complete, generate, parse_generator
@@ -18,18 +17,31 @@ from monostar.limits import figure2_params, limit_moments, params_from_graph
 from monostar.stars import class_counts, count_stars
 
 
-class TestResolveColors:
-    def test_fixed(self):
-        assert resolve_colors(7, 100) == 7
+def _colors_report(colors, generator="star:5"):
+    return run_experiment(ExperimentSpec(generator=generator, r=2, colors=colors, samples=10,
+                                         seed=0))
 
-    def test_expression(self):
-        assert resolve_colors("n", 42) == 42
+
+class TestResolveColors:
+    """A spec's color count is an int >= 1, used as it stands; anything else
+    fails the report before the graph is built."""
+
+    def test_fixed(self):
+        report = _colors_report(7, "star:100")
+        assert not report.failed
+        assert report.graph["colors"] == 7
+
+    def test_n_is_refused(self):
+        report = _colors_report("n")
+        assert report.failed
+        assert report.error_kind == "ValueError"
+        assert "colors must be an integer >= 1, got 'n'" in report.error
 
     def test_must_be_positive(self):
-        with pytest.raises(ValueError, match="c = 0 < 1"):
-            resolve_colors(0, 10)
-        with pytest.raises(ValueError, match="c = 0 < 1"):
-            resolve_colors("n", 0)
+        for colors in (0, -3):
+            report = _colors_report(colors)
+            assert report.failed and report.error_kind == "ValueError"
+            assert f"got {colors}" in report.error
 
     @pytest.mark.parametrize("rule", [
         "().__class__.__base__.__subclasses__().__len__()",
@@ -42,15 +54,20 @@ class TestResolveColors:
         "N", " n", "7", 7.0, None,
     ])
     def test_rejects_anything_outside_the_grammar(self, rule):
-        with pytest.raises(ValueError):
-            resolve_colors(rule, 5)
-
-    def test_unsupported_rule_fails_report(self):
-        spec = ExperimentSpec(generator="star:5", r=2, colors="n / (n - 5)", samples=10, seed=0)
-        report = run_experiment(spec)
+        report = _colors_report(rule)
         assert report.failed
         assert report.error_kind == "ValueError"
-        assert "neither an integer nor 'n'" in report.error
+        assert report.graph is None
+
+    def test_unsupported_rule_fails_report(self):
+        report = _colors_report("n / (n - 5)")
+        assert report.failed
+        assert report.error_kind == "ValueError"
+        assert "colors must be an integer >= 1" in report.error
+
+    @pytest.mark.parametrize("name", ["star", "star-union", "star-union-shifted", "figure2"])
+    def test_star_families_take_c_equal_n(self, name):
+        assert builtin_example(name, n=37, samples=1).colors == 37
 
 
 class TestRunExperiment:
@@ -107,6 +124,15 @@ class TestRunExperiment:
         assert report.failed
         assert "Budget" in report.error
         assert report.error_kind == "budget"
+
+    def test_nan_tolerance_fails_report(self):
+        # every TV compares false against NaN, so a NaN tolerance would pass any TV
+        spec = ExperimentSpec(generator="star:50", r=2, colors=50, samples=10, seed=0,
+                              tv_tolerance=float("nan"))
+        report = run_experiment(spec)
+        assert report.failed
+        assert report.error_kind == "ValueError"
+        assert "tv_tolerance must be a number, got NaN" in report.error
 
     @pytest.mark.parametrize("generator, form", [
         ("star", "star:n"), ("circulant:10", "circulant:n:d"), ("path:5:9", "path:n"),
@@ -191,12 +217,8 @@ class TestBuiltins:
     def test_predicted_mean_matches_star_density(self, name):
         # the wired prediction must agree with n_star / c^r at the default size
         spec = builtin_example(name, samples=1)
-        gen = parse_generator(spec.generator)
-        g = generate(gen)
-        from monostar.experiment import resolve_colors as rc
-        from monostar.graphs import generator_scale
-
-        c = rc(spec.colors, generator_scale(gen))
+        g = generate(parse_generator(spec.generator))
+        c = spec.colors
         exact_mean = count_stars(g, spec.r) / c**spec.r
         if spec.predicted_params is not None:
             predicted = spec.predicted_params.mean
@@ -210,13 +232,13 @@ class TestBuiltins:
 
     # sha256 of canonical_json() at the quick sizes, 2,000 samples, seed 20240601
     CANONICAL_SHA256 = {
-        "star": "a8ab15adbd897eb11fd2803aa66db2a71f3c32b3c79bb6a4e8bddb881e4dddcd",
-        "star-union": "4cc7d98b4efa79a09f22269130f7b5a8acb9a377fd5cecee1f59a6ae582ec2b9",
-        "star-union-shifted": "9a64eba22107a48ab836a5c64e201337f3817c85c4987f6c77a4d0a93a45f346",
+        "star": "330103cdf1cb798d31e991efe898a60c1f57c1b799e0ee42307d962da4f417a8",
+        "star-union": "f4fc1929bee7e5eb7c6767a77c1bc477c6560ebbaa0915f1152352daca62ad10",
+        "star-union-shifted": "d8c03065cae2e23524e410f90a438365da9f71dd4bc64081feee2930496194f6",
         "regular": "1c33c496cb8457157c271f2cf6588b0ff4c2b7bf67a7b9fb2b37db1d16283ea1",
         "bipartite": "e92ace2e2928ddf7dd1438c71df090188ab3740679028435adb9fb4b9eb0b98c",
         "complete": "3d705d43f7baa1352112532609101dc111343e73669ed0fe20bcd809b11d6122",
-        "figure2": "3d425fa34862bff76df550dd3fb9b7ddc61e3c47a32175d3554409f2194ac7d0",
+        "figure2": "f4d5e51734ba1196f56d23105e7bfda3bf7f1cf9c550e9c1bed736ac8a07d1c2",
         "tadpole-remark": "4c9cd8ec2684493bc4375ba153a195469dcb289acfb7b000a2b4240794b25297",
         "er": "59d185b21f346a9582317afd95e3ad989f502f2ebf65fd12950a51fa424e9700",
     }

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -24,7 +25,6 @@ from monostar.graphs import (
     erdos_renyi,
     figure2_composite,
     generate,
-    generator_scale,
     parse_edge_list,
     parse_generator,
     path,
@@ -217,6 +217,20 @@ class TestGenerators:
         assert g.vertex_count == 10
         assert max(degree_sequence(g)) == 9
 
+    @pytest.mark.parametrize("weights, n, shift, form", [
+        ((1e308,), 5, None, "floor(n * a_s)"), ((float("inf"),), 5, None, "floor(n * a_s)"),
+        ((float("nan"),), 5, None, "floor(n * a_s)"), ((1e300,), 5, None, "floor(n * a_s)"),
+        ((1.0,), 5, 1e308, "floor(n * a_s + n**e)"),
+        ((1.0,), 5, float("nan"), "floor(n * a_s + n**e)"),
+    ], ids=["1e308", "inf", "nan", "1e300", "shift=1e308", "shift=nan"])
+    def test_star_union_refuses_sizes_past_addressing(self, weights, n, shift, form):
+        with pytest.raises(ValueError, match=re.escape(f"star size {form} must be finite")):
+            star_union(weights, n, shift)
+
+    def test_star_union_shifted_empty_at_n_zero(self):
+        # 0 ** -1 has no float value, but no star needs it
+        assert star_union((1.0,), 0, shift_exponent=-1.0).vertex_count == 0
+
     def test_star_union_shifted_has_n_stars(self):
         g = star_union((0.5,), 9, shift_exponent=0.5)
         # 9 stars of floor(9a_s + 3) leaves: one of 7, eight of 3
@@ -288,10 +302,6 @@ class TestGenerators:
         assert parse_generator("copies:10000:star:3") == GeneratorSpec(
             "copies", (10000, GeneratorSpec("star", (3,))))
 
-    def test_generator_scale(self):
-        assert generator_scale(parse_generator("star:123")) == 123
-        assert generator_scale(parse_generator("copies:77:star:3")) == 77
-
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             parse_generator("moebius:7")
@@ -329,8 +339,11 @@ _SAMPLE = {"n": "6", "d": "2", "p": "0.25", "weights": "0.6,0.3,0.1", "count": "
 # one sample text per kind, by its first name
 _KIND_SAMPLES = [":".join([row.names[0], *(_SAMPLE[attr] for attr, *_ in row.fields)])
                  for row in graphs._KINDS]
-_SCALE = {"star": 6, "union": 6, "complete": 6, "bipartite": 6, "cycle": 6, "path": 6,
-          "circulant": 6, "tadpole31": 1, "copies": 3, "figure2": 6, "er": 6}
+# the vertex count of the graph each canonical sample string builds
+_VERTICES = {"star:6": 7, "union:0.6,0.3,0.1:6": 6, "union:0.6,0.3,0.1:6:shift=0.5": 25,
+             "complete:6": 6, "bipartite:6": 12, "cycle:6": 6, "path:6": 6, "circulant:6:2": 6,
+             "tadpole31": 4, "copies:3:copies:2:star:3": 24, "figure2:6": 47,
+             "er:6:0.25:seed=0": 6, "er:6:0.25:seed=7": 6}
 
 
 def _table_strings():
@@ -356,8 +369,9 @@ def test_table_round_trip_and_scale(text):
     assert parse_generator(canonical) == spec
     name, sep, rest = text.partition(":")
     assert parse_generator(f" {name.upper()}{sep}{rest} ") == spec
-    assert generator_scale(spec) == _SCALE[spec.name]
-    assert_well_formed(generate(spec))
+    g = generate(spec)
+    assert g.vertex_count == _VERTICES[canonical]
+    assert_well_formed(g)
 
 
 class TestRoundTrip:
@@ -560,10 +574,9 @@ class TestErdosRenyiChunks:
     @pytest.mark.filterwarnings("error")
     def test_seeds_past_2_63_keep_their_low_bits(self):
         graphs_by_seed = {seed: generate(parse_generator(f"er:50:0.2:seed={seed}"))
-                          for seed in (2**63, 2**63 + 1, 2**64 - 1, -1)}
+                          for seed in (2**63, 2**63 + 1, 2**64 - 1)}
         assert not same_edges(graphs_by_seed[2**63], graphs_by_seed[2**63 + 1])
-        # the seed is taken modulo 2**64
-        assert same_edges(graphs_by_seed[-1], graphs_by_seed[2**64 - 1])
+        assert not same_edges(graphs_by_seed[2**63 + 1], graphs_by_seed[2**64 - 1])
         g = graphs_by_seed[2**63 + 1]
         assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
             reference_erdos_renyi_edges(50, 0.2, 2**63 + 1)
@@ -571,6 +584,12 @@ class TestErdosRenyiChunks:
     def test_complete_at_p_one(self):
         g = erdos_renyi(9, 1.0, 0)
         assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == list(combinations(range(9), 2))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # no seed aliases another: -1 would be 2**64 - 1 and 2**64 would be 0
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            erdos_renyi(10, 0.5, seed)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 4500, (1 << 31) - 1])
